@@ -1328,8 +1328,8 @@ let serve_cmd =
   let cache_size =
     Arg.(value & opt int 256
          & info [ "cache-size" ] ~docv:"N"
-             ~doc:"LRU capacity (entries) of the content-addressed result \
-                   and profile caches; 0 disables caching.")
+             ~doc:"LRU capacity (entries) of the content-addressed result, \
+                   profile and circuit-identity caches; 0 disables caching.")
   in
   let max_request_bytes =
     Arg.(value & opt int (8 * 1024 * 1024)

@@ -38,6 +38,9 @@ type t = {
   config : config;
   responses : string Cache.t;  (** reply line per content-addressed key *)
   profiles : Profile.t Cache.t;  (** the expensive Monte-Carlo part *)
+  circuits : (string * string) Cache.t;
+      (** circuit spelling to identity [(name, Strash.digest)]; never the
+          netlist, so its footprint stays a few strings per entry *)
   metrics : Service_metrics.t;
   journal : Journal.t option;
       (** on-disk backing of [responses]; [None] when persistence is
@@ -68,6 +71,7 @@ let create ?config () =
     config;
     responses;
     profiles = Cache.create ~capacity:config.cache_capacity;
+    circuits = Cache.create ~capacity:config.cache_capacity;
     metrics = Service_metrics.create ~now:(Unix.gettimeofday ());
     journal;
     lint_hits = 0;
@@ -113,6 +117,32 @@ let resolve_circuit = function
            ( "blif_parse_error",
              Format.asprintf "%a" Nano_blif.Blif.pp_error e )))
 
+(* A circuit as [prepare] sees it: the identity its cache keys need,
+   known before any lookup, and the netlist, built only when a handler
+   actually runs (a response-cache miss). *)
+type circuit = { name : string; digest : string; netlist : Netlist.t Lazy.t }
+
+(* Spelling → identity memo. Suite builds, BLIF parsing and strash are
+   pure functions of the spelling, so a remembered (name, digest) is
+   exactly what resolving again would compute; BLIF text is keyed by
+   its MD5, the assumption [lint|blif:] keys already make. Only
+   successes are remembered: a failing spelling resolves, and raises its
+   error reply, every time. *)
+let identify t circuit =
+  let spelling =
+    match circuit with
+    | Protocol.Named name -> "name:" ^ name
+    | Protocol.Blif text -> "blif:" ^ Digest.to_hex (Digest.string text)
+  in
+  match Cache.find t.circuits spelling with
+  | Some (name, digest) ->
+    { name; digest; netlist = lazy (snd (resolve_circuit circuit)) }
+  | None ->
+    let name, netlist = resolve_circuit circuit in
+    let digest = Nano_synth.Strash.digest netlist in
+    Cache.add t.circuits spelling (name, digest);
+    { name; digest; netlist = Lazy.from_val netlist }
+
 (* Technology-pack resolution: a name looks up a built-in, an inline
    object goes through the JSON loader. Both failure shapes are error
    replies (never cached), and both spellings of the same pack share
@@ -142,23 +172,27 @@ let resolve_tech = function
 (* Profile of the (optionally mapped) circuit, by content address: the
    Monte-Carlo activity + sensitivity measurement only depends on the
    strashed structure, so it is shared across requests — and across
-   differing model names, which only relabel the result. *)
+   differing model names, which only relabel the result. The mapped
+   netlist comes back too: the one the profile measured on a miss, so
+   the grid and the tech report reuse its compiled program; mapped
+   afresh, on demand, on a hit. *)
 let profile_for t ~deadline ~digest ~name ~no_map netlist =
   let core_key = Printf.sprintf "profile-core|%s|%b" digest no_map in
-  let profile =
+  let map () =
+    if no_map then netlist
+    else Nano_synth.Script.rugged_lite ~max_fanin:3 netlist
+  in
+  let profile, mapped =
     match Cache.find t.profiles core_key with
-    | Some p -> p
+    | Some p -> (p, lazy (map ()))
     | None ->
       check_deadline deadline;
-      let mapped =
-        if no_map then netlist
-        else Nano_synth.Script.rugged_lite ~max_fanin:3 netlist
-      in
+      let mapped = map () in
       let p = Profile.of_netlist ~jobs:t.config.jobs mapped in
       Cache.add t.profiles core_key p;
-      p
+      (p, Lazy.from_val mapped)
   in
-  { profile with Profile.name = name }
+  ({ profile with Profile.name = name }, mapped)
 
 let fr = Json.float_repr
 
@@ -295,6 +329,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
               [
                 ("responses", Cache.stats t.responses);
                 ("profiles", Cache.stats t.profiles);
+                ("circuits", Cache.stats t.circuits);
               ]
             ~now:(Unix.gettimeofday ()));
     }
@@ -317,22 +352,22 @@ let prepare t ~deadline (env : Protocol.envelope) =
       run = (fun () -> Protocol.bounds_to_json (Metrics.evaluate scenario));
     }
   | Protocol.Profile { circuit; no_map } ->
-    let name, netlist = resolve_circuit circuit in
-    let digest = Nano_synth.Strash.digest netlist in
+    let { name; digest; netlist } = identify t circuit in
     let key = Printf.sprintf "profile|%s|%s|%b" digest name no_map in
     {
       key = Some key;
       run =
         (fun () ->
-          attach_preflight ~digest netlist
-            (Protocol.profile_to_json
-               (profile_for t ~deadline ~digest ~name ~no_map netlist)));
+          let netlist = Lazy.force netlist in
+          let profile, _ =
+            profile_for t ~deadline ~digest ~name ~no_map netlist
+          in
+          attach_preflight ~digest netlist (Protocol.profile_to_json profile));
     }
   | Protocol.Analyze
       { circuit; delta; leakage_share0; epsilons; no_map; measure; vectors;
         tech } ->
-    let name, netlist = resolve_circuit circuit in
-    let digest = Nano_synth.Strash.digest netlist in
+    let { name; digest; netlist } = identify t circuit in
     (* Resolved before the cache key so bad packs are error replies
        (never cached), and so named/inline spellings of one pack key
        on the same canonical digest. *)
@@ -352,36 +387,33 @@ let prepare t ~deadline (env : Protocol.envelope) =
       key = Some key;
       run =
         (fun () ->
-          let profile =
+          let netlist = Lazy.force netlist in
+          let profile, mapped =
             profile_for t ~deadline ~digest ~name ~no_map netlist
           in
           check_deadline deadline;
-          let mapped () =
-            if no_map then netlist
-            else Nano_synth.Script.rugged_lite ~max_fanin:3 netlist
-          in
           (* The absolute-energy block rides after "rows"; replies
              without --tech carry no block at all and stay
              byte-identical to earlier releases. *)
-          let tech_fields mapped_net =
+          let tech_fields () =
             match tech with
             | None -> []
             | Some pack ->
               let report =
                 Nano_tech.Report.analyze ~delta ~epsilons ~pack ~profile
-                  mapped_net
+                  (Lazy.force mapped)
               in
               t.tech_reports <- t.tech_reports + 1;
               [ ("tech", Nano_tech.Report.to_json report) ]
           in
           if measure then begin
-            (* Mapped circuit re-derived the same way the cached profile
-               was; one batched multi-ε pass covers the whole grid, with
-               jobs sharding vectors inside it (jobs-independent). *)
-            let mapped = mapped () in
+            (* One batched multi-ε pass over the circuit the profile
+               was measured on covers the whole grid, with jobs
+               sharding vectors inside it (jobs-independent). *)
             let rows =
               Benchmark_eval.measured_grid ~deltas:[ delta ] ~leakage_share0
-                ~epsilons ~vectors ~jobs:t.config.jobs ~profile mapped
+                ~epsilons ~vectors ~jobs:t.config.jobs ~profile
+                (Lazy.force mapped)
             in
             attach_preflight ~digest netlist
               (Json.Obj
@@ -391,7 +423,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
                       Json.List (List.map Protocol.measured_row_to_json rows)
                     );
                   ]
-                 @ tech_fields mapped))
+                 @ tech_fields ()))
           end
           else begin
             (* The per-ε closed-form grid batches onto the domain pool;
@@ -403,16 +435,13 @@ let prepare t ~deadline (env : Protocol.envelope) =
                     profile ~epsilon)
                 epsilons
             in
-            let tech_fields =
-              match tech with None -> [] | Some _ -> tech_fields (mapped ())
-            in
             attach_preflight ~digest netlist
               (Json.Obj
                  ([
                     ("profile", Protocol.profile_to_json profile);
                     ("rows", Json.List (List.map Protocol.row_to_json rows));
                   ]
-                 @ tech_fields))
+                 @ tech_fields ()))
           end);
     }
   | Protocol.Lint { circuit; max_fanin; epsilon; delta } ->
@@ -427,13 +456,13 @@ let prepare t ~deadline (env : Protocol.envelope) =
        reports here, never error replies. *)
     (match circuit with
     | Protocol.Named _ ->
-      let name, netlist = resolve_circuit circuit in
-      let digest = Nano_synth.Strash.digest netlist in
+      let { name; digest; netlist } = identify t circuit in
       {
         key = Some (Printf.sprintf "lint|net:%s|%s|%s" digest name params);
         run =
           (fun () ->
-            Lint.report_to_json (Lint.run_netlist ~options ~digest netlist));
+            Lint.report_to_json
+              (Lint.run_netlist ~options ~digest (Lazy.force netlist)));
       }
     | Protocol.Blif text ->
       {
@@ -446,8 +475,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
       })
   | Protocol.Static { circuit; epsilon; input_probability; cone_budget; tech }
     ->
-    let name, netlist = resolve_circuit circuit in
-    let digest = Nano_synth.Strash.digest netlist in
+    let { name; digest; netlist } = identify t circuit in
     (* Bad packs become error replies before any key exists (never
        cached); the effective ε is floored at the pack's intrinsic ε,
        matching both the tech report's bound rows and the CLI verb. *)
@@ -466,6 +494,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
       run =
         (fun () ->
           check_deadline deadline;
+          let netlist = Lazy.force netlist in
           let analysis =
             Nano_static.Static.analyze ~input_probability ~cone_budget
               ~epsilon netlist
@@ -862,7 +891,6 @@ let serve_listening t listen_fd =
     s.status <- "503 Service Unavailable";
     s.body <- Some Protocol.overloaded_reply
   in
-  let digest_memo : (string, string) Hashtbl.t = Hashtbl.create 16 in
   let shard_key_of_line line =
     match Json.parse line with
     | Error _ -> `Key line
@@ -872,25 +900,15 @@ let serve_listening t listen_fd =
       | _ -> (
         match (Json.member "circuit" json, Json.member "blif" json) with
         | Some (Json.String name), _ ->
-          (* Route named circuits by strash digest so that a circuit
-             and its BLIF spelling land on the same worker cache. *)
-          let d =
-            match Hashtbl.find_opt digest_memo name with
-            | Some d -> d
-            | None ->
-              let d =
-                match Nano_circuits.Suite.find name with
-                | Some entry -> (
-                  try
-                    Nano_synth.Strash.digest
-                      (entry.Nano_circuits.Suite.build ())
-                  with _ -> name)
-                | None -> name
-              in
-              Hashtbl.add digest_memo name d;
-              d
-          in
-          `Key d
+          (* Named circuits route by strash digest, through the
+             identity memo (unknown names by the name itself); BLIF
+             payloads route by the MD5 of their text. The two keys
+             differ, so a circuit and its BLIF spelling may land on
+             different workers. *)
+          `Key
+            (match identify t (Protocol.Named name) with
+            | c -> c.digest
+            | exception _ -> name)
         | _, Some (Json.String text) -> `Key (Digest.string text)
         | _ -> `Key line))
   in

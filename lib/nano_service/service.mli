@@ -25,8 +25,8 @@
 type config = {
   jobs : int;  (** Domains for sweep/analyze grids (default: all). *)
   cache_capacity : int;
-      (** LRU entries per cache (responses and profiles); 0 disables
-          caching. Default 256. *)
+      (** LRU entries per cache (responses, profiles and circuit
+          identities); 0 disables caching. Default 256. *)
   max_request_bytes : int;
       (** Upper bound on one request line (or HTTP body); longer input
           draws an [oversized] error. On socket transports the rest of

@@ -381,6 +381,175 @@ let test_shutdown_flag () =
   Alcotest.(check bool) "stopping" true (Service.shutdown_requested t)
 
 (* ------------------------------------------------------------------ *)
+(* Circuit identity memo: spelling -> (name, strash digest).            *)
+(* ------------------------------------------------------------------ *)
+
+let memo_blif =
+  ".model memo\n.inputs a b c\n.outputs o p\n.names a b t\n11 1\n\
+   .names t c o\n1- 1\n-1 1\n.names a c p\n10 1\n01 1\n.end\n"
+
+(* One request line over [memo_blif]; [fields] follow the circuit. *)
+let blif_line kind fields =
+  Json.to_string
+    (Json.Obj
+       ([ ("kind", Json.String kind); ("blif", Json.String memo_blif) ]
+       @ fields))
+
+let test_identity_memo_serves_hits () =
+  let t = make_service () in
+  let lines =
+    [
+      blif_line "static" [ ("epsilon", Json.Float 0.02) ];
+      blif_line "analyze" [ ("epsilons", Json.List [ Json.Float 0.01 ]) ];
+      {|{"kind":"lint","circuit":"rca8"}|};
+    ]
+  in
+  List.iter
+    (fun line ->
+      let cold = Service.handle_line t line in
+      Alcotest.(check bool) "cold succeeds" true (reply_ok cold);
+      Alcotest.(check string) "repeat = cold bytes" cold
+        (Service.handle_line t line))
+    lines;
+  let stats = stats_of_service t in
+  let counter cache field = cache_counter stats ~cache ~field in
+  Alcotest.(check int) "every repeat a response hit" 3 (counter "responses" "hits");
+  (* static resolves the BLIF (miss), its repeat and both analyze lines
+     share that spelling (hits); lint resolves rca8, then hits. *)
+  Alcotest.(check int) "identities resolved" 2 (counter "circuits" "misses");
+  Alcotest.(check int) "identities remembered" 4 (counter "circuits" "hits");
+  Alcotest.(check int) "two spellings held" 2 (counter "circuits" "size");
+  Alcotest.(check int) "bounded by cache_capacity" 64
+    (counter "circuits" "capacity")
+
+let test_identity_memo_miss_path_matches_cold () =
+  (* Each pair shares a spelling but not a response key: the second
+     line finds the identity remembered, misses the response cache and
+     builds its netlist lazily. Its reply must be the bytes a fresh
+     service computes cold. *)
+  let tech = ("tech", Json.String "nanodev") in
+  let pairs =
+    [
+      ( blif_line "static" [ ("epsilon", Json.Float 0.02) ],
+        blif_line "static" [ ("epsilon", Json.Float 0.05) ] );
+      ( blif_line "analyze" [ ("delta", Json.Float 0.01) ],
+        blif_line "analyze" [ ("delta", Json.Float 0.02); tech ] );
+      ( blif_line "profile" [],
+        blif_line "profile" [ ("no_map", Json.Bool true) ] );
+      ( {|{"kind":"analyze","circuit":"c17","epsilons":[0.01],"measure":true,"vectors":256}|},
+        {|{"kind":"analyze","circuit":"c17","epsilons":[0.01],"measure":true,"vectors":256,"delta":0.02,"tech":"nanodev"}|}
+      );
+      ( {|{"kind":"lint","circuit":"rca8"}|},
+        {|{"kind":"lint","circuit":"rca8","epsilon":0.05}|} );
+    ]
+  in
+  List.iter
+    (fun (first, second) ->
+      let warm = make_service () in
+      Alcotest.(check bool) "first ok" true
+        (reply_ok (Service.handle_line warm first));
+      let reply = Service.handle_line warm second in
+      let stats = stats_of_service warm in
+      Alcotest.(check int) "identity remembered" 1
+        (cache_counter stats ~cache:"circuits" ~field:"hits");
+      Alcotest.(check int) "response computed" 0
+        (cache_counter stats ~cache:"responses" ~field:"hits");
+      Alcotest.(check string) "memo-hit reply = fresh cold reply"
+        (Service.handle_line (make_service ()) second)
+        reply)
+    pairs
+
+let test_identity_memo_never_holds_failures () =
+  let t = make_service () in
+  let lines =
+    [
+      ( "blif_parse_error",
+        {|{"kind":"static","blif":".model m\n.latch a b\n.end\n"}|} );
+      ("unknown_circuit", {|{"kind":"analyze","circuit":"nosuch"}|});
+      ("unknown_circuit", {|{"kind":"lint","circuit":"nosuch"}|});
+      (* A circuit error still wins over a tech-pack error. *)
+      ( "unknown_circuit",
+        {|{"kind":"static","circuit":"nosuch","tech":"nosuch"}|} );
+    ]
+  in
+  List.iter
+    (fun (code, line) ->
+      let first = Service.handle_line t line in
+      Alcotest.(check (option string)) "error code" (Some code)
+        (error_code first);
+      Alcotest.(check string) "same error reply again" first
+        (Service.handle_line t line))
+    lines;
+  let stats = stats_of_service t in
+  Alcotest.(check int) "nothing remembered" 0
+    (cache_counter stats ~cache:"circuits" ~field:"size");
+  Alcotest.(check int) "every attempt resolved" 8
+    (cache_counter stats ~cache:"circuits" ~field:"misses")
+
+let test_journal_warmed_lines_hit () =
+  let path = Filename.temp_file "nano_service" ".journal" in
+  Sys.remove path;
+  let config =
+    {
+      (Service.default_config ()) with
+      Service.jobs = 1;
+      cache_capacity = 64;
+      journal = Some path;
+    }
+  in
+  let lines =
+    [
+      {|{"kind":"analyze","circuit":"c17","epsilons":[0.01]}|};
+      blif_line "analyze" [ ("epsilons", Json.List [ Json.Float 0.01 ]) ];
+      {|{"kind":"static","circuit":"rca8"}|};
+      blif_line "static" [];
+      {|{"kind":"lint","circuit":"rca8"}|};
+      blif_line "lint" [];
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let writer = Service.create ~config () in
+      let cold = List.map (Service.handle_line writer) lines in
+      Service.close writer;
+      List.iter
+        (fun r -> Alcotest.(check bool) "cold ok" true (reply_ok r))
+        cold;
+      let reader = Service.create ~config () in
+      let warm = List.map (Service.handle_line reader) lines in
+      List.iter2 (Alcotest.(check string) "replayed = cold bytes") cold warm;
+      let stats = stats_of_service reader in
+      Service.close reader;
+      Alcotest.(check int) "every line a hit" (List.length lines)
+        (cache_counter stats ~cache:"responses" ~field:"hits");
+      Alcotest.(check int) "nothing evaluated" 0
+        (cache_counter stats ~cache:"responses" ~field:"misses");
+      Alcotest.(check (option int)) "no appends" (Some 0)
+        (Option.bind (Json.member "journal" stats) (fun j ->
+             Option.bind (Json.member "appended" j) Json.to_int)))
+
+let test_cold_measure_compiles_once () =
+  let misses () =
+    (Nano_netlist.Compiled.memo_stats ()).Nano_netlist.Compiled.memo_misses
+  in
+  let t = make_service () in
+  let line delta =
+    Printf.sprintf
+      {|{"kind":"analyze","circuit":"alu8","epsilons":[0.01],"measure":true,"vectors":256,"delta":%g}|}
+      delta
+  in
+  let before = misses () in
+  Alcotest.(check bool) "cold ok" true
+    (reply_ok (Service.handle_line t (line 0.01)));
+  (* The profile and the measured grid run on one mapped netlist. *)
+  Alcotest.(check int) "cold visit lowers one program" 1 (misses () - before);
+  let before = misses () in
+  Alcotest.(check bool) "revisit ok" true
+    (reply_ok (Service.handle_line t (line 0.02)));
+  Alcotest.(check int) "revisit maps once, lowers once" 1 (misses () - before)
+
+(* ------------------------------------------------------------------ *)
 (* stdio transport.                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -467,6 +636,16 @@ let suite =
       test_error_then_service_still_up;
     Alcotest.test_case "batch coalescing" `Quick test_batch_coalescing;
     Alcotest.test_case "shutdown flag" `Quick test_shutdown_flag;
+    Alcotest.test_case "identity memo serves hits" `Quick
+      test_identity_memo_serves_hits;
+    Alcotest.test_case "identity memo hit, response miss = cold" `Quick
+      test_identity_memo_miss_path_matches_cold;
+    Alcotest.test_case "identity memo never holds failures" `Quick
+      test_identity_memo_never_holds_failures;
+    Alcotest.test_case "journal-warmed lines all hit" `Quick
+      test_journal_warmed_lines_hit;
+    Alcotest.test_case "cold measured analyze compiles once" `Quick
+      test_cold_measure_compiles_once;
     Alcotest.test_case "stdio transport" `Quick test_stdio_transport;
     Alcotest.test_case "stdio shutdown stops loop" `Quick
       test_stdio_shutdown_stops_loop;
