@@ -14,7 +14,8 @@ type node
 
 val manager : ?initial_capacity:int -> unit -> manager
 (** Fresh manager. [initial_capacity] sizes the node store (default
-    1024). *)
+    1024, rounded up to a power of two); every table doubles on
+    demand. *)
 
 val node_count : manager -> int
 (** Total nodes allocated in the manager (including both terminals). *)
@@ -43,6 +44,17 @@ val bimply : manager -> node -> node -> node
 
 val ite : manager -> node -> node -> node -> node
 (** [ite m f g h] is "if f then g else h". *)
+
+val ite_within : manager -> limit:int -> node -> node -> node -> node option
+(** [ite_within m ~limit f g h] is [Some (ite m f g h)] when that
+    diagram has at most [limit] internal nodes ({!size_within}), and
+    [None] otherwise. The apply stops as soon as it has created
+    [limit + 1] nodes: every node it creates stays reachable from its
+    result, so that many already prove the result too large. An aborted
+    call therefore grows {!node_count} by at most [limit + 1]; the nodes
+    and cache entries it leaves behind are valid and may be reused.
+    Intended for budgeted construction, where an oversized result would
+    be thrown away. *)
 
 val equal : node -> node -> bool
 (** Structural (hence, by canonicity, semantic) equality within one
@@ -84,10 +96,12 @@ val probability : manager -> p:(int -> float) -> node -> float
     probabilities and switching activities. *)
 
 val probability_fn : manager -> p:(int -> float) -> node -> float
-(** Partially applied form of {!probability} whose memo table persists
-    across calls: [let eval = probability_fn m ~p in ...] shares work
-    between diagrams with common subgraphs. The probability assignment
-    [p] must not change between calls through the same evaluator. *)
+(** Partially applied form of {!probability} whose memo persists
+    across calls: [let eval = probability_fn m ~p in ...] prices each
+    node of the manager at most once, so diagrams with common subgraphs
+    share the work. The probability assignment [p] must not change
+    between calls through the same evaluator. The value of a node does
+    not depend on which evaluator priced it or in what order. *)
 
 val eval : manager -> node -> (int -> bool) -> bool
 (** Evaluate under a concrete assignment. *)

@@ -101,8 +101,10 @@ let exact ?(input_probability = 0.5) netlist =
           let xs = fan () in
           at_least ((List.length xs / 2) + 1) xs))
     ;
-  let p _ = input_probability in
-  let probs = Array.map (fun bdd -> Nano_bdd.Bdd.probability m ~p bdd) bdds in
+  (* One evaluator prices every node of the manager once, however many
+     cones share it. *)
+  let eval = Nano_bdd.Bdd.probability_fn m ~p:(fun _ -> input_probability) in
+  let probs = Array.map eval bdds in
   profile_of_probabilities netlist probs ~vectors:0
 
 let measured_toggle_rate ?(seed = 0x70661e) ?(pairs = 4096)

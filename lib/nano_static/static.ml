@@ -99,34 +99,39 @@ let default_cone_budget = 512
    Shannon recursion, no memoization) is not attempted. *)
 let majority_bdd_arity_cap = 12
 
-let budgeted budget m node =
-  if Bdd.size_within m ~limit:budget node then Some node else None
-
 let combine_bdd budget m kind fanin_bdds =
   let fold2 op =
-    (* Check the budget after every apply so one fold step costs at
-       most budget^2 work; a cut intermediate cuts the whole node. *)
+    (* Every fold step is a bounded apply: it stops once it has built
+       budget + 1 nodes, so an oversized intermediate costs no more
+       than the budget to reject, and a cut intermediate cuts the whole
+       node. *)
     let n = Array.length fanin_bdds in
     let rec go acc i =
       if i = n then Some acc
       else
-        match budgeted budget m (op m acc fanin_bdds.(i)) with
+        match op acc fanin_bdds.(i) with
         | Some acc -> go acc (i + 1)
         | None -> None
     in
     if n = 0 then None else go fanin_bdds.(0) 1
   in
+  let within f g h = Bdd.ite_within m ~limit:budget f g h in
+  let band f g = within f g (Bdd.bdd_false m) in
+  let bor f g = within f (Bdd.bdd_true m) g in
+  (* The complement is not part of the result, so it is built outside
+     the bound. *)
+  let bxor f g = within f (Bdd.bnot m g) g in
   let negate = Option.map (Bdd.bnot m) in
   match kind with
   | Gate.Input | Gate.Const _ -> assert false
   | Gate.Buf -> Some fanin_bdds.(0)
   | Gate.Not -> Some (Bdd.bnot m fanin_bdds.(0))
-  | Gate.And -> fold2 Bdd.band
-  | Gate.Nand -> negate (fold2 Bdd.band)
-  | Gate.Or -> fold2 Bdd.bor
-  | Gate.Nor -> negate (fold2 Bdd.bor)
-  | Gate.Xor -> fold2 Bdd.bxor
-  | Gate.Xnor -> negate (fold2 Bdd.bxor)
+  | Gate.And -> fold2 band
+  | Gate.Nand -> negate (fold2 band)
+  | Gate.Or -> fold2 bor
+  | Gate.Nor -> negate (fold2 bor)
+  | Gate.Xor -> fold2 bxor
+  | Gate.Xnor -> negate (fold2 bxor)
   | Gate.Majority ->
     let k = Array.length fanin_bdds in
     if k > majority_bdd_arity_cap then None
@@ -138,7 +143,10 @@ let combine_bdd budget m kind fanin_bdds =
         else
           Bdd.ite m fanin_bdds.(i) (atleast (t - 1) (i + 1)) (atleast t (i + 1))
       in
-      budgeted budget m (atleast t 0)
+      (* Every node the outermost apply creates belongs to its result,
+         so it alone can stop at the budget; the threshold functions of
+         the remaining fanins are built in full. *)
+      within fanin_bdds.(0) (atleast (t - 1) 1) (atleast t 1)
     end
 
 (* ------------------------------------------------------------------ *)

@@ -71,8 +71,11 @@ type t = {
 }
 
 val default_cone_budget : int
-(** 512 BDD nodes: each apply step is then bounded by the budget
-    squared, so the exact-probability attempt can never blow up. *)
+(** 512 BDD nodes. Every And/Or/Xor fold step, and the outermost
+    apply of a Majority, is a bounded apply
+    ({!Nano_bdd.Bdd.ite_within}) that gives up once it has built
+    budget + 1 nodes, so the exact-probability attempt can never blow
+    up, and a rejected attempt costs about as much as the budget. *)
 
 val analyze :
   ?input_probability:float ->

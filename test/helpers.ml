@@ -68,6 +68,43 @@ let random_netlist ~seed ~inputs ~gates () =
   Netlist.Builder.output b "f2" (pick ());
   Netlist.Builder.finish b
 
+(* Unbounded per-node BDDs of a netlist on manager [m], primary input
+   [i] (declaration order) as variable [i]: the construction
+   [Activity.exact] uses, spelled out with the kernel's combinators.
+   Only nodes below [upto] (default: all) are built; the rest stay
+   FALSE. *)
+let node_bdds ?upto m netlist =
+  let module Bdd = Nano_bdd.Bdd in
+  let n = Netlist.node_count netlist in
+  let upto = Option.value upto ~default:n in
+  let bdds = Array.make n (Bdd.bdd_false m) in
+  List.iteri (fun i id -> bdds.(id) <- Bdd.var m i) (Netlist.inputs netlist);
+  Netlist.iter netlist (fun id info ->
+      let fan = Array.map (fun f -> bdds.(f)) info.Netlist.fanins in
+      let fold op =
+        Array.fold_left (op m) fan.(0) (Array.sub fan 1 (Array.length fan - 1))
+      in
+      let rec at_least k i =
+        if k <= 0 then Bdd.bdd_true m
+        else if i = Array.length fan then Bdd.bdd_false m
+        else Bdd.ite m fan.(i) (at_least (k - 1) (i + 1)) (at_least k (i + 1))
+      in
+      if id < upto then
+        bdds.(id) <-
+          (match info.Netlist.kind with
+          | Gate.Input -> bdds.(id)
+          | Gate.Const b -> Bdd.of_bool m b
+          | Gate.Buf -> fan.(0)
+          | Gate.Not -> Bdd.bnot m fan.(0)
+          | Gate.And -> fold Bdd.band
+          | Gate.Or -> fold Bdd.bor
+          | Gate.Nand -> Bdd.bnot m (fold Bdd.band)
+          | Gate.Nor -> Bdd.bnot m (fold Bdd.bor)
+          | Gate.Xor -> fold Bdd.bxor
+          | Gate.Xnor -> Bdd.bnot m (fold Bdd.bxor)
+          | Gate.Majority -> at_least ((Array.length fan / 2) + 1) 0));
+  bdds
+
 let assert_equivalent msg a b =
   match Nano_synth.Equiv.check a b with
   | Nano_synth.Equiv.Equivalent -> ()

@@ -85,6 +85,36 @@ let prop_mc_close_to_exact =
         -. mc.Activity.average_gate_activity)
       < 0.02)
 
+let test_exact_matches_per_root () =
+  (* Activity.exact prices every node through one shared evaluator; the
+     values must be bit-identical to pricing each node's diagram on its
+     own, on and off the dyadic grid. *)
+  List.iter
+    (fun (name, netlist) ->
+      List.iter
+        (fun input_probability ->
+          let shared =
+            (Activity.exact ~input_probability netlist).Activity.node_probability
+          in
+          let m = Nano_bdd.Bdd.manager () in
+          let p _ = input_probability in
+          let per_root =
+            Array.map
+              (fun bdd -> Nano_bdd.Bdd.probability m ~p bdd)
+              (Helpers.node_bdds m netlist)
+          in
+          Array.iteri
+            (fun id x ->
+              if Int64.bits_of_float x <> Int64.bits_of_float per_root.(id) then
+                Alcotest.failf "%s p=%g node %d: shared %h, per root %h" name
+                  input_probability id x per_root.(id))
+            shared)
+        [ 0.5; 0.3 ])
+    [
+      ("rca8", Nano_circuits.Adders.ripple_carry ~width:8);
+      ("alu8", (Option.get (Nano_circuits.Suite.find "alu8")).build ());
+    ]
+
 let suite =
   [
     Alcotest.test_case "exact xor" `Quick test_exact_xor;
@@ -98,4 +128,6 @@ let suite =
     Alcotest.test_case "average over gates" `Quick
       test_average_over_gates_excludes_sources;
     Helpers.qcheck prop_mc_close_to_exact;
+    Alcotest.test_case "exact shares one evaluator" `Quick
+      test_exact_matches_per_root;
   ]

@@ -199,6 +199,123 @@ let prop_canonical =
       let b = Bdd.ite m (Bdd.var m 0) f1 f0 in
       Bdd.equal a b)
 
+(* ------------------------------------------------------------------ *)
+(* Bounded apply.                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let random_tt rng arity = TT.create ~arity (fun _ -> Nano_util.Prng.bool rng)
+
+let prop_ite_within =
+  QCheck2.Test.make ~name:"ite_within = ite under the size limit" ~count:300
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 8))
+    (fun (seed, arity) ->
+      let rng = Nano_util.Prng.create ~seed in
+      let limit = Nano_util.Prng.int rng ~bound:((1 lsl arity) + 1) in
+      let m = Bdd.manager () in
+      let t1 = random_tt rng arity
+      and t2 = random_tt rng arity
+      and t3 = random_tt rng arity in
+      let f = Bdd.of_truth_table m t1
+      and g = Bdd.of_truth_table m t2
+      and h = Bdd.of_truth_table m t3 in
+      let before = Bdd.node_count m in
+      let bounded = Bdd.ite_within m ~limit f g h in
+      let grown = Bdd.node_count m - before in
+      let full = Bdd.ite m f g h in
+      let fits = Bdd.size m full <= limit in
+      let agrees =
+        match bounded with
+        | Some r -> fits && Bdd.equal r full
+        | None -> (not fits) && grown <= limit + 1
+      in
+      (* Whatever the call left behind, later applies on the same
+         manager stay exact, on old operands and on fresh ones. *)
+      let t4 = random_tt rng arity and t5 = random_tt rng arity in
+      let a = Bdd.of_truth_table m t4 and b = Bdd.of_truth_table m t5 in
+      let tt x = Bdd.to_truth_table m ~arity x in
+      agrees
+      && TT.equal TT.((t1 &&& t2) ||| (lnot t1 &&& t3)) (tt full)
+      && TT.equal TT.(t4 &&& t5) (tt (Bdd.band m a b))
+      && TT.equal TT.(t4 ||| t5) (tt (Bdd.bor m a b))
+      && TT.equal TT.(t4 ^^^ t5) (tt (Bdd.bxor m a b))
+      && TT.equal TT.(t1 ^^^ t5) (tt (Bdd.bxor m f b)))
+
+let test_ite_within_blowup () =
+  (* The middle product bit of an 8x8 array multiplier has a large
+     diagram under the natural order: its last gate, applied under a
+     small limit, must stop after limit + 1 new nodes instead of
+     building the diagram the limit would reject anyway. *)
+  let netlist = Nano_circuits.Multipliers.array_multiplier ~width:8 in
+  let root = List.assoc "p7" (Nano_netlist.Netlist.outputs netlist) in
+  let info = Nano_netlist.Netlist.info netlist root in
+  let m = Bdd.manager () in
+  let bdds = Helpers.node_bdds ~upto:root m netlist in
+  let fan = Array.map (fun f -> bdds.(f)) info.Nano_netlist.Netlist.fanins in
+  Alcotest.(check int) "two-input gate" 2 (Array.length fan);
+  let f, g, h =
+    match info.Nano_netlist.Netlist.kind with
+    | Nano_netlist.Gate.Xor -> (fan.(0), Bdd.bnot m fan.(1), fan.(1))
+    | Nano_netlist.Gate.And -> (fan.(0), fan.(1), Bdd.bdd_false m)
+    | Nano_netlist.Gate.Or -> (fan.(0), Bdd.bdd_true m, fan.(1))
+    | _ -> Alcotest.fail "unexpected gate kind driving p7"
+  in
+  let limit = 64 in
+  let before = Bdd.node_count m in
+  Alcotest.(check bool) "aborted" true (Bdd.ite_within m ~limit f g h = None);
+  let aborted_growth = Bdd.node_count m - before in
+  Alcotest.(check bool) "aborted after at most limit + 1 nodes" true
+    (aborted_growth <= limit + 1);
+  let before = Bdd.node_count m in
+  let full = Bdd.ite m f g h in
+  Alcotest.(check bool) "the full diagram is far over the limit" true
+    (Bdd.size m full > 4 * limit);
+  Alcotest.(check bool) "and costs far more to build" true
+    (Bdd.node_count m - before > 4 * (limit + 1));
+  Alcotest.(check bool) "a generous limit admits it" true
+    (Bdd.ite_within m ~limit:(Bdd.size m full) f g h = Some full)
+
+let test_ite_within_edges () =
+  let m = Bdd.manager () in
+  let x = Bdd.var m 0 and y = Bdd.var m 1 in
+  let t = Bdd.bdd_true m and f = Bdd.bdd_false m in
+  (* Constants fit any limit, even a negative one, as with size_within. *)
+  Alcotest.(check bool) "x & ~x under limit 0" true
+    (Bdd.ite_within m ~limit:0 x (Bdd.bnot m x) f = Some f);
+  Alcotest.(check bool) "constant under a negative limit" true
+    (Bdd.ite_within m ~limit:(-1) t f t = Some f);
+  Alcotest.(check bool) "x & y over a negative limit" true
+    (Bdd.ite_within m ~limit:(-1) x y f = None);
+  (* An existing result is still measured: nothing is built, yet x | y
+     has two nodes. *)
+  let xy = Bdd.bor m x y in
+  Alcotest.(check bool) "existing result over the limit" true
+    (Bdd.ite_within m ~limit:1 x t y = None);
+  Alcotest.(check bool) "existing result within the limit" true
+    (Bdd.ite_within m ~limit:2 x t y = Some xy);
+  Alcotest.(check bool) "max_int limit" true
+    (Bdd.ite_within m ~limit:max_int x y f = Some (Bdd.band m x y))
+
+let test_probability_fn_shared () =
+  (* One evaluator across roots gives the same bits as a fresh
+     evaluation per root, also off the dyadic grid, and keeps working
+     as the manager grows past its first capacity. *)
+  let m = Bdd.manager ~initial_capacity:4 () in
+  let p v = 0.1 +. (0.07 *. float_of_int v) in
+  let eval = Bdd.probability_fn m ~p in
+  let roots = ref [] in
+  let acc = ref (Bdd.bdd_false m) in
+  for i = 0 to 9 do
+    acc := Bdd.bxor m !acc (Bdd.band m (Bdd.var m i) (Bdd.var m ((i + 3) mod 10)));
+    roots := !acc :: !roots;
+    ignore (eval !acc)
+  done;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "bit-identical" true
+        (Int64.equal (Int64.bits_of_float (eval r))
+           (Int64.bits_of_float (Bdd.probability m ~p r))))
+    !roots
+
 let suite =
   [
     Alcotest.test_case "terminals" `Quick test_terminals;
@@ -218,4 +335,10 @@ let suite =
     Helpers.qcheck prop_matches_truth_table;
     Helpers.qcheck prop_probability_matches_count;
     Helpers.qcheck prop_canonical;
+    Helpers.qcheck prop_ite_within;
+    Alcotest.test_case "ite_within aborts a real blow-up" `Quick
+      test_ite_within_blowup;
+    Alcotest.test_case "ite_within edge cases" `Quick test_ite_within_edges;
+    Alcotest.test_case "shared probability evaluator" `Quick
+      test_probability_fn_shared;
   ]

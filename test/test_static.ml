@@ -99,6 +99,88 @@ let test_probability_matches_exact_bdd () =
   Alcotest.(check int) "all probabilities exact"
     (Netlist.node_count netlist) t.Static.bdd_nodes
 
+(* ------------------------------------------------------------------ *)
+(* Exhaustive oracle: simulate all 2^n input vectors and count ones    *)
+(* per node. Independent of the BDD kernel, unlike Activity.exact.     *)
+(* ------------------------------------------------------------------ *)
+
+(* Bit [b] of word [w] is input vector [64 w + b]; input [i] reads bit
+   [i] of the vector index. *)
+let exhaustive_probabilities netlist =
+  let k = Netlist.input_count netlist in
+  let low_patterns =
+    [| 0xAAAAAAAAAAAAAAAAL; 0xCCCCCCCCCCCCCCCCL; 0xF0F0F0F0F0F0F0F0L;
+       0xFF00FF00FF00FF00L; 0xFFFF0000FFFF0000L; 0xFFFFFFFF00000000L |]
+  in
+  let valid = if k >= 6 then -1L else Nano_util.Bits.ones_below (1 lsl k) in
+  let ones = Array.make (Netlist.node_count netlist) 0 in
+  for w = 0 to (1 lsl max 0 (k - 6)) - 1 do
+    let input_words =
+      Array.init k (fun i ->
+          if i < 6 then low_patterns.(i)
+          else if (w lsr (i - 6)) land 1 = 1 then -1L
+          else 0L)
+    in
+    Array.iteri
+      (fun id v ->
+        ones.(id) <- ones.(id) + Nano_util.Bits.popcount64 (Int64.logand v valid))
+      (Nano_sim.Bitsim.eval_words netlist input_words)
+  done;
+  Array.map (fun c -> float_of_int c /. float_of_int (1 lsl k)) ones
+
+(* Every probability interval contains the exhaustive value; when every
+   node got a BDD, every point equals it exactly (both are dyadic
+   rationals with at most [inputs] bits, so no rounding intervenes).
+   Returns whether the equality check applied. *)
+let check_against_exhaustive ?cone_budget msg netlist =
+  let t = Static.analyze ?cone_budget ~epsilon:0. netlist in
+  let truth = exhaustive_probabilities netlist in
+  let all_bdd = t.Static.bdd_nodes = Netlist.node_count netlist in
+  Array.iteri
+    (fun id p ->
+      let iv = t.Static.nodes.(id).Static.probability in
+      if not (Static.contains iv p) then
+        Alcotest.failf "%s node %d: exhaustive %.17g outside [%.17g, %.17g]" msg
+          id p iv.Static.lo iv.Static.hi;
+      if all_bdd && not (iv.Static.lo = p && iv.Static.hi = p) then
+        Alcotest.failf "%s node %d: BDD point [%.17g, %.17g] <> exhaustive %.17g"
+          msg id iv.Static.lo iv.Static.hi p)
+    truth;
+  all_bdd
+
+let test_probabilities_match_exhaustive () =
+  let named = Nano_circuits.Adders.ripple_carry ~width:8 in
+  let spelled =
+    Result.get_ok (Nano_blif.Blif.parse_string (Nano_blif.Blif.to_string named))
+  in
+  Alcotest.(check int) "17 inputs" 17 (Netlist.input_count named);
+  List.iter
+    (fun (msg, netlist) ->
+      Alcotest.(check bool) (msg ^ ": every node has a BDD") true
+        (check_against_exhaustive ~cone_budget:4096 msg netlist);
+      (* At the default budget some nodes fall back to intervals, which
+         must still contain the truth. *)
+      ignore (check_against_exhaustive msg netlist))
+    [ ("rca8", named); ("rca8.blif", spelled) ];
+  Alcotest.(check bool) "the spelling is the larger netlist" true
+    (Netlist.node_count spelled > Netlist.node_count named)
+
+let exhaustive_property =
+  QCheck2.Test.make ~count:30
+    ~name:"static probabilities = exhaustive enumeration (12 inputs)"
+    QCheck2.Gen.(int_range 0 10000)
+    (fun seed ->
+      let netlist =
+        Helpers.random_netlist ~seed ~inputs:12 ~gates:(20 + (seed mod 40)) ()
+      in
+      let msg = Printf.sprintf "seed %d" seed in
+      (* No 12-variable diagram exceeds 4096 nodes, so every node gets a
+         BDD there; the small budgets exercise the interval fallback. *)
+      check_against_exhaustive ~cone_budget:4096 msg netlist
+      && (ignore (check_against_exhaustive ~cone_budget:8 msg netlist);
+          ignore (check_against_exhaustive ~cone_budget:0 msg netlist);
+          true))
+
 let test_zero_epsilon_zero_error () =
   let netlist = Nano_circuits.Adders.ripple_carry ~width:4 in
   let t = Static.analyze ~epsilon:0. netlist in
@@ -269,6 +351,9 @@ let suite =
     Alcotest.test_case "tree point matches MC" `Slow test_tree_point_matches_mc;
     Alcotest.test_case "probabilities match exact BDD" `Quick
       test_probability_matches_exact_bdd;
+    Alcotest.test_case "probabilities match exhaustive enumeration" `Quick
+      test_probabilities_match_exhaustive;
+    Helpers.qcheck exhaustive_property;
     Alcotest.test_case "zero epsilon, zero error" `Quick
       test_zero_epsilon_zero_error;
     Helpers.qcheck containment_property;
