@@ -19,9 +19,9 @@
    sharded daemon, prints p50/p99 latency and throughput, and records
    them to BENCH_pr6.json. It forks server processes, so it runs
    before anything spawns a domain. --kernel-only prints just the
-   blocked wide-word kernel vs word-at-a-time compiled engine table
-   and records it to BENCH_pr7.json; [--block-width N] overrides the
-   blocked engine's words-per-gate-visit width for that run.
+   blocked wide-word kernel vs width-1 throughput table and records it
+   to BENCH_pr7.json; [--block-width N] overrides the blocked engine's
+   words-per-gate-visit width for that run.
    --tech-only prints just the technology-pack absolute-energy report
    table (both built-in packs over the mapped suite circuits) plus the
    service analyze-with-tech cold-vs-warm cache identity, and records
@@ -735,16 +735,18 @@ let print_engine_throughput () =
   print_string "(written to BENCH_pr2.json)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Blocked wide-word kernel vs word-at-a-time compiled engine.          *)
+(* Blocked wide-word kernel vs width 1.                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The PR 7 kernel benchmark: same Monte-Carlo job, `CompiledWords (the
-   previous compiled engine, one 64-bit word per gate visit) against
-   `Compiled (blocked wide-word kernel: block_width words per visit,
-   fused eval/inject/counter sweep over cache-blocked levels). The
-   engines are bit-identical by construction; each row re-checks the
-   full result record against the word-at-a-time engine and against a
-   jobs=4 blocked run. *)
+(* The kernel benchmark: the same Monte-Carlo job on the compiled kernel
+   at block width 1 (one 64-bit word per gate visit, the unblocked
+   baseline) and at block_width words per visit (fused
+   eval/inject/counter sweep over cache-blocked levels). Each row
+   re-checks the full result record against the interpretive engine —
+   at [identity_vectors], because the interpretive walk is too slow for
+   the timed budget on rand50k — and against a jobs=4 blocked run. *)
+let identity_vectors = 4096
+
 let kernel_circuits () =
   let suite name =
     match Nano_circuits.Suite.find name with
@@ -784,44 +786,46 @@ let print_kernel_throughput () =
     | Some b -> b
     | None -> Nano_netlist.Compiled.default_block_width ()
   in
-  let measure ?block engine circuit =
+  let measure ?block circuit =
     (* One short run to warm the compile cache and code paths. *)
     ignore
-      (Nano_faults.Noisy_sim.simulate ~vectors:1024 ?block ~engine ~epsilon
-         circuit);
+      (Nano_faults.Noisy_sim.simulate ~vectors:1024 ?block ~epsilon circuit);
     let sim, t =
       time (fun () ->
-          Nano_faults.Noisy_sim.simulate ~vectors ?block ~engine ~epsilon
-            circuit)
+          Nano_faults.Noisy_sim.simulate ~vectors ?block ~epsilon circuit)
     in
     (sim, float_of_int words /. t)
   in
   let entries =
     List.map
       (fun (name, circuit) ->
-        let sim_w, words_rate = measure `CompiledWords circuit in
-        let sim_b, blocked_rate = measure ?block `Compiled circuit in
+        let _, width1_rate = measure ~block:1 circuit in
+        let sim_b, blocked_rate = measure ?block circuit in
         let sim_j =
           Nano_faults.Noisy_sim.simulate ~vectors ~jobs:4 ?block
             ~engine:`Compiled ~epsilon circuit
         in
+        let check ?block engine =
+          Nano_faults.Noisy_sim.simulate ~vectors:identity_vectors ?block
+            ~engine ~epsilon circuit
+        in
         ( name,
-          words_rate,
+          width1_rate,
           blocked_rate,
-          blocked_rate /. words_rate,
-          sim_b = sim_w,
+          blocked_rate /. width1_rate,
+          check ?block `Compiled = check `Interp,
           sim_j = sim_b ))
       (kernel_circuits ())
   in
   Printf.printf
-    "== Kernel throughput: word-at-a-time vs blocked compiled engine (%d \
-     vectors, eps=%g, block=%d) ==\n"
-    vectors epsilon effective_block;
+    "== Kernel throughput: width-1 vs blocked compiled kernel (%d vectors, \
+     eps=%g, block=%d; bit-identity vs interp at %d vectors) ==\n"
+    vectors epsilon effective_block identity_vectors;
   print_string
     (Report.Table.render
        ~header:
          [
-           "circuit"; "word-at-a-time words/s"; "blocked words/s"; "speedup";
+           "circuit"; "width-1 words/s"; "blocked words/s"; "speedup";
            "bit-identical"; "jobs-identical";
          ]
        ~rows:
@@ -838,14 +842,14 @@ let print_kernel_throughput () =
             entries));
   let oc = open_out "BENCH_pr7.json" in
   Printf.fprintf oc
-    "{\n  \"benchmark\": \"noisy_sim blocked-vs-word-at-a-time\",\n  \
+    "{\n  \"benchmark\": \"noisy_sim blocked-vs-width-1\",\n  \
      \"vectors\": %d,\n  \"epsilon\": %g,\n  \"block_width\": %d,\n  \
      \"circuits\": [\n"
     vectors epsilon effective_block;
   List.iteri
     (fun i (name, wr, br, speedup, same, same_jobs) ->
       Printf.fprintf oc
-        "    {\"circuit\": \"%s\", \"words_engine_words_per_sec\": %.1f, \
+        "    {\"circuit\": \"%s\", \"width1_words_per_sec\": %.1f, \
          \"blocked_words_per_sec\": %.1f, \"speedup\": %.2f, \
          \"bit_identical\": %b, \"jobs_identical\": %b}%s\n"
         name wr br speedup same same_jobs
@@ -860,15 +864,17 @@ let print_kernel_throughput () =
 (* ------------------------------------------------------------------ *)
 
 (* Two series. The biased-stimulus series reruns the kernel comparison
-   at non-uniform input densities, where the word-at-a-time engine burns
-   a 64-iteration scalar mix loop per input word while the blocked
-   engine now draws stimulus through the SIMD C stub — shallow circuits
-   (c17) are dominated by input generation, so this isolates the
-   stimulus kernel. The heterogeneous series runs the selective-
-   hardening voter trade study both ways: one simulate_heterogeneous
-   pass per voter class (the old way) vs a single fused
-   profile_grid_heterogeneous sweep with common random numbers; each
-   lane of the fused pass must reproduce its per-config run exactly. *)
+   at non-uniform input densities, where every input word costs 64
+   draws through the SIMD C stub — shallow circuits (c17) are dominated
+   by input generation, so this isolates the stimulus kernel. Its
+   bit-identity column compares against the interpretive engine, which
+   draws stimulus through the pure-OCaml [Prng.word_with_density], so
+   the check covers the stub end to end. The heterogeneous series runs
+   the selective-hardening voter trade study both ways: one
+   simulate_heterogeneous pass per voter class (the old way) vs a single
+   fused profile_grid_heterogeneous sweep with common random numbers;
+   each lane of the fused pass must reproduce its per-config run
+   exactly. *)
 let stimulus_circuits () =
   let suite name =
     match Nano_circuits.Suite.find name with
@@ -895,14 +901,14 @@ let print_stimulus_throughput () =
     | None -> Nano_netlist.Compiled.default_block_width ()
   in
   let simd = Nano_util.Prng.simd_level () in
-  let measure ?block ~p engine circuit =
+  let measure ?block ~p circuit =
     ignore
       (Nano_faults.Noisy_sim.simulate ~vectors:1024 ~input_probability:p ?block
-         ~engine ~epsilon circuit);
+         ~epsilon circuit);
     let sim, t =
       time (fun () ->
           Nano_faults.Noisy_sim.simulate ~vectors ~input_probability:p ?block
-            ~engine ~epsilon circuit)
+            ~epsilon circuit)
     in
     (sim, float_of_int words /. t)
   in
@@ -911,31 +917,36 @@ let print_stimulus_throughput () =
       (fun (name, circuit) ->
         List.map
           (fun p ->
-            let sim_w, words_rate = measure ~p `CompiledWords circuit in
-            let sim_b, blocked_rate = measure ~p ?block `Compiled circuit in
+            let _, width1_rate = measure ~p ~block:1 circuit in
+            let sim_b, blocked_rate = measure ~p ?block circuit in
             let sim_j =
               Nano_faults.Noisy_sim.simulate ~vectors ~input_probability:p
                 ~jobs:4 ?block ~engine:`Compiled ~epsilon circuit
             in
+            let check ?block engine =
+              Nano_faults.Noisy_sim.simulate ~vectors:identity_vectors
+                ~input_probability:p ?block ~engine ~epsilon circuit
+            in
             ( name,
               p,
-              words_rate,
+              width1_rate,
               blocked_rate,
-              blocked_rate /. words_rate,
-              sim_b = sim_w,
+              blocked_rate /. width1_rate,
+              check ?block `Compiled = check `Interp,
               sim_j = sim_b ))
           [ 0.5; 0.1; 0.9 ])
       (stimulus_circuits ())
   in
   Printf.printf
-    "== Stimulus throughput: word-at-a-time vs blocked engine across input \
-     densities (%d vectors, eps=%g, block=%d, simd=%s) ==\n"
-    vectors epsilon effective_block simd;
+    "== Stimulus throughput: width-1 vs blocked kernel across input \
+     densities (%d vectors, eps=%g, block=%d, simd=%s; bit-identity vs \
+     interp at %d vectors) ==\n"
+    vectors epsilon effective_block simd identity_vectors;
   print_string
     (Report.Table.render
        ~header:
          [
-           "circuit"; "p(in)"; "word-at-a-time words/s"; "blocked words/s";
+           "circuit"; "p(in)"; "width-1 words/s"; "blocked words/s";
            "speedup"; "bit-identical"; "jobs-identical";
          ]
        ~rows:
@@ -1025,7 +1036,7 @@ let print_stimulus_throughput () =
     (fun i (name, p, wr, br, speedup, same, same_jobs) ->
       Printf.fprintf oc
         "    {\"circuit\": \"%s\", \"input_probability\": %g, \
-         \"words_engine_words_per_sec\": %.1f, \"blocked_words_per_sec\": \
+         \"width1_words_per_sec\": %.1f, \"blocked_words_per_sec\": \
          %.1f, \"speedup\": %.2f, \"bit_identical\": %b, \"jobs_identical\": \
          %b}%s\n"
         name p wr br speedup same same_jobs

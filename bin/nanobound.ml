@@ -37,19 +37,19 @@ let leakage_arg =
   let doc = "Leakage share of the error-free baseline energy, in [0, 1)." in
   Arg.(value & opt float 0.5 & info [ "leakage-share" ] ~docv:"SHARE" ~doc)
 
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok _ -> Error (`Msg "expected a positive integer")
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let jobs_arg =
   let doc =
     "Worker domains for parallel evaluation. Results are bit-identical \
      for every job count; the default uses all recommended cores."
-  in
-  let positive_int =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 1 -> Ok n
-      | Ok _ -> Error (`Msg "expected a positive integer")
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
   in
   Arg.(
     value
@@ -402,7 +402,7 @@ let analyze_cmd =
                    activity alongside the analytic bounds.")
   in
   let vectors =
-    Arg.(value & opt int 4096
+    Arg.(value & opt positive_int 4096
          & info [ "vectors" ] ~docv:"N"
              ~doc:"Random input vectors for $(b,--measure).")
   in
@@ -661,7 +661,7 @@ let inject_cmd =
                 sim.Nano_faults.Noisy_sim.per_output_error))
   in
   let vectors =
-    Arg.(value & opt int 16384
+    Arg.(value & opt positive_int 16384
          & info [ "vectors" ] ~docv:"N" ~doc:"Number of random vectors.")
   in
   let seed =
@@ -791,7 +791,7 @@ let critical_cmd =
                 analytic.Nano_faults.Reliability.per_output_error))
   in
   let vectors =
-    Arg.(value & opt int 4096
+    Arg.(value & opt positive_int 4096
          & info [ "vectors" ] ~docv:"N" ~doc:"Vectors for fault injection.")
   in
   let top =
@@ -1014,7 +1014,7 @@ let sweep_cmd =
     in
     let vectors =
       Arg.(
-        value & opt int 8192
+        value & opt positive_int 8192
         & info [ "vectors" ] ~docv:"N"
             ~doc:"Random input vectors per simulation lane.")
     in

@@ -19,6 +19,7 @@ let eval_with_flip netlist ~input_words ~values ~faulty =
         values.(id) <- (if id = faulty then Int64.lognot v else v))
 
 let analyze ?(seed = 0xc817) ?(vectors = 1024) netlist =
+  if vectors < 1 then invalid_arg "Criticality.analyze: vectors must be >= 1";
   let rng = Nano_util.Prng.create ~seed in
   let words = Nano_util.Math_ext.ceil_div vectors 64 in
   let n = Netlist.node_count netlist in

@@ -16,7 +16,8 @@ type result = {
 
 val analyze : ?seed:int -> ?vectors:int -> Nano_netlist.Netlist.t -> result
 (** Bit-parallel single-fault injection: one simulation pass per node,
-    64 vectors per word ([vectors] defaults to 1024, rounded up). *)
+    64 vectors per word ([vectors] defaults to 1024, rounded up).
+    Raises [Invalid_argument] when [vectors < 1]. *)
 
 val ranked_gates : Nano_netlist.Netlist.t -> result -> Nano_netlist.Netlist.node list
 (** Logic-gate ids sorted by decreasing observability (ties broken by

@@ -5,7 +5,7 @@ module Par = Nano_util.Par
 module Prng = Nano_util.Prng
 module Bits = Nano_util.Bits
 
-type engine = [ `Compiled | `CompiledWords | `Interp ]
+type engine = [ `Compiled | `Interp ]
 
 type result = {
   epsilon : float;
@@ -61,9 +61,9 @@ let eval_noisy netlist channels rng ~input_words ~values =
    [Prng.jump] straight to its first word and replay the exact segment
    of the sequential stream — parallel results are bit-identical to the
    single-stream simulation for every job count. Error probabilities
-   travel as one plain float per node ([epsilons]); the hot engines pack
-   them straight into threshold buffers, and only the retained
-   interpretive engine still wraps them in {!Channel.t} values. *)
+   travel as one plain float per node ([epsilons]); the compiled engine
+   packs them straight into threshold buffers, and only the
+   interpretive reference engine wraps them in {!Channel.t} values. *)
 let draws_per_word netlist ~epsilons ~input_probability =
   let n_in = Netlist.input_count netlist in
   let noise = ref 0 in
@@ -131,53 +131,12 @@ let run_shard_interp ~seed ~first_word ~words ~draws_per_word
     s_any_errors = !any_errors;
   }
 
-(* The compiled shard consumes the PRNG stream in exactly the order the
-   interpretive one does — inputs_a, noise_a (ascending node order),
-   inputs_b, noise_b — and performs the same merges, so its counters are
-   bit-identical. Unlike the interpretive walk it allocates nothing per
-   word: values live in packed byte buffers reused across the loop, the
-   error probabilities travel as packed bits ({!Compiled.pack_epsilons})
-   and the counter updates run inside the compiled kernel's own
-   compilation unit. *)
-let run_shard_compiled ~seed ~first_word ~words ~draws_per_word
-    ~input_probability ~epsilons c =
-  let rng = Prng.create ~seed in
-  Prng.jump rng ~draws:(first_word * draws_per_word);
-  let n = Compiled.node_count c in
-  let golden = Compiled.create_values c in
-  let noisy_a = Compiled.create_values c in
-  let noisy_b = Compiled.create_values c in
-  let ones = Array.make n 0 in
-  let toggles = Array.make n 0 in
-  let out_errors = Array.make (Array.length (Compiled.output_ids c)) 0 in
-  let any_errors = ref 0 in
-  for _ = 1 to words do
-    Compiled.draw_input_words c rng ~input_probability ~values:golden;
-    Compiled.exec_words c ~values:golden;
-    Compiled.copy_input_words c ~src:golden ~dst:noisy_a;
-    Compiled.exec_noisy_words c ~epsilons ~rng ~values:noisy_a;
-    Compiled.draw_input_words c rng ~input_probability ~values:noisy_b;
-    Compiled.exec_noisy_words c ~epsilons ~rng ~values:noisy_b;
-    Compiled.add_ones_counts c ~values:noisy_a ~into:ones;
-    Compiled.add_toggle_counts c ~a:noisy_a ~b:noisy_b ~into:toggles;
-    any_errors :=
-      !any_errors
-      + Compiled.add_output_error_counts c ~golden ~noisy:noisy_a
-          ~into:out_errors
-  done;
-  {
-    s_ones = ones;
-    s_toggles = toggles;
-    s_out_errors = out_errors;
-    s_any_errors = !any_errors;
-  }
-
 (* The blocked shard drives the fused wide-word kernel: one call
    simulates the whole shard segment in blocks of the compiled program's
    width, with evaluation, noise injection and every counter folded into
    a single level-ordered sweep per block. The kernel addresses the PRNG
    stream positionally under the same per-word layout as
-   [run_shard_compiled], so the counters — and therefore the final
+   [run_shard_interp], so the counters — and therefore the final
    result — are bit-identical to it at any block width. *)
 let run_shard_blocked ~seed ~first_word ~words ~draws_per_word
     ~input_probability ~noise c =
@@ -234,6 +193,7 @@ let result_of_counts netlist ~epsilon ~words ~ones ~toggles ~out_errors
 let run ?(jobs = 1) ?(engine = `Compiled) ?block ~seed ~vectors
     ~input_probability ~epsilons ~mean_epsilon netlist =
   if jobs < 1 then invalid_arg "Noisy_sim.run: jobs must be >= 1";
+  if vectors < 1 then invalid_arg "Noisy_sim.run: vectors must be >= 1";
   let words = Nano_util.Math_ext.ceil_div vectors 64 in
   let n = Netlist.node_count netlist in
   let outputs = Netlist.outputs netlist in
@@ -249,16 +209,6 @@ let run ?(jobs = 1) ?(engine = `Compiled) ?block ~seed ~vectors
         (fun (lo, hi) ->
           run_shard_blocked ~seed ~first_word:lo ~words:(hi - lo)
             ~draws_per_word ~input_probability ~noise c)
-        (Par.ranges ~jobs words)
-    | `CompiledWords ->
-      (* The word-at-a-time compiled engine, retained as the blocked
-         kernel's differential reference (and the bench's baseline). *)
-      let c = Compiled.of_netlist ?block netlist in
-      let epsilons = Compiled.pack_epsilons c epsilons in
-      Par.map ~jobs
-        (fun (lo, hi) ->
-          run_shard_compiled ~seed ~first_word:lo ~words:(hi - lo)
-            ~draws_per_word ~input_probability ~epsilons c)
         (Par.ranges ~jobs words)
     | `Interp ->
       (* The interpretive walk is the one engine that still consumes
@@ -508,6 +458,8 @@ let run_grid ?block ~seed ~vectors ~input_probability ~jobs ~mode ~epsilons
 let profile_grid ?(seed = 0xfa17) ?(vectors = 8192) ?(input_probability = 0.5)
     ?(jobs = 1) ?(mode = Fixed) ?block ~epsilons netlist =
   if jobs < 1 then invalid_arg "Noisy_sim.profile_grid: jobs must be >= 1";
+  if vectors < 1 then
+    invalid_arg "Noisy_sim.profile_grid: vectors must be >= 1";
   Array.iter
     (fun e ->
       if not (e >= 0. && e <= 0.5) then
@@ -555,6 +507,8 @@ let profile_grid_heterogeneous ?(seed = 0xfa17) ?(vectors = 8192)
     ?(input_probability = 0.5) ?(jobs = 1) ?block ~epsilon_of_lanes netlist =
   if jobs < 1 then
     invalid_arg "Noisy_sim.profile_grid_heterogeneous: jobs must be >= 1";
+  if vectors < 1 then
+    invalid_arg "Noisy_sim.profile_grid_heterogeneous: vectors must be >= 1";
   let lanes = Array.length epsilon_of_lanes in
   if lanes = 0 then [||]
   else begin

@@ -6,19 +6,18 @@
     buffers are assumed error-free, matching the paper's device model
     where interconnect errors are lumped into device errors. *)
 
-type engine = [ `Compiled | `CompiledWords | `Interp ]
+type engine = [ `Compiled | `Interp ]
 (** Which evaluation kernel runs the Monte-Carlo word loop. [`Compiled]
     (the default) lowers the netlist once through
     {!Nano_netlist.Compiled} and runs the BLOCKED wide-word kernel:
     blocks of [block_width] words per gate visit with evaluation, noise
     injection and counter accumulation fused into one level-ordered
-    sweep ({!Nano_netlist.Compiled.run_noisy_words}). [`CompiledWords]
-    is the word-at-a-time compiled interpreter it replaced;
-    [`Interp] retains the historical walk over [Netlist.iter] /
-    [Gate.eval_word]. All three consume the PRNG stream in exactly the
-    same per-word order and produce bit-identical results — the slower
-    engines survive as independent references for differential tests
-    and the benchmark series. *)
+    sweep ({!Nano_netlist.Compiled.run_noisy_words}). [`Interp] is the
+    historical walk over [Netlist.iter] / [Gate.eval_word], one word at
+    a time. Both consume the PRNG stream in exactly the same per-word
+    order and produce bit-identical results; [`Interp] shares nothing
+    else with the compiled kernel and survives as its independent
+    reference for differential tests and the benchmark series. *)
 
 type result = {
   epsilon : float;
@@ -47,7 +46,8 @@ val simulate :
   epsilon:float ->
   Nano_netlist.Netlist.t ->
   result
-(** [vectors] (default 8192) is rounded up to a multiple of 64.
+(** [vectors] (default 8192) is rounded up to a multiple of 64; it must
+    be at least 1, as [jobs] must, or [Invalid_argument] is raised.
 
     [jobs] (default 1) shards the vector words across that many domains
     via {!Nano_util.Par}. Sharding is seed-stable: each shard jumps the
@@ -108,7 +108,7 @@ val profile_grid :
     an entire ε-grid: the circuit is compiled once, each 64-vector word
     is executed once per lane from the SAME input draw, and every noisy
     gate draws ONE shared 64-uniform noise word thinned against the
-    packed per-lane thresholds ({!Nano_netlist.Compiled.exec_noisy_words_batch}).
+    packed per-lane thresholds ({!Nano_netlist.Compiled.run_noisy_grid_words}).
     Lanes are therefore coupled by common random numbers — grid
     differences have collapsed variance — and each ε ≠ 1/2 lane is
     bit-identical to the per-point {!simulate} at the same seed.
@@ -122,7 +122,8 @@ val profile_grid :
     exactly zero and their node statistics come from the golden pair the
     pass computes anyway. [jobs] shards vector words (not grid points)
     across domains with the seed-jump discipline of {!simulate}:
-    results are bit-identical for every job count. *)
+    results are bit-identical for every job count. [vectors] and [jobs]
+    must be at least 1, or [Invalid_argument] is raised. *)
 
 val profile_grid_heterogeneous :
   ?seed:int ->
@@ -144,8 +145,9 @@ val profile_grid_heterogeneous :
     lane is bit-identical to {!simulate_heterogeneous} at the same seed
     whenever none of its gates sits exactly at ε = 1/2. Every lane runs
     the full vector budget; the returned array is parallel to
-    [epsilon_of_lanes] (empty input returns [[||]]). Defaults and the
-    [jobs] seed-jump discipline match {!simulate}. *)
+    [epsilon_of_lanes] (empty input returns [[||]]). Defaults, the
+    [vectors]/[jobs] preconditions and the [jobs] seed-jump discipline
+    match {!simulate}. *)
 
 val output_reliability : result -> float
 (** [1 - any_output_error]: the empirical probability that the whole

@@ -4,16 +4,17 @@
    once per simulated word: every gate pays a closure dispatch through
    [Netlist.iter], an [Array.map] allocating a fresh fanin array, and a
    polymorphic-variant-style match inside [Gate.eval_word]. Lowering the
-   DAG once into flat integer arrays — an opcode per node, a CSR pair
-   for fanins — turns the inner loop into index arithmetic over
-   preallocated buffers.
+   DAG once into flat integer arrays — an opcode per schedule position,
+   a CSR pair for fanins — turns the inner loop into index arithmetic
+   over preallocated buffers, and widening each gate visit to a block of
+   words amortizes that arithmetic further.
 
-   Node values live in a packed [Bytes.t] buffer (8 bytes per node,
-   native endianness) rather than an [int64 array]: storing a computed
+   Node values live in packed [Bytes.t] buffers (8 bytes per word,
+   native endianness) rather than [int64 array]s: storing a computed
    [int64] into an ordinary array forces a heap box per store under
    classic (non-flambda) ocamlopt, whereas the raw load/store primitives
    below combine with the compiler's unboxed-let optimization to keep
-   the whole interpreter loop allocation-free. *)
+   the fused simulation loops allocation-free. *)
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -46,31 +47,27 @@ let op_maj_n = 18
 
 type t = {
   node_count : int;
-  opcodes : int array;  (** one opcode per node id *)
-  fanin_offsets : int array;
-      (** CSR row starts, length [node_count + 1]; node [id]'s fanins are
-          [fanin_ids.(fanin_offsets.(id)) .. fanin_ids.(fanin_offsets.(id+1) - 1)] *)
-  fanin_ids : int array;
   input_ids : int array;
   output_ids : int array;
   output_names : string array;
-  noisy : Bytes.t;  (** ['\001'] where the error channel injects noise *)
   noisy_count : int;
-  (* Blocked wide-word program: the same DAG re-sequenced by topological
-     LEVEL (sources first, then every gate whose fanins are all in
-     earlier levels), with node values living at the node's schedule
-     POSITION rather than its id. Level order makes a gate's fanin reads
-     land in the few most recently written levels — the cache-blocking
-     that keeps the hot window resident however large the netlist — and
-     the position-indexed layout turns the value stores of one pass into
-     a single sequential stream. *)
+  (* The program: the DAG re-sequenced by topological LEVEL (sources
+     first, then every gate whose fanins are all in earlier levels), with
+     node values living at the node's schedule POSITION rather than its
+     id. Level order makes a gate's fanin reads land in the few most
+     recently written levels — the cache-blocking that keeps the hot
+     window resident however large the netlist — and the
+     position-indexed layout turns the value stores of one pass into a
+     single sequential stream. *)
   block : int;  (** value words interleaved per gate visit (>= 1) *)
   sched_id : int array;  (** schedule position -> node id *)
   slot_of : int array;  (** node id -> schedule position *)
   sched_ops : int array;  (** opcode per schedule position *)
   sched_offs : int array;  (** CSR row starts into [sched_fan], length n+1 *)
   sched_fan : int array;  (** fanin SCHEDULE POSITIONS *)
-  sched_noisy : Bytes.t;  (** ['\001'] at noisy schedule positions *)
+  sched_noisy : Bytes.t;
+      (** ['\001'] at the schedule positions where the error channel
+          injects noise *)
   sched_noise_rank : int array;
       (** schedule position -> rank of the gate among noisy gates in
           ascending ID order (the canonical draw order), or -1 *)
@@ -105,7 +102,7 @@ let default_block_width =
 let is_noisy c id =
   if id < 0 || id >= c.node_count then
     invalid_arg "Compiled.is_noisy: node id out of range";
-  Bytes.get c.noisy id <> '\000'
+  Bytes.get c.sched_noisy c.slot_of.(id) <> '\000'
 
 let opcode_name = function
   | 0 -> "input"
@@ -132,7 +129,7 @@ let opcode_name = function
 let opcode c id =
   if id < 0 || id >= c.node_count then
     invalid_arg "Compiled.opcode: node id out of range";
-  opcode_name c.opcodes.(id)
+  opcode_name c.sched_ops.(c.slot_of.(id))
 
 (* ------------------------------------------------------------------ *)
 (* Lowering.                                                            *)
@@ -259,13 +256,9 @@ let compile ?block netlist =
   let seg_starts = Array.of_list (List.rev (n :: !seg_rev)) in
   {
     node_count = n;
-    opcodes;
-    fanin_offsets;
-    fanin_ids;
     input_ids;
     output_ids;
     output_names = Array.copy (Netlist.output_names netlist);
-    noisy;
     noisy_count = !noisy_count;
     block;
     sched_id;
@@ -357,105 +350,6 @@ let cached_block_widths () =
   ws
 
 (* ------------------------------------------------------------------ *)
-(* Value buffers.                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let create_values c = Bytes.make (c.node_count lsl 3) '\000'
-
-let[@inline] get_word values id = get64 values (id lsl 3)
-let[@inline] set_word values id w = set64 values (id lsl 3) w
-
-let[@inline] check_values c values name =
-  if Bytes.length values <> c.node_count lsl 3 then
-    invalid_arg
-      (name ^ ": values buffer length does not match node count (use \
-              Compiled.create_values)")
-
-let set_input_words c ~values words =
-  check_values c values "Compiled.set_input_words";
-  let ids = c.input_ids in
-  if Array.length words <> Array.length ids then
-    invalid_arg "Compiled.set_input_words: wrong number of input words";
-  for i = 0 to Array.length ids - 1 do
-    set64 values (Array.unsafe_get ids i lsl 3) (Array.unsafe_get words i)
-  done
-
-let copy_input_words c ~src ~dst =
-  check_values c src "Compiled.copy_input_words";
-  check_values c dst "Compiled.copy_input_words";
-  let ids = c.input_ids in
-  for i = 0 to Array.length ids - 1 do
-    let p = Array.unsafe_get ids i lsl 3 in
-    set64u dst p (get64u src p)
-  done
-
-let draw_input_words c rng ~input_probability ~values =
-  check_values c values "Compiled.draw_input_words";
-  let ids = c.input_ids in
-  (* Declaration order: one density word per input, the same draws the
-     interpretive path consumes. *)
-  for i = 0 to Array.length ids - 1 do
-    Nano_util.Prng.store_word_with_density rng ~p:input_probability values
-      (Array.unsafe_get ids i lsl 3)
-  done
-
-let blit_values c ~values ~into =
-  check_values c values "Compiled.blit_values";
-  if Array.length into <> c.node_count then
-    invalid_arg "Compiled.blit_values: wrong destination length";
-  for id = 0 to c.node_count - 1 do
-    Array.unsafe_set into id (get64u values (id lsl 3))
-  done
-
-let read_values c ~values =
-  let into = Array.make c.node_count 0L in
-  blit_values c ~values ~into;
-  into
-
-let pack_epsilons c eps =
-  if Array.length eps <> c.node_count then
-    invalid_arg "Compiled.pack_epsilons: wrong epsilons length";
-  let packed = Bytes.make (c.node_count lsl 3) '\000' in
-  Array.iteri
-    (fun id e ->
-      if not (e >= 0. && e <= 0.5) then
-        invalid_arg "Compiled.pack_epsilons: epsilon must lie in [0, 1/2]";
-      set64 packed (id lsl 3) (Int64.bits_of_float e))
-    eps;
-  packed
-
-(* Batched-threshold layout: one row of [lanes + 1] words per node —
-   word 0 an upper bound on the row's thresholds (the noise primitive's
-   early-out), words 1..lanes the per-lane densities. Rows are packed
-   per node (stride [8 * (lanes + 1)]) so a future heterogeneous packer
-   can vary thresholds per gate without changing the execution loop. *)
-let batch_stride lanes = (lanes + 1) lsl 3
-
-let pack_epsilons_batch c eps =
-  let lanes = Array.length eps in
-  if lanes < 1 then
-    invalid_arg "Compiled.pack_epsilons_batch: need at least one lane";
-  Array.iteri
-    (fun k e ->
-      if not (e >= 0. && e <= 0.5) then
-        invalid_arg
-          (Printf.sprintf
-             "Compiled.pack_epsilons_batch: lane %d: epsilon must lie in \
-              [0, 1/2]" k))
-    eps;
-  let emax = Array.fold_left Float.max 0. eps in
-  let stride = batch_stride lanes in
-  let packed = Bytes.make (c.node_count * stride) '\000' in
-  for id = 0 to c.node_count - 1 do
-    let base = id * stride in
-    set64 packed base (Int64.bits_of_float emax);
-    Array.iteri
-      (fun k e -> set64 packed (base + ((k + 1) lsl 3)) (Int64.bits_of_float e))
-      eps
-  done;
-  packed
-
-(* ------------------------------------------------------------------ *)
 (* Counting kernels.                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -473,265 +367,6 @@ let[@inline] popcount64 w =
   in
   let w = logand (add w (shift_right_logical w 4)) 0x0F0F0F0F0F0F0F0FL in
   to_int (shift_right_logical (mul w 0x0101010101010101L) 56)
-
-let add_ones_counts c ~values ~into =
-  check_values c values "Compiled.add_ones_counts";
-  if Array.length into <> c.node_count then
-    invalid_arg "Compiled.add_ones_counts: wrong counter length";
-  for id = 0 to c.node_count - 1 do
-    Array.unsafe_set into id
-      (Array.unsafe_get into id + popcount64 (get64u values (id lsl 3)))
-  done
-
-let add_toggle_counts c ~a ~b ~into =
-  check_values c a "Compiled.add_toggle_counts";
-  check_values c b "Compiled.add_toggle_counts";
-  if Array.length into <> c.node_count then
-    invalid_arg "Compiled.add_toggle_counts: wrong counter length";
-  for id = 0 to c.node_count - 1 do
-    let p = id lsl 3 in
-    Array.unsafe_set into id
-      (Array.unsafe_get into id
-      + popcount64 (Int64.logxor (get64u a p) (get64u b p)))
-  done
-
-let add_output_error_counts c ~golden ~noisy ~into =
-  check_values c golden "Compiled.add_output_error_counts";
-  check_values c noisy "Compiled.add_output_error_counts";
-  let out = c.output_ids in
-  let n_out = Array.length out in
-  if Array.length into <> n_out then
-    invalid_arg "Compiled.add_output_error_counts: wrong counter length";
-  (* The non-escaping ref compiles to an unboxed mutable variable. *)
-  let any = ref 0L in
-  for i = 0 to n_out - 1 do
-    let p = Array.unsafe_get out i lsl 3 in
-    let wrong = Int64.logxor (get64u golden p) (get64u noisy p) in
-    Array.unsafe_set into i (Array.unsafe_get into i + popcount64 wrong);
-    any := Int64.logor !any wrong
-  done;
-  popcount64 !any
-
-(* ------------------------------------------------------------------ *)
-(* Interpreter loop.                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Evaluate node [id], reading fanin words from [src] and writing the
-   result to [dst]. With [src == dst] this is the in-place topological
-   evaluation (fanins already settled this pass); with distinct buffers
-   it is one synchronous unit-delay step (fanins read previous values).
-   All accesses are unchecked: ids come from the compiled arrays, whose
-   entries were validated against [node_count] at lowering time, and the
-   callers check buffer lengths once per pass. *)
-let[@inline always] eval_node ops offs fan ~src ~dst id =
-  match Array.unsafe_get ops id with
-  | 0 (* input *) -> set64u dst (id lsl 3) (get64u src (id lsl 3))
-  | 1 (* const0 *) -> set64u dst (id lsl 3) 0L
-  | 2 (* const1 *) -> set64u dst (id lsl 3) (-1L)
-  | 3 (* buf *) ->
-    let o = Array.unsafe_get offs id in
-    set64u dst (id lsl 3) (get64u src (Array.unsafe_get fan o lsl 3))
-  | 4 (* not *) ->
-    let o = Array.unsafe_get offs id in
-    set64u dst (id lsl 3)
-      (Int64.lognot (get64u src (Array.unsafe_get fan o lsl 3)))
-  | 5 (* and2 *) ->
-    let o = Array.unsafe_get offs id in
-    set64u dst (id lsl 3)
-      (Int64.logand
-         (get64u src (Array.unsafe_get fan o lsl 3))
-         (get64u src (Array.unsafe_get fan (o + 1) lsl 3)))
-  | 6 (* or2 *) ->
-    let o = Array.unsafe_get offs id in
-    set64u dst (id lsl 3)
-      (Int64.logor
-         (get64u src (Array.unsafe_get fan o lsl 3))
-         (get64u src (Array.unsafe_get fan (o + 1) lsl 3)))
-  | 7 (* nand2 *) ->
-    let o = Array.unsafe_get offs id in
-    set64u dst (id lsl 3)
-      (Int64.lognot
-         (Int64.logand
-            (get64u src (Array.unsafe_get fan o lsl 3))
-            (get64u src (Array.unsafe_get fan (o + 1) lsl 3))))
-  | 8 (* nor2 *) ->
-    let o = Array.unsafe_get offs id in
-    set64u dst (id lsl 3)
-      (Int64.lognot
-         (Int64.logor
-            (get64u src (Array.unsafe_get fan o lsl 3))
-            (get64u src (Array.unsafe_get fan (o + 1) lsl 3))))
-  | 9 (* xor2 *) ->
-    let o = Array.unsafe_get offs id in
-    set64u dst (id lsl 3)
-      (Int64.logxor
-         (get64u src (Array.unsafe_get fan o lsl 3))
-         (get64u src (Array.unsafe_get fan (o + 1) lsl 3)))
-  | 10 (* xnor2 *) ->
-    let o = Array.unsafe_get offs id in
-    set64u dst (id lsl 3)
-      (Int64.lognot
-         (Int64.logxor
-            (get64u src (Array.unsafe_get fan o lsl 3))
-            (get64u src (Array.unsafe_get fan (o + 1) lsl 3))))
-  | 11 (* maj3 *) ->
-    let o = Array.unsafe_get offs id in
-    let a = get64u src (Array.unsafe_get fan o lsl 3) in
-    let b = get64u src (Array.unsafe_get fan (o + 1) lsl 3) in
-    let c = get64u src (Array.unsafe_get fan (o + 2) lsl 3) in
-    set64u dst (id lsl 3)
-      (Int64.logor (Int64.logand a b)
-         (Int64.logor (Int64.logand a c) (Int64.logand b c)))
-  | 12 (* and_n *) ->
-    let o = Array.unsafe_get offs id and e = Array.unsafe_get offs (id + 1) in
-    let d = id lsl 3 in
-    set64u dst d (get64u src (Array.unsafe_get fan o lsl 3));
-    for k = o + 1 to e - 1 do
-      set64u dst d
-        (Int64.logand (get64u dst d)
-           (get64u src (Array.unsafe_get fan k lsl 3)))
-    done
-  | 13 (* or_n *) ->
-    let o = Array.unsafe_get offs id and e = Array.unsafe_get offs (id + 1) in
-    let d = id lsl 3 in
-    set64u dst d (get64u src (Array.unsafe_get fan o lsl 3));
-    for k = o + 1 to e - 1 do
-      set64u dst d
-        (Int64.logor (get64u dst d) (get64u src (Array.unsafe_get fan k lsl 3)))
-    done
-  | 14 (* nand_n *) ->
-    let o = Array.unsafe_get offs id and e = Array.unsafe_get offs (id + 1) in
-    let d = id lsl 3 in
-    set64u dst d (get64u src (Array.unsafe_get fan o lsl 3));
-    for k = o + 1 to e - 1 do
-      set64u dst d
-        (Int64.logand (get64u dst d)
-           (get64u src (Array.unsafe_get fan k lsl 3)))
-    done;
-    set64u dst d (Int64.lognot (get64u dst d))
-  | 15 (* nor_n *) ->
-    let o = Array.unsafe_get offs id and e = Array.unsafe_get offs (id + 1) in
-    let d = id lsl 3 in
-    set64u dst d (get64u src (Array.unsafe_get fan o lsl 3));
-    for k = o + 1 to e - 1 do
-      set64u dst d
-        (Int64.logor (get64u dst d) (get64u src (Array.unsafe_get fan k lsl 3)))
-    done;
-    set64u dst d (Int64.lognot (get64u dst d))
-  | 16 (* xor_n *) ->
-    let o = Array.unsafe_get offs id and e = Array.unsafe_get offs (id + 1) in
-    let d = id lsl 3 in
-    set64u dst d (get64u src (Array.unsafe_get fan o lsl 3));
-    for k = o + 1 to e - 1 do
-      set64u dst d
-        (Int64.logxor (get64u dst d)
-           (get64u src (Array.unsafe_get fan k lsl 3)))
-    done
-  | 17 (* xnor_n *) ->
-    let o = Array.unsafe_get offs id and e = Array.unsafe_get offs (id + 1) in
-    let d = id lsl 3 in
-    set64u dst d (get64u src (Array.unsafe_get fan o lsl 3));
-    for k = o + 1 to e - 1 do
-      set64u dst d
-        (Int64.logxor (get64u dst d)
-           (get64u src (Array.unsafe_get fan k lsl 3)))
-    done;
-    set64u dst d (Int64.lognot (get64u dst d))
-  | _ (* maj_n *) ->
-    (* Per-lane popcount threshold, the same semantics as
-       [Gate.eval_word Majority]. Fanins all precede [id], so the
-       destination slot never aliases a source slot. *)
-    let o = Array.unsafe_get offs id and e = Array.unsafe_get offs (id + 1) in
-    let d = id lsl 3 in
-    let arity = e - o in
-    set64u dst d 0L;
-    for lane = 0 to 63 do
-      let count = ref 0 in
-      for k = o to e - 1 do
-        count :=
-          !count
-          + Int64.to_int
-              (Int64.logand
-                 (Int64.shift_right_logical
-                    (get64u src (Array.unsafe_get fan k lsl 3))
-                    lane)
-                 1L)
-      done;
-      if !count > arity / 2 then
-        set64u dst d (Int64.logor (get64u dst d) (Int64.shift_left 1L lane))
-    done
-
-let exec_words c ~values =
-  check_values c values "Compiled.exec_words";
-  let ops = c.opcodes and offs = c.fanin_offsets and fan = c.fanin_ids in
-  for id = 0 to c.node_count - 1 do
-    eval_node ops offs fan ~src:values ~dst:values id
-  done
-
-let exec_step c ~src ~dst =
-  check_values c src "Compiled.exec_step";
-  check_values c dst "Compiled.exec_step";
-  if src == dst then
-    invalid_arg "Compiled.exec_step: src and dst must be distinct buffers";
-  let ops = c.opcodes and offs = c.fanin_offsets and fan = c.fanin_ids in
-  for id = 0 to c.node_count - 1 do
-    eval_node ops offs fan ~src ~dst id
-  done
-
-let exec_noisy_words c ~epsilons ~rng ~values =
-  check_values c values "Compiled.exec_noisy_words";
-  if Bytes.length epsilons <> c.node_count lsl 3 then
-    invalid_arg
-      "Compiled.exec_noisy_words: epsilons buffer length does not match \
-       node count (use Compiled.pack_epsilons)";
-  let ops = c.opcodes
-  and offs = c.fanin_offsets
-  and fan = c.fanin_ids
-  and noisy = c.noisy in
-  for id = 0 to c.node_count - 1 do
-    eval_node ops offs fan ~src:values ~dst:values id;
-    (* Draw order matches the interpretive [eval_noisy]: one density
-       word per noisy gate, in ascending node order, interleaved with
-       nothing else. The density travels as packed bits so no float is
-       boxed at the (non-inlinable under [-opaque]) call boundary. *)
-    if Bytes.unsafe_get noisy id <> '\000' then
-      Nano_util.Prng.xor_word_with_density_from rng ~eps:epsilons
-        ~eps_pos:(id lsl 3) values (id lsl 3)
-  done
-
-let exec_noisy_words_batch c ~thresholds ~lanes ~rng ~values =
-  if lanes < 1 then
-    invalid_arg "Compiled.exec_noisy_words_batch: lanes must be >= 1";
-  if Array.length values <> lanes then
-    invalid_arg
-      "Compiled.exec_noisy_words_batch: one value buffer per lane required";
-  for k = 0 to lanes - 1 do
-    check_values c (Array.unsafe_get values k) "Compiled.exec_noisy_words_batch"
-  done;
-  let stride = batch_stride lanes in
-  if Bytes.length thresholds <> c.node_count * stride then
-    invalid_arg
-      "Compiled.exec_noisy_words_batch: thresholds buffer length does not \
-       match node count and lanes (use Compiled.pack_epsilons_batch)";
-  let ops = c.opcodes
-  and offs = c.fanin_offsets
-  and fan = c.fanin_ids
-  and noisy = c.noisy in
-  for id = 0 to c.node_count - 1 do
-    for k = 0 to lanes - 1 do
-      let v = Array.unsafe_get values k in
-      eval_node ops offs fan ~src:v ~dst:v id
-    done;
-    (* One 64-uniform draw per noisy gate, shared across all lanes: the
-       common-random-numbers coupling. Per-word draw consumption (64) is
-       identical to the per-point [exec_noisy_words] path at any
-       [epsilon <> 0.5], so lane [k] of a batched run replays the exact
-       stream — and therefore the exact bits — of a per-point run at
-       [epsilon.(k)] on the same seed. *)
-    if Bytes.unsafe_get noisy id <> '\000' then
-      Nano_util.Prng.xor_words_with_thresholds rng ~thr:thresholds
-        ~thr_pos:(id * stride) ~lanes values (id lsl 3)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Blocked wide-word kernel.                                            *)
@@ -807,9 +442,9 @@ let draw_input_words_blocked c rng ~offset ~stride ~width ~input_probability
   check_width c width "Compiled.draw_input_words_blocked";
   let ids = c.input_ids and slot = c.slot_of and block = c.block in
   let ipw = Nano_util.Prng.draws_per_word ~p:input_probability in
-  (* Input [i]'s word [j] owns draws [offset + i*ipw + j*stride ..]: the
-     per-word declaration order of {!draw_input_words}, transposed onto
-     the block by the positioned primitive. *)
+  (* Input [i]'s word [j] owns draws [offset + i*ipw + j*stride ..]: one
+     density word per input in declaration order within each word's
+     segment, transposed onto the block by the positioned primitive. *)
   for i = 0 to Array.length ids - 1 do
     Nano_util.Prng.store_words_with_density_at rng
       ~offset:(offset + (i * ipw)) ~stride ~width ~p:input_probability values
@@ -1208,8 +843,8 @@ let pack_noise c eps =
       invalid_arg
         (Printf.sprintf
            "Compiled.pack_noise: node %d: epsilon must lie in [0, 1/2]" id);
-    if Bytes.get c.noisy id <> '\000' then begin
-      let p = c.slot_of.(id) in
+    let p = c.slot_of.(id) in
+    if Bytes.get c.sched_noisy p <> '\000' then begin
       off.(p) <- !acc;
       if e = 0.5 then begin
         (* One raw draw, matching [Prng.draws_per_word ~p:0.5]. *)
@@ -1299,8 +934,8 @@ let pack_grid_heterogeneous c eps =
   let stride = (lanes + 1) lsl 3 in
   let thr = Bytes.make (max 8 (n * stride)) '\000' in
   for id = 0 to n - 1 do
-    if Bytes.get c.noisy id <> '\000' then begin
-      let p = c.slot_of.(id) in
+    let p = c.slot_of.(id) in
+    if Bytes.get c.sched_noisy p <> '\000' then begin
       let base = p * stride in
       let tmax = ref 0L in
       for k = 0 to lanes - 1 do
@@ -1319,11 +954,12 @@ let pack_grid_heterogeneous c eps =
    and the ones/toggle counters, segment by segment, so each cache
    segment's three value rows are touched while still resident. The
    per-word stream layout — inputs_a, noise_a in ascending node-id
-   order, inputs_b, noise_b — is exactly the word-at-a-time engine's;
-   word [j] of a block owns draw interval [j*dpw, (j+1)*dpw), every
+   order, inputs_b, noise_b — is exactly the order a sequential
+   word-by-word walk draws in (Noisy_sim's interpretive engine); word
+   [j] of a block owns draw interval [j*dpw, (j+1)*dpw), every
    primitive addresses its segment positionally without mutating the
    generator, and one jump per block advances it, so results are
-   bit-identical to that engine at ANY block width and any sharding. *)
+   bit-identical to that walk at ANY block width and any sharding. *)
 let run_noisy_words c ~noise ~rng ~input_probability ~words ~golden ~na ~nb
     ~ones ~toggles ~out_errors =
   check_values_blocked c golden "Compiled.run_noisy_words";
@@ -1426,11 +1062,11 @@ let run_noisy_words c ~noise ~rng ~input_probability ~words ~golden ~na ~nb
   done;
   !any_count
 
-(* The fused grid sweep: the blocked counterpart of the batched
-   multi-epsilon engine. Lane replicas advance gate by gate within each
-   segment — every lane's clean value must exist before the ONE shared
-   64-uniform draw per noisy gate is thinned against all lane thresholds
-   (the common-random-numbers coupling) — while the golden pair, the
+(* The fused grid sweep: one pass for a whole multi-epsilon grid. Lane
+   replicas advance gate by gate within each segment — every lane's
+   clean value must exist before the ONE shared 64-uniform draw per
+   noisy gate is thinned against all lane thresholds (the
+   common-random-numbers coupling) — while the golden pair, the
    counters and the noise offsets follow the same positioned-draw
    discipline as {!run_noisy_words}. With [grid = empty_grid_pack] only
    the golden statistics are computed, yet the jump accounting still

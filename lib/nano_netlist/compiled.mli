@@ -1,19 +1,19 @@
 (** Compiled netlists: a flat structure-of-arrays program for the
     Monte-Carlo hot paths.
 
-    {!of_netlist} lowers a {!Netlist.t} once into an opcode array, a CSR
-    fanin encoding and packed source/output/noise tables; the [exec_*]
-    entry points then evaluate 64-vector words with no per-gate
-    allocation and no dispatch through closures. Results are
-    bit-identical to the interpretive walk over [Netlist.iter] /
-    [Gate.eval_word] — the compiled form only changes how the same
-    arithmetic is reached.
+    {!of_netlist} lowers a {!Netlist.t} once into a level-ordered opcode
+    array, a CSR fanin encoding and packed source/output/noise tables;
+    the [exec_*_blocked] and [run_noisy_*] entry points then evaluate
+    blocks of 64-vector words with no per-gate allocation and no
+    dispatch through closures. Results are bit-identical to the
+    interpretive walk over [Netlist.iter] / [Gate.eval_word] — the
+    compiled form only changes how the same arithmetic is reached.
 
-    Node values live in packed byte buffers ({!create_values}): word
-    [id] occupies bytes [8*id .. 8*id+7] in native endianness. Buffers
-    are plain [Bytes.t] so callers can keep several (golden, noisy,
-    previous-cycle, ...) and reuse them across words; none of the
-    functions here allocate on the per-word path. *)
+    Node values live in packed blocked byte buffers
+    ({!create_values_blocked}). Buffers are plain [Bytes.t] so callers
+    can keep several (golden, noisy, previous-cycle, ...) and reuse them
+    across blocks; none of the functions here allocate on the per-word
+    path. *)
 
 type t
 
@@ -79,7 +79,7 @@ val output_names : t -> string array
     mutate. *)
 
 val noisy_count : t -> int
-(** Number of nodes at which {!exec_noisy_words} injects noise (the
+(** Number of nodes at which {!run_noisy_words} injects noise (the
     logic gates — sources and buffers are error-free, matching
     [Noisy_sim]). *)
 
@@ -88,116 +88,6 @@ val is_noisy : t -> int -> bool
 val opcode : t -> int -> string
 (** Human-readable opcode of a node (["and2"], ["xor_n"], ...); for
     debugging and tests. *)
-
-(** {1 Value buffers} *)
-
-val create_values : t -> Bytes.t
-(** A zeroed buffer of [8 * node_count] bytes. *)
-
-val get_word : Bytes.t -> int -> int64
-(** [get_word values id] reads node [id]'s word. Bounds-checked. *)
-
-val set_word : Bytes.t -> int -> int64 -> unit
-
-val set_input_words : t -> values:Bytes.t -> int64 array -> unit
-(** Store one word per primary input (declaration order). *)
-
-val copy_input_words : t -> src:Bytes.t -> dst:Bytes.t -> unit
-(** Copy the primary-input slots from [src] to [dst]; used to replay the
-    same stimulus through a second (e.g. noisy) evaluation without
-    re-drawing. *)
-
-val draw_input_words :
-  t -> Nano_util.Prng.t -> input_probability:float -> values:Bytes.t -> unit
-(** Draw one density word per primary input directly into the buffer, in
-    declaration order — exactly the draws the interpretive path consumes
-    ([Prng.draws_per_word ~p] each), so seed-jumped shards stay
-    bit-identical. *)
-
-val blit_values : t -> values:Bytes.t -> into:int64 array -> unit
-(** Copy every node word out into an [int64 array] of length
-    [node_count] (allocating one box per node — compatibility path, not
-    for per-word loops). *)
-
-val read_values : t -> values:Bytes.t -> int64 array
-(** Fresh-array variant of {!blit_values}. *)
-
-val pack_epsilons : t -> float array -> Bytes.t
-(** Pack one per-node error probability (entries for non-noisy nodes
-    are ignored by {!exec_noisy_words}) into IEEE-754 bits, 8 bytes per
-    node — the form the noisy interpreter reads so that no float is
-    boxed per gate. Each value must lie in [[0, 1/2]]. Pack once per
-    run; the result is immutable by convention and safe to share across
-    domains. *)
-
-val pack_epsilons_batch : t -> float array -> Bytes.t
-(** [pack_epsilons_batch c eps] packs a K-lane threshold table for
-    {!exec_noisy_words_batch}: one row of [K + 1] IEEE-754 words per
-    node — word 0 the row maximum (the noise primitive's early-out
-    bound), words 1..K the lane densities [eps.(0) .. eps.(K-1)]. Every
-    epsilon must lie in [[0, 1/2]] and [eps] must be non-empty. Pack
-    once per grid; immutable by convention, shareable across domains. *)
-
-(** {1 Counting kernels}
-
-    Counter updates for the Monte-Carlo loops, kept in this compilation
-    unit (with a private popcount) because dev builds use [-opaque]:
-    a cross-library [Bits.popcount64] call would box each word and the
-    loops would no longer be allocation-free. All add into the caller's
-    accumulators, so shards reuse one counter array across words. *)
-
-val add_ones_counts : t -> values:Bytes.t -> into:int array -> unit
-(** Add each node's population count to [into.(id)] ([node_count]
-    entries). *)
-
-val add_toggle_counts : t -> a:Bytes.t -> b:Bytes.t -> into:int array -> unit
-(** Add [popcount (a.(id) lxor b.(id))] to [into.(id)]. *)
-
-val add_output_error_counts :
-  t -> golden:Bytes.t -> noisy:Bytes.t -> into:int array -> int
-(** Per primary output [i], add the number of lanes where [noisy]
-    disagrees with [golden] to [into.(i)] ([output_count] entries);
-    returns the number of lanes where at least one output disagrees. *)
-
-(** {1 Execution} *)
-
-val exec_words : t -> values:Bytes.t -> unit
-(** Evaluate every node in place, topologically: primary-input slots
-    must already hold stimulus words ({!set_input_words} /
-    {!draw_input_words}); every other slot is overwritten. Identical
-    results to [Gate.eval_word] over [Netlist.iter]. *)
-
-val exec_noisy_words :
-  t -> epsilons:Bytes.t -> rng:Nano_util.Prng.t -> values:Bytes.t -> unit
-(** Like {!exec_words} but XORs a fresh noise word onto each noisy
-    gate's output — density read from the {!pack_epsilons} buffer — in
-    ascending node order: the same draws, in the same order, as the
-    interpretive noisy evaluation, so seed-sharded runs reproduce it
-    bit-for-bit. *)
-
-val exec_noisy_words_batch :
-  t ->
-  thresholds:Bytes.t ->
-  lanes:int ->
-  rng:Nano_util.Prng.t ->
-  values:Bytes.t array ->
-  unit
-(** Multi-ε variant of {!exec_noisy_words}: evaluates [lanes] value
-    buffers in one topological pass, drawing ONE 64-uniform noise word
-    per noisy gate and thinning it against the packed per-lane
-    thresholds ({!pack_epsilons_batch}) — common-random-numbers
-    coupling, so lane estimates across an ε-grid move together. All
-    buffers must carry identical primary-input words for the coupling to
-    mean anything ({!copy_input_words}). Draw consumption (64 per noisy
-    gate) matches {!exec_noisy_words} at any [epsilon <> 0.5], so lane
-    [k] is bit-identical to a per-point run at [eps.(k)] on the same
-    stream; it is independent of [lanes], so dropping lanes (adaptive
-    early stopping) never shifts the stream. Allocation-free. *)
-
-val exec_step : t -> src:Bytes.t -> dst:Bytes.t -> unit
-(** One synchronous unit-delay step: every gate reads its fanins'
-    values from [src] and writes to [dst]; input nodes copy through.
-    [src] and [dst] must be distinct buffers. *)
 
 (** {1 Blocked wide-word engine}
 
@@ -218,8 +108,9 @@ val exec_step : t -> src:Bytes.t -> dst:Bytes.t -> unit
     the ascending-node-id layout (inputs_a, noise_a, inputs_b, noise_b
     per word), primitives synthesize generator states in O(1) without
     mutating the generator, and one jump per block advances it — so
-    counters are bit-identical to the word-at-a-time engine at ANY
-    block width, any ragged tail, and any shard count. *)
+    counters are bit-identical to a sequential word-by-word walk of
+    that stream (the interpretive [Noisy_sim] engine) at ANY block
+    width, any ragged tail, and any shard count. *)
 
 val create_values_blocked : t -> Bytes.t
 (** A zeroed blocked buffer of [8 * node_count * block_width] bytes. *)
@@ -255,26 +146,42 @@ val draw_input_words_blocked :
     [1 <= width <= block_width]. *)
 
 val exec_words_blocked : t -> width:int -> values:Bytes.t -> unit
-(** Blocked {!exec_words}: evaluate every node over [width] words in
-    place, in level order. Input positions must already hold stimulus. *)
+(** Evaluate every node over the first [width] words in place, in level
+    order: input positions must already hold stimulus
+    ({!set_word_blocked} / {!draw_input_words_blocked}); every other
+    position is overwritten. Column [j] is identical to [Gate.eval_word]
+    over [Netlist.iter] on the inputs' words [j]. *)
 
 val exec_step_blocked : t -> width:int -> src:Bytes.t -> dst:Bytes.t -> unit
-(** Blocked {!exec_step}: one synchronous unit-delay step over [width]
-    words; [src] and [dst] must be distinct blocked buffers. *)
+(** One synchronous unit-delay step over [width] words: every gate
+    reads its fanins' values from [src] and writes to [dst]; input
+    positions copy through. [src] and [dst] must be distinct blocked
+    buffers. *)
+
+(** {2 Counters}
+
+    Counter updates, kept in this compilation unit (with a private
+    popcount) because dev builds use [-opaque]: a cross-library
+    [Bits.popcount64] call would box each word and the loops would no
+    longer be allocation-free. All add into the caller's id-indexed
+    accumulators. *)
 
 val add_ones_counts_blocked :
   t -> width:int -> values:Bytes.t -> into:int array -> unit
-(** Blocked {!add_ones_counts} over the first [width] words; [into] is
-    id-indexed as before. *)
+(** Add each node's population count over the first [width] words to
+    [into.(id)] ([node_count] entries). *)
 
 val add_toggle_counts_blocked :
   t -> width:int -> a:Bytes.t -> b:Bytes.t -> into:int array -> unit
+(** Add [popcount (a lxor b)] of each node's first [width] words to
+    [into.(id)]. *)
 
 val add_output_error_counts_blocked :
   t -> width:int -> golden:Bytes.t -> noisy:Bytes.t -> into:int array -> int
-(** Blocked {!add_output_error_counts}: per-output disagreement counts
-    over [width] words; returns the number of lanes (across all [width]
-    words) where at least one output disagrees. *)
+(** Per primary output [i], add the number of lanes (across the first
+    [width] words) where [noisy] disagrees with [golden] to [into.(i)]
+    ([output_count] entries); returns the number of lanes where at
+    least one output disagrees. *)
 
 (** {2 Fused noisy sweeps} *)
 
@@ -285,10 +192,9 @@ type noise_pack
 
 val pack_noise : t -> float array -> noise_pack
 (** [pack_noise c eps] with one epsilon per node id (entries for
-    non-noisy nodes ignored), each in [[0, 1/2]] — the blocked
-    counterpart of {!pack_epsilons}. Pack once per run; immutable by
-    convention, shareable across domains. Raises [Invalid_argument]
-    naming the offending node otherwise. *)
+    non-noisy nodes ignored), each in [[0, 1/2]]. Pack once per run;
+    immutable by convention, shareable across domains. Raises
+    [Invalid_argument] naming the offending node otherwise. *)
 
 val noise_draws_per_word : noise_pack -> int
 (** Total noise draws one simulated word consumes under this pack
@@ -317,10 +223,10 @@ val run_noisy_words :
     segment. Returns the any-output-error lane count (the caller adds it
     to its accumulator). [golden]/[na]/[nb] are caller-owned blocked
     buffers ({!create_values_blocked}), reused across blocks so the loop
-    allocates nothing. Counters are bit-identical to the
-    word-at-a-time sequence draw-inputs / exec / copy-inputs /
-    exec-noisy / draw-inputs / exec-noisy / count at the same seed,
-    for any block width. Advances [rng] by exactly
+    allocates nothing. Counters are bit-identical to the sequential
+    per-word walk draw-inputs / eval / noisy-eval / draw-inputs /
+    noisy-eval / count over the same stream, for any block width.
+    Advances [rng] by exactly
     [words * (2 * (inputs*ipw + noise_draws_per_word))] draws. *)
 
 type grid_pack
@@ -330,9 +236,8 @@ type grid_pack
 
 val pack_grid : t -> float array -> grid_pack
 (** [pack_grid c eps] with one epsilon per lane, each in [[0, 1/2]]
-    (non-empty) — the blocked counterpart of {!pack_epsilons_batch}.
-    Raises [Invalid_argument] naming the offending lane and value
-    otherwise. *)
+    (non-empty), for {!run_noisy_grid_words}. Raises [Invalid_argument]
+    naming the offending lane and value otherwise. *)
 
 val pack_grid_heterogeneous : t -> float array array -> grid_pack
 (** [pack_grid_heterogeneous c eps] with [eps.(k).(id)] lane [k]'s
@@ -376,15 +281,17 @@ val run_noisy_grid_words :
   out_errors:int array array ->
   any:int array ->
   unit
-(** The fused grid kernel: blocked counterpart of the
-    {!exec_noisy_words_batch} shard loop. Simulates [words] words with
+(** The fused grid kernel: simulates [words] words with
     [grid_lanes grid] coupled noise replicas — ONE shared 64-uniform
-    draw per noisy gate thinned against all lane thresholds — plus the
-    golden pair, whose statistics go to [ones0]/[toggles0] when [need0]
-    (pass empty arrays otherwise). Per-lane counters land in
+    draw per noisy gate thinned against all lane thresholds
+    ({!Nano_util.Prng.xor_noise_lanes_blocked}), the common-random-numbers
+    coupling — plus the golden pair, whose statistics go to
+    [ones0]/[toggles0] when [need0] (pass empty arrays otherwise).
+    Per-lane counters land in
     [ones.(k)]/[toggles.(k)]/[out_errors.(k)]/[any.(k)]. All buffers
     are caller-owned blocked buffers; [na]/[nb] must carry one buffer
-    per lane. Draw consumption per word (64 per noisy gate per noise
-    segment, independent of lanes) matches the word-at-a-time grid
-    engine, so every lane is bit-identical to it — and to a per-point
-    run at that lane's epsilon when [epsilon <> 1/2]. *)
+    per lane, and the loop allocates nothing. Draw consumption per word
+    (64 per noisy gate per noise segment) is independent of the lane
+    set, so dropping lanes between calls never shifts the stream, and
+    every lane is bit-identical to a per-point {!run_noisy_words} run
+    at that lane's epsilon when [epsilon <> 1/2]. *)

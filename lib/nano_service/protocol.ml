@@ -231,6 +231,10 @@ let request_of_json obj =
            these and get the old analytic-only analysis. *)
         let* measure = field_default Json.to_bool obj "measure" false in
         let* vectors = field_default Json.to_int obj "vectors" 4096 in
+        let* () =
+          if vectors >= 1 then Ok ()
+          else Error "field \"vectors\" must be a positive integer"
+        in
         (* Absent for pre-tech clients, whose replies (and cache keys)
            stay byte-identical to the previous protocol revision. *)
         let* tech = tech_of_json obj in

@@ -117,8 +117,8 @@ let measured_toggle_rate ?(seed = 0x70661e) ?(pairs = 4096)
   let toggles = Array.make n 0 in
   let values_a = Compiled.create_values_blocked c in
   let values_b = Compiled.create_values_blocked c in
-  (* Per-word layout: inputs_a then inputs_b, exactly as the
-     word-at-a-time loop drew them. *)
+  (* Per-word layout: inputs_a then inputs_b, exactly as a sequential
+     word-by-word loop draws them. *)
   let half =
     Netlist.input_count netlist
     * Nano_util.Prng.draws_per_word ~p:input_probability

@@ -32,10 +32,10 @@ let unit_delay ?(seed = 0x911c) ?(pairs = 2048) ?(input_probability = 0.5)
   let prev = Compiled.create_values_blocked c in
   let next = Compiled.create_values_blocked c in
   let buf_len = Bytes.length old_values in
-  (* Same PRNG stream as the word-at-a-time loop: per word, vector A's
-     input words then vector B's (evaluation consumes no draws) —
-     addressed positionally, so a block of words replays the exact
-     per-word interleave. *)
+  (* Same PRNG stream as a sequential word-by-word loop: per word,
+     vector A's input words then vector B's (evaluation consumes no
+     draws) — addressed positionally, so a block of words replays the
+     exact per-word interleave. *)
   let half =
     Netlist.input_count netlist
     * Nano_util.Prng.draws_per_word ~p:input_probability

@@ -89,86 +89,21 @@ let[@inline] check_density p =
   if not (p >= 0. && p <= 1.) then
     invalid_arg "Nano_util.Prng.word_with_density: p must lie in [0, 1]"
 
-(* The three density-word entry points must consume draws identically
-   (1 draw when p = 0.5, else 64 — see [draws_per_word]): seed-sharded
-   simulation jumps over words by that constant. *)
-
-let[@inline always] store_word_with_density t ~p dst pos =
+(* A density word consumes 1 draw when p = 0.5, else 64 (see
+   [draws_per_word]): seed-sharded simulation jumps over words by that
+   constant, and the positioned primitives below address it. *)
+let word_with_density t ~p =
   check_density p;
-  if p = 0.5 then set64 dst pos (bits64 t)
+  if p = 0.5 then bits64 t
   else begin
-    set64 dst pos 0L;
+    set64 t.buf scratch_pos 0L;
     for i = 0 to 63 do
       if float t < p then
-        set64 dst pos (Int64.logor (get64 dst pos) (Int64.shift_left 1L i))
-    done
+        set64 t.buf scratch_pos
+          (Int64.logor (get64 t.buf scratch_pos) (Int64.shift_left 1L i))
+    done;
+    get64 t.buf scratch_pos
   end
-
-let[@inline always] xor_word_with_density t ~p dst pos =
-  check_density p;
-  if p = 0.5 then set64 dst pos (Int64.logxor (get64 dst pos) (bits64 t))
-  else
-    for i = 0 to 63 do
-      if float t < p then
-        set64 dst pos (Int64.logxor (get64 dst pos) (Int64.shift_left 1L i))
-    done
-
-(* Density read from packed float bits rather than a [float] argument:
-   dune's dev profile compiles with [-opaque], so cross-library callers
-   cannot rely on inlining — a [float] loaded from a [float array] would
-   be boxed at every call. Reading the bits out of a byte buffer keeps
-   every argument immediate or a pointer, and the float stays unboxed
-   inside this compilation unit. *)
-let xor_word_with_density_from t ~eps ~eps_pos dst pos =
-  let p = Int64.float_of_bits (get64 eps eps_pos) in
-  check_density p;
-  if p = 0.5 then set64 dst pos (Int64.logxor (get64 dst pos) (bits64 t))
-  else
-    for i = 0 to 63 do
-      if float t < p then
-        set64 dst pos (Int64.logxor (get64 dst pos) (Int64.shift_left 1L i))
-    done
-
-(* Batched noise injection for multi-ε sweeps: ONE uniform per bit
-   position, compared against K packed per-lane thresholds. Sharing the
-   uniform across lanes couples them by common random numbers — the flip
-   sets are nested in ε (u < ε₁ ⊆ u < ε₂ for ε₁ ≤ ε₂), so estimates
-   across a grid move together and their differences have collapsed
-   variance. For any single lane the flip rule [u < ε] is exactly the
-   one {!xor_word_with_density} applies when [p <> 0.5], so a lane of a
-   batched run is bit-identical to a per-point run on the same stream.
-
-   Layout of [thr] at byte offset [thr_pos]: [lanes + 1] words of
-   IEEE-754 bits — word 0 is an upper bound on every lane threshold
-   (early-out: when the uniform clears it, no lane flips, which is the
-   overwhelmingly common case at small ε), words 1..lanes are the
-   per-lane densities. Consumes exactly 64 draws regardless of [lanes],
-   so seed-jumped shards and lane-set changes never shift the stream. *)
-let xor_words_with_thresholds t ~thr ~thr_pos ~lanes (dst : Bytes.t array) pos =
-  if lanes < 1 then
-    invalid_arg "Nano_util.Prng.xor_words_with_thresholds: lanes must be >= 1";
-  if Array.length dst < lanes then
-    invalid_arg
-      "Nano_util.Prng.xor_words_with_thresholds: fewer destination buffers \
-       than lanes";
-  for k = 0 to lanes do
-    let p = Int64.float_of_bits (get64 thr (thr_pos + (k lsl 3))) in
-    if not (p >= 0. && p <= 1.) then
-      invalid_arg
-        "Nano_util.Prng.xor_words_with_thresholds: threshold must lie in \
-         [0, 1]"
-  done;
-  for i = 0 to 63 do
-    let u = float t in
-    if u < Int64.float_of_bits (get64 thr thr_pos) then
-      for k = 0 to lanes - 1 do
-        if u < Int64.float_of_bits (get64 thr (thr_pos + ((k + 1) lsl 3)))
-        then begin
-          let b = Array.unsafe_get dst k in
-          set64 b pos (Int64.logxor (get64 b pos) (Int64.shift_left 1L i))
-        end
-      done
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Positioned blocked draws.                                            *)
@@ -192,8 +127,8 @@ let xor_words_with_thresholds t ~thr ~thr_pos ~lanes (dst : Bytes.t array) pos =
 (* representable values). The branch-free accumulate                    *)
 (* [(u - T) >>> 63] keeps the 64-draw loop free of unpredictable        *)
 (* branches; the operands stay below 2^53 so the subtraction cannot     *)
-(* wrap. These paths are bit-identical to the [float t < p] rule the    *)
-(* per-word primitives above apply.                                     *)
+(* wrap. These paths are bit-identical to the [float t < p] rule        *)
+(* [word_with_density] applies.                                         *)
 (* ------------------------------------------------------------------ *)
 
 let two53 = 9007199254740992.
@@ -389,10 +324,6 @@ let store_words_with_density_at t ~offset ~stride ~width ~p dst ~pos
     store_density_blocked_stub t.buf offset stride width t.buf scratch_pos dst
       pos pos_stride
   end
-
-let word_with_density t ~p =
-  store_word_with_density t ~p t.buf scratch_pos;
-  get64 t.buf scratch_pos
 
 let draws_per_word ~p = if p = 0.5 then 1 else 64
 

@@ -54,50 +54,6 @@ val word_with_density : t -> p:float -> int64
     independently one with probability [p]; used by bit-parallel
     simulation. *)
 
-val store_word_with_density : t -> p:float -> Bytes.t -> int -> unit
-(** [store_word_with_density t ~p dst pos] draws the same word
-    {!word_with_density} would and stores it at byte offset [pos] of
-    [dst] (native endianness, unchecked offset — the caller guarantees
-    [pos + 8 <= Bytes.length dst]). Allocation-free: the hot-path
-    variant used by the compiled simulation kernels, which keep node
-    values in packed byte buffers. Consumes exactly
-    [draws_per_word ~p] draws. *)
-
-val xor_word_with_density : t -> p:float -> Bytes.t -> int -> unit
-(** [xor_word_with_density t ~p dst pos] XORs a density-[p] word into
-    the word at byte offset [pos] of [dst]; same draw consumption and
-    caveats as {!store_word_with_density}. This is the noise-injection
-    primitive: flipping each bit of a clean value independently with
-    probability [p] models the symmetric error channel. *)
-
-val xor_word_with_density_from :
-  t -> eps:Bytes.t -> eps_pos:int -> Bytes.t -> int -> unit
-(** {!xor_word_with_density} with the density read as IEEE-754 bits from
-    [eps] at byte offset [eps_pos] ([Int64.bits_of_float] encoding).
-    Taking the probability through a byte buffer instead of a [float]
-    argument keeps the call allocation-free from other libraries, where
-    [-opaque] dev builds prevent inlining and a float argument loaded
-    from a [float array] would be boxed at every call. *)
-
-val xor_words_with_thresholds :
-  t -> thr:Bytes.t -> thr_pos:int -> lanes:int -> Bytes.t array -> int -> unit
-(** [xor_words_with_thresholds t ~thr ~thr_pos ~lanes dst pos] draws ONE
-    uniform per bit position (64 total) and, for each lane [k], XORs bit
-    [i] of the word at byte offset [pos] of [dst.(k)] when that uniform
-    falls below lane [k]'s threshold. [thr] holds [lanes + 1] packed
-    IEEE-754 words starting at [thr_pos]: word 0 must be an upper bound
-    on every lane threshold (it gates an early-out), words 1..lanes are
-    the per-lane densities, each in [[0, 1]].
-
-    Sharing one uniform across lanes is the common-random-numbers
-    coupling of the batched sweep engine: flip sets are nested in the
-    threshold, and each lane reproduces exactly the flips
-    {!xor_word_with_density} with the same density would make on the
-    same stream (its [p <> 0.5] path). Consumes exactly 64 draws
-    independent of [lanes] — {!jump}-sharded callers can change the
-    lane set without shifting the stream. Allocation-free; offsets are
-    unchecked as in {!store_word_with_density}. *)
-
 (** {1 Positioned blocked draws}
 
     Primitives for the blocked wide-word simulation kernel. Each one
@@ -108,9 +64,9 @@ val xor_words_with_thresholds :
     caller advances the generator past the whole block with one {!jump},
     so draw accounting stays exact whatever the interleave. Flip
     decisions use integer thresholds ({!threshold_bits}) and are
-    bit-identical to the [float t < p] rule of the per-word primitives.
-    Offsets into the byte buffers are unchecked, as in
-    {!store_word_with_density}. *)
+    bit-identical to the [float t < p] rule of {!word_with_density}.
+    Offsets into the byte buffers are unchecked: the caller guarantees
+    that every 8-byte word written lies inside the buffer. *)
 
 val threshold_bits : p:float -> int64
 (** [threshold_bits ~p] is [ceil (p * 2^53)] — the integer threshold [T]
@@ -133,10 +89,11 @@ val xor_noise_blocked :
     [pos, pos + 8, ...]: word [j] is built from the 64 draws starting
     [offset + j*stride] draws ahead of [t]'s state, thresholded at the
     {!threshold_bits} value read from [thr] at byte offset [thr_pos] —
-    exactly the flips {!xor_word_with_density}'s [p <> 0.5] path would
-    make on that stream segment. The threshold travels through a byte
-    buffer for the same boxing reason as
-    {!xor_word_with_density_from}. Branch-free; does not mutate [t]. *)
+    exactly the bits {!word_with_density}'s [p <> 0.5] path would set
+    on that stream segment, XORed in as noise. The threshold travels
+    through a byte buffer rather than an [int64] argument: [-opaque] dev
+    builds prevent cross-library inlining, and a boxed argument would
+    allocate at every call. Branch-free; does not mutate [t]. *)
 
 val xor_bits64_blocked :
   t -> offset:int -> stride:int -> width:int -> Bytes.t -> pos:int -> unit
@@ -155,16 +112,20 @@ val xor_noise_lanes_blocked :
   Bytes.t array ->
   pos:int ->
   unit
-(** Blocked multi-lane variant of {!xor_words_with_thresholds} on
-    integer thresholds: for each word [j < width], draw that word's 64
-    uniforms from stream position [offset + j*stride] and, for each lane
-    [k], flip bit [i] of the word at byte offset [pos + 8*j] of
-    [dst.(k)] when the uniform falls below lane [k]'s threshold. [thr]
-    holds [lanes + 1] packed int64 thresholds at [thr_pos]: word 0 an
-    upper bound on the rest (the early-out), words 1..lanes the per-lane
-    values from {!threshold_bits}. One shared uniform per bit position
-    per word is the common-random-numbers coupling; each lane reproduces
-    {!xor_word_with_density}'s flips exactly. Does not mutate [t]. *)
+(** Multi-lane variant of {!xor_noise_blocked}: for each word
+    [j < width], draw that word's 64 uniforms from stream position
+    [offset + j*stride] and, for each lane [k], flip bit [i] of the word
+    at byte offset [pos + 8*j] of [dst.(k)] when the uniform falls below
+    lane [k]'s threshold. [thr] holds [lanes + 1] packed int64
+    thresholds at [thr_pos]: word 0 an upper bound on the rest (the
+    early-out), words 1..lanes the per-lane values from
+    {!threshold_bits}. One shared uniform per bit position per word is
+    the common-random-numbers coupling of the grid kernel: flip sets are
+    nested in the threshold, and each lane flips exactly the bits
+    {!xor_noise_blocked} would at that lane's threshold. Consumes 64
+    draws per word whatever [lanes] is, so callers can change the lane
+    set without shifting the stream. Requires [lanes >= 1] and at least
+    [lanes] buffers in [dst]. Does not mutate [t]. *)
 
 val xor_noise_blocked_ref :
   t ->
@@ -220,8 +181,8 @@ val store_words_with_density_at :
     ~pos_stride] stores [width] density-[p] words at byte offsets
     [pos, pos + pos_stride, ...]: word [j] consumes the
     [draws_per_word ~p] draws starting [offset + j*stride] ahead of
-    [t]'s state, producing exactly the word {!store_word_with_density}
-    would there. Does not mutate [t], except that the [p <> 0.5] path
+    [t]'s state, producing exactly the word {!word_with_density} would
+    draw there. Does not mutate [t], except that the [p <> 0.5] path
     (a SIMD C stub, like the noise kernels) clobbers the private
     scratch word of [t]'s buffer to pass the integer threshold without
     boxing. *)

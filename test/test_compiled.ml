@@ -38,10 +38,35 @@ let test_structure () =
         (Printf.sprintf "noisy flag of node %d" id)
         noisy (Compiled.is_noisy c id))
 
+(* The evaluator that ships is pinned at two shapes: width 1 of a
+   block-1 program, and a ragged width 3 of a block-8 program whose
+   columns carry different words, so a column mix-up cannot pass. *)
+let blocked_shapes = [ (1, 1); (8, 3) ]
+
+(* Store [columns.(j)] (one word per primary input) as word column [j],
+   evaluate the first [Array.length columns] columns in place, and read
+   every node back out as one id-indexed array per column. *)
+let eval_columns c columns =
+  let values = Compiled.create_values_blocked c in
+  Array.iteri
+    (fun word inputs ->
+      Array.iteri
+        (fun i id -> Compiled.set_word_blocked c ~values ~id ~word inputs.(i))
+        (Compiled.input_ids c))
+    columns;
+  Compiled.exec_words_blocked c ~width:(Array.length columns) ~values;
+  Array.mapi
+    (fun word _ ->
+      let into = Array.make (Compiled.node_count c) 0L in
+      Compiled.blit_values_blocked c ~values ~word ~into;
+      into)
+    columns
+
 (* Every logic kind at every interesting arity gets its own one-gate
-   netlist; the compiled result must equal [Gate.eval_word] on random
-   words. This pins each opcode — including the [_n] fallbacks — to the
-   reference semantics. *)
+   netlist; each column of the compiled result must equal
+   [Gate.eval_word] on that column's random words. This pins each
+   opcode — including the [_n] fallbacks and [maj_n] — to the reference
+   semantics. *)
 let test_each_opcode () =
   let rng = Prng.create ~seed:0xc0de in
   List.iter
@@ -61,24 +86,32 @@ let test_each_opcode () =
           in
           Netlist.Builder.output b "y" (Netlist.Builder.add b kind xs);
           let n = Netlist.Builder.finish b in
-          let c = Compiled.of_netlist n in
-          let values = Compiled.create_values c in
-          for _ = 1 to 16 do
-            let words = Array.init arity (fun _ -> Prng.bits64 rng) in
-            Compiled.set_input_words c ~values words;
-            Compiled.exec_words c ~values;
-            let got = Compiled.get_word values (Compiled.output_ids c).(0) in
-            Alcotest.(check int64)
-              (Printf.sprintf "%s/%d" (Gate.name kind) arity)
-              (Gate.eval_word kind words)
-              got
-          done)
+          List.iter
+            (fun (block, width) ->
+              let c = Compiled.of_netlist ~block n in
+              let out = (Compiled.output_ids c).(0) in
+              for _ = 1 to 16 do
+                let columns =
+                  Array.init width (fun _ ->
+                      Array.init arity (fun _ -> Prng.bits64 rng))
+                in
+                let got = eval_columns c columns in
+                Array.iteri
+                  (fun j words ->
+                    Alcotest.(check int64)
+                      (Printf.sprintf "%s/%d block %d column %d"
+                         (Gate.name kind) arity block j)
+                      (Gate.eval_word kind words)
+                      got.(j).(out))
+                  columns
+              done)
+            blocked_shapes)
         arities)
     (Gate.Buf :: Gate.all_logic_kinds)
 
-(* Randomized circuits over the full primitive mix: every lane of the
-   compiled word evaluation must match the scalar single-vector
-   reference. *)
+(* Randomized circuits over the full primitive mix: every lane of every
+   column of the compiled evaluation must match the scalar
+   single-vector reference. *)
 let test_matches_scalar_on_random_circuits () =
   let rng = Prng.create ~seed:0xab1e in
   for seed = 1 to 8 do
@@ -92,24 +125,31 @@ let test_matches_scalar_on_random_circuits () =
       }
     in
     let n = Random_circuit.generate ~config ~seed () in
-    let c = Compiled.of_netlist n in
     let n_in = Netlist.input_count n in
-    let values = Compiled.create_values c in
-    let words = Array.init n_in (fun _ -> Prng.bits64 rng) in
-    Compiled.set_input_words c ~values words;
-    Compiled.exec_words c ~values;
-    for lane = 0 to 63 do
-      let bits =
-        Array.init n_in (fun i -> Nano_util.Bits.get words.(i) lane)
-      in
-      let scalar = Netlist.eval_nodes n bits in
-      for id = 0 to Netlist.node_count n - 1 do
-        if Nano_util.Bits.get (Compiled.get_word values id) lane <> scalar.(id)
-        then
-          Alcotest.failf "seed %d: node %d lane %d disagrees with eval_nodes"
-            seed id lane
-      done
-    done
+    List.iter
+      (fun (block, width) ->
+        let c = Compiled.of_netlist ~block n in
+        let columns =
+          Array.init width (fun _ -> Array.init n_in (fun _ -> Prng.bits64 rng))
+        in
+        let got = eval_columns c columns in
+        Array.iteri
+          (fun j words ->
+            for lane = 0 to 63 do
+              let bits =
+                Array.init n_in (fun i -> Nano_util.Bits.get words.(i) lane)
+              in
+              let scalar = Netlist.eval_nodes n bits in
+              for id = 0 to Netlist.node_count n - 1 do
+                if Nano_util.Bits.get got.(j).(id) lane <> scalar.(id) then
+                  Alcotest.failf
+                    "seed %d block %d column %d: node %d lane %d disagrees \
+                     with eval_nodes"
+                    seed block j id lane
+              done
+            done)
+          columns)
+      blocked_shapes
   done
 
 (* ------------------------------------------------------------------ *)
@@ -191,62 +231,13 @@ let test_engines_agree_heterogeneous () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Allocation.                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The acceptance bar for the compiled kernel: once buffers exist, the
-   per-word simulation loop — input draws, clean and noisy evaluation,
-   counter updates — allocates nothing on the minor heap. Only
-   meaningful under the native-code compiler; bytecode boxes
-   everything. *)
-let test_zero_allocation () =
-  match Sys.backend_type with
-  | Sys.Bytecode | Sys.Other _ -> ()
-  | Sys.Native ->
-    let n = Nano_circuits.Adders.ripple_carry ~width:8 in
-    let c = Compiled.of_netlist n in
-    let rng = Prng.create ~seed:7 in
-    let epsilons =
-      Compiled.pack_epsilons c (Array.make (Compiled.node_count c) 0.02)
-    in
-    let golden = Compiled.create_values c in
-    let noisy = Compiled.create_values c in
-    let count = Compiled.node_count c in
-    let ones = Array.make count 0 in
-    let toggles = Array.make count 0 in
-    let out_errors = Array.make (Array.length (Compiled.output_ids c)) 0 in
-    let any = ref 0 in
-    let loop words =
-      for _ = 1 to words do
-        Compiled.draw_input_words c rng ~input_probability:0.3 ~values:golden;
-        Compiled.exec_words c ~values:golden;
-        Compiled.copy_input_words c ~src:golden ~dst:noisy;
-        Compiled.exec_noisy_words c ~epsilons ~rng ~values:noisy;
-        Compiled.add_ones_counts c ~values:noisy ~into:ones;
-        Compiled.add_toggle_counts c ~a:golden ~b:noisy ~into:toggles;
-        any :=
-          !any
-          + Compiled.add_output_error_counts c ~golden ~noisy ~into:out_errors
-      done
-    in
-    (* Warm-up triggers any one-time lazy initialization. *)
-    loop 2;
-    let before = Gc.minor_words () in
-    loop 64;
-    let allocated = Gc.minor_words () -. before in
-    if allocated <> 0. then
-      Alcotest.failf "per-word loop allocated %.0f minor words over 64 words"
-        allocated
-
-(* ------------------------------------------------------------------ *)
 (* Blocked engine.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The blocked engine must reproduce the word-at-a-time compiled engine
-   (the PR 2 kernel, still shipped as [`CompiledWords]) bit for bit at
-   every block width — including width 1, ragged tails (word counts not
-   a multiple of the block) and every job count. 320 vectors = 5 words
-   (ragged at widths 4 and 8); 1088 vectors = 17 words (two full
+(* The blocked engine must reproduce the interpretive engine bit for bit
+   at every block width — including width 1, ragged tails (word counts
+   not a multiple of the block) and every job count. 320 vectors = 5
+   words (ragged at widths 4 and 8); 1088 vectors = 17 words (two full
    8-blocks plus a tail of one). *)
 let test_blocked_bit_identity () =
   let circuits =
@@ -272,7 +263,7 @@ let test_blocked_bit_identity () =
           List.iter
             (fun epsilon ->
               let reference =
-                Noisy_sim.simulate ~vectors ~engine:`CompiledWords ~epsilon n
+                Noisy_sim.simulate ~vectors ~engine:`Interp ~epsilon n
               in
               List.iter
                 (fun block ->
@@ -323,9 +314,6 @@ let test_pack_validation_messages () =
     Alcotest.check_raises name (Invalid_argument expected) (fun () ->
         ignore (f ()))
   in
-  check "pack_epsilons_batch names the lane"
-    "Compiled.pack_epsilons_batch: lane 2: epsilon must lie in [0, 1/2]"
-    (fun () -> Compiled.pack_epsilons_batch c [| 0.1; 0.2; 0.7 |]);
   check "pack_grid names the lane and value"
     "Compiled.pack_grid: lane 1 (every gate): epsilon 0.9 must lie in [0, 1/2]"
     (fun () -> Compiled.pack_grid c [| 0.1; 0.9 |]);
@@ -408,8 +396,6 @@ let suite =
     Alcotest.test_case "engines agree (homogeneous)" `Quick test_engines_agree;
     Alcotest.test_case "engines agree (heterogeneous)" `Quick
       test_engines_agree_heterogeneous;
-    Alcotest.test_case "inner loop allocates nothing" `Quick
-      test_zero_allocation;
     Alcotest.test_case "blocked engine bit-identical at widths 1/4/8" `Quick
       test_blocked_bit_identity;
     Alcotest.test_case "memo keyed by (netlist, block width)" `Quick

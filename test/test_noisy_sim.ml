@@ -141,6 +141,33 @@ let test_jobs_invalid () =
   Helpers.check_invalid "jobs=0 rejected" (fun () ->
       ignore (Noisy_sim.simulate ~jobs:0 ~epsilon:0.01 (suite_circuit "c17")))
 
+(* Every Monte-Carlo entry point refuses a non-positive vector budget
+   up front, naming the argument, instead of dividing by a zero vector
+   count (NaN rates) or failing deep inside the word arithmetic. *)
+let test_vectors_invalid () =
+  let n = suite_circuit "c17" in
+  let check name f =
+    List.iter
+      (fun vectors ->
+        Alcotest.check_raises
+          (Printf.sprintf "%s vectors=%d" name vectors)
+          (Invalid_argument (name ^ ": vectors must be >= 1"))
+          (fun () -> ignore (f vectors)))
+      [ 0; -1 ]
+  in
+  let epsilon_of _ = 0.01 in
+  check "Noisy_sim.run" (fun vectors ->
+      Noisy_sim.simulate ~vectors ~epsilon:0.01 n);
+  check "Noisy_sim.run" (fun vectors ->
+      Noisy_sim.simulate_heterogeneous ~vectors ~epsilon_of n);
+  check "Noisy_sim.profile_grid" (fun vectors ->
+      Noisy_sim.profile_grid ~vectors ~epsilons:[| 0.01; 0.02 |] n);
+  check "Noisy_sim.profile_grid_heterogeneous" (fun vectors ->
+      Noisy_sim.profile_grid_heterogeneous ~vectors
+        ~epsilon_of_lanes:[| epsilon_of |] n);
+  check "Criticality.analyze" (fun vectors ->
+      Nano_faults.Criticality.analyze ~vectors n)
+
 let test_coin_flip_limit () =
   (* At eps = 1/2 every gate output is uniform noise: a single-gate
      output is wrong half of the time. *)
@@ -180,6 +207,7 @@ let suite =
     Alcotest.test_case "jobs identical fields" `Quick test_jobs_identical_fields;
     Alcotest.test_case "jobs heterogeneous" `Quick test_jobs_heterogeneous;
     Alcotest.test_case "jobs invalid" `Quick test_jobs_invalid;
+    Alcotest.test_case "vectors invalid" `Quick test_vectors_invalid;
     Alcotest.test_case "coin flip limit" `Quick test_coin_flip_limit;
     Helpers.qcheck prop_any_error_dominates_each_output;
   ]

@@ -367,9 +367,11 @@ let test_memo_stats () =
 (* Allocation.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Same bar as the per-point kernel: once the lane buffers and packed
-   thresholds exist, the batched per-word loop allocates nothing on the
-   minor heap. Native-code only; bytecode boxes everything. *)
+(* Same bar as the per-point kernel: once the lane buffers, counters and
+   grid pack exist, the fused grid kernel that runs every profile_grid,
+   sweep and analyze --measure allocates nothing on the minor heap —
+   golden pair and four coupled lanes included. Native-code only;
+   bytecode boxes everything. *)
 let test_zero_allocation_batch () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> ()
@@ -378,20 +380,24 @@ let test_zero_allocation_batch () =
     let c = Compiled.of_netlist n in
     let rng = Prng.create ~seed:7 in
     let lanes = 4 in
-    let thresholds =
-      Compiled.pack_epsilons_batch c [| 0.001; 0.01; 0.05; 0.1 |]
+    let grid = Compiled.pack_grid c [| 0.001; 0.01; 0.05; 0.1 |] in
+    let count = Compiled.node_count c in
+    let out_n = Array.length (Compiled.output_ids c) in
+    let buffers () =
+      Array.init lanes (fun _ -> Compiled.create_values_blocked c)
     in
-    let golden = Compiled.create_values c in
-    let values = Array.init lanes (fun _ -> Compiled.create_values c) in
+    let golden_a = Compiled.create_values_blocked c in
+    let golden_b = Compiled.create_values_blocked c in
+    let na = buffers () and nb = buffers () in
+    let ones0 = Array.make count 0 and toggles0 = Array.make count 0 in
+    let counters len = Array.init lanes (fun _ -> Array.make len 0) in
+    let ones = counters count and toggles = counters count in
+    let out_errors = counters out_n in
+    let any = Array.make lanes 0 in
     let loop words =
-      for _ = 1 to words do
-        Compiled.draw_input_words c rng ~input_probability:0.5 ~values:golden;
-        Compiled.exec_words c ~values:golden;
-        for k = 0 to lanes - 1 do
-          Compiled.copy_input_words c ~src:golden ~dst:values.(k)
-        done;
-        Compiled.exec_noisy_words_batch c ~thresholds ~lanes ~rng ~values
-      done
+      Compiled.run_noisy_grid_words c ~grid ~rng ~input_probability:0.5 ~words
+        ~need0:true ~golden_a ~golden_b ~na ~nb ~ones0 ~toggles0 ~ones
+        ~toggles ~out_errors ~any
     in
     loop 2;
     let before = Gc.minor_words () in
@@ -399,8 +405,7 @@ let test_zero_allocation_batch () =
     let allocated = Gc.minor_words () -. before in
     if allocated <> 0. then
       Alcotest.failf
-        "batched per-word loop allocated %.0f minor words over 64 words"
-        allocated
+        "fused grid kernel allocated %.0f minor words over 64 words" allocated
 
 let suite =
   [

@@ -286,7 +286,28 @@ let test_structured_errors () =
     (Printf.sprintf {|{"kind":"profile","blif":"%s"}|}
        (String.make 8192 'x'));
   check "timeout" "timeout"
-    {|{"kind":"analyze","circuit":"rca8","timeout_ms":0}|}
+    {|{"kind":"analyze","circuit":"rca8","timeout_ms":0}|};
+  (* A non-positive vector budget is refused by the decoder, before any
+     profile or Monte-Carlo work, with a message naming the field. *)
+  List.iter
+    (fun vectors ->
+      let line =
+        {|{"kind":"analyze","circuit":"rca8","measure":true,|}
+        ^ Printf.sprintf {|"vectors":%d,"epsilons":[0.01]}|} vectors
+      in
+      let msg = Printf.sprintf "vectors %d" vectors in
+      check msg "bad_request" line;
+      let message =
+        match Json.parse (Service.handle_line t line) with
+        | Ok v ->
+          Option.bind (Json.member "error" v) (fun e ->
+              Option.bind (Json.member "message" e) Json.to_string_opt)
+        | Error _ -> None
+      in
+      Alcotest.(check (option string))
+        (msg ^ " message") (Some {|field "vectors" must be a positive integer|})
+        message)
+    [ 0; -5 ]
 
 let test_static_request () =
   let t = make_service () in
