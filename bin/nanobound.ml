@@ -25,18 +25,6 @@ let json_line v = print_endline (Nano_util.Json.to_string v)
 (* Shared arguments.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let epsilon_arg =
-  let doc = "Device (gate) error probability, in [0, 1/2]." in
-  Arg.(value & opt float 0.01 & info [ "e"; "epsilon" ] ~docv:"EPS" ~doc)
-
-let delta_arg =
-  let doc = "Output error budget delta, in [0, 1/2)." in
-  Arg.(value & opt float 0.01 & info [ "d"; "delta" ] ~docv:"DELTA" ~doc)
-
-let leakage_arg =
-  let doc = "Leakage share of the error-free baseline energy, in [0, 1)." in
-  Arg.(value & opt float 0.5 & info [ "leakage-share" ] ~docv:"SHARE" ~doc)
-
 let positive_int =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -45,6 +33,44 @@ let positive_int =
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
+
+(* A float converter admitting only [valid] values, so an out-of-domain
+   parameter is a usage error before any work starts. *)
+let float_in ~domain valid =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when valid x -> Ok x
+    | Ok _ -> Error (`Msg ("expected a value in " ^ domain))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let epsilon_info =
+  let doc = "Device (gate) error probability, in [0, 1/2]." in
+  Arg.info [ "e"; "epsilon" ] ~docv:"EPS" ~doc
+
+(* Plain floats where the command reports the domain itself: bounds
+   and lint diagnose it, static and sweep voters exit 2. *)
+let epsilon_arg = Arg.(value & opt float 0.01 & epsilon_info)
+
+(* inject and critical: any rate the noise model admits, 0 included. *)
+let noise_epsilon_arg =
+  Arg.(
+    value
+    & opt (float_in ~domain:"[0, 1/2]" (fun e -> e >= 0. && e <= 0.5)) 0.01
+    & epsilon_info)
+
+let delta_info =
+  let doc = "Output error budget delta, in [0, 1/2)." in
+  Arg.info [ "d"; "delta" ] ~docv:"DELTA" ~doc
+
+let delta_arg = Arg.(value & opt float 0.01 & delta_info)
+
+let leakage_info =
+  let doc = "Leakage share of the error-free baseline energy, in [0, 1)." in
+  Arg.info [ "leakage-share" ] ~docv:"SHARE" ~doc
+
+let leakage_arg = Arg.(value & opt float 0.5 & leakage_info)
 
 let jobs_arg =
   let doc =
@@ -376,12 +402,27 @@ let analyze_cmd =
         | Some r -> Format.printf "@.%a@." Nano_tech.Report.pp r
         | None -> ()))
   in
+  let module Metrics = Nano_bounds.Metrics in
+  let delta =
+    Arg.(
+      value
+      & opt (float_in ~domain:"[0, 1/2)" Metrics.delta_valid) 0.01
+      & delta_info)
+  in
+  let leakage_share =
+    Arg.(
+      value
+      & opt (float_in ~domain:"[0, 1)" Metrics.leakage_share_valid) 0.5
+      & leakage_info)
+  in
   let epsilons =
     Arg.(
       value
-      & opt (list float) Nano_bounds.Benchmark_eval.paper_epsilons
+      & opt
+          (list (float_in ~domain:"(0, 1/2]" Metrics.epsilon_valid))
+          Nano_bounds.Benchmark_eval.paper_epsilons
       & info [ "epsilons" ] ~docv:"E1,E2,..."
-          ~doc:"Device error levels to evaluate.")
+          ~doc:"Device error levels to evaluate, each in (0, 1/2].")
   in
   let no_map =
     Arg.(value & flag
@@ -419,7 +460,7 @@ let analyze_cmd =
   let doc = "Profile a circuit and print its fault-tolerance lower bounds" in
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(
-      const run $ circuit_arg $ delta_arg $ leakage_arg $ epsilons $ no_map
+      const run $ circuit_arg $ delta $ leakage_share $ epsilons $ no_map
       $ glitch $ measure $ vectors $ tech_arg $ static_activity $ jobs_arg
       $ format_arg)
 
@@ -669,7 +710,8 @@ let inject_cmd =
   in
   let doc = "Monte-Carlo fault injection (von Neumann error model)" in
   Cmd.v (Cmd.info "inject" ~doc)
-    Term.(const run $ circuit_arg $ epsilon_arg $ vectors $ seed $ jobs_arg)
+    Term.(
+      const run $ circuit_arg $ noise_epsilon_arg $ vectors $ seed $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* equiv                                                                *)
@@ -800,7 +842,7 @@ let critical_cmd =
   in
   let doc = "Rank gates by fault observability; analytic reliability" in
   Cmd.v (Cmd.info "critical" ~doc)
-    Term.(const run $ circuit_arg $ epsilon_arg $ vectors $ top)
+    Term.(const run $ circuit_arg $ noise_epsilon_arg $ vectors $ top)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                                *)

@@ -9,17 +9,16 @@ type scenario = {
   leakage_share0 : float;
 }
 
+let epsilon_valid e = e > 0. && e <= 0.5
+let delta_valid d = d >= 0. && d < 0.5
+let leakage_share_valid l = l >= 0. && l < 1.
+
 let scenario_valid s =
-  Redundancy_bound.valid
-    {
-      Redundancy_bound.epsilon = s.epsilon;
-      delta = s.delta;
-      fanin = s.fanin;
-      sensitivity = s.sensitivity;
-    }
+  epsilon_valid s.epsilon && delta_valid s.delta
+  && s.fanin >= 2 && s.sensitivity >= 1
   && s.error_free_size >= 1 && s.inputs >= 1
   && s.sw0 > 0. && s.sw0 < 1.
-  && s.leakage_share0 >= 0. && s.leakage_share0 < 1.
+  && leakage_share_valid s.leakage_share0
 
 type bounds = {
   size_ratio : float;

@@ -16,7 +16,18 @@ type scenario = {
           paper's figures use 0.5. *)
 }
 
+val epsilon_valid : float -> bool
+(** ε ∈ (0, 1/2]: the per-gate error the theorems are stated for. *)
+
+val delta_valid : float -> bool
+(** δ ∈ [0, 1/2): an output error budget short of a coin flip. *)
+
+val leakage_share_valid : float -> bool
+(** λ0 ∈ [0, 1): leakage cannot be the whole baseline energy. *)
+
 val scenario_valid : scenario -> bool
+(** Every field in its domain: the three above, plus fanin >= 2,
+    sensitivity >= 1, S0 >= 1, n >= 1 and sw0 ∈ (0, 1). *)
 
 type bounds = {
   size_ratio : float;  (** [S(ε,δ)/S0 >= 1] (Theorem 2 / Corollary 1). *)

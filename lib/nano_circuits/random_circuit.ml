@@ -19,14 +19,19 @@ let generate ?(config = default_config) ~seed () =
   if config.max_fanin < 2 then invalid_arg "Random_circuit: max_fanin >= 2";
   let rng = Nano_util.Prng.create ~seed in
   let b = B.create ~name:(Printf.sprintf "rand%d" seed) () in
-  let nodes = ref [] in
-  for i = 0 to config.inputs - 1 do
-    nodes := B.input b (Printf.sprintf "x%d" i) :: !nodes
-  done;
-  let pick () =
-    let arr = Array.of_list !nodes in
-    arr.(Nano_util.Prng.int rng ~bound:(Array.length arr))
+  (* Nodes in creation order; a draw of k names the k-th newest, so
+     each pick is O(1) and the stream matches a newest-first list. *)
+  let nodes = Array.make (config.inputs + config.gates) 0 in
+  let count = ref 0 in
+  let push node =
+    nodes.(!count) <- node;
+    incr count
   in
+  for i = 0 to config.inputs - 1 do
+    push (B.input b (Printf.sprintf "x%d" i))
+  done;
+  let newest k = nodes.(!count - 1 - k) in
+  let pick () = newest (Nano_util.Prng.int rng ~bound:!count) in
   let kinds =
     [ Gate.Not; Gate.And; Gate.Or; Gate.Nand; Gate.Nor; Gate.Xor; Gate.Xnor ]
     @ (if config.allow_majority then [ Gate.Majority ] else [])
@@ -44,14 +49,13 @@ let generate ?(config = default_config) ~seed () =
       | Gate.Input | Gate.Const _ -> 0
     in
     let fanins = List.init arity (fun _ -> pick ()) in
-    nodes := B.add b kind fanins :: !nodes
+    push (B.add b kind fanins)
   done;
   (* Outputs: the newest nodes first so the circuit body is observable,
      padded with random picks (duplicate driver nodes are fine — only
      output names must be unique). *)
-  let all = Array.of_list !nodes in
   for i = 0 to config.outputs - 1 do
-    let driver = if i < Array.length all then all.(i) else pick () in
+    let driver = if i < !count then newest i else pick () in
     B.output b (Printf.sprintf "f%d" i) driver
   done;
   B.finish b

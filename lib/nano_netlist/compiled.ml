@@ -781,30 +781,6 @@ let add_toggle_counts_blocked c ~width ~a ~b ~into =
     Array.unsafe_set into id (Array.unsafe_get into id + !s)
   done
 
-let add_output_error_counts_blocked c ~width ~golden ~noisy ~into =
-  check_values_blocked c golden "Compiled.add_output_error_counts_blocked";
-  check_values_blocked c noisy "Compiled.add_output_error_counts_blocked";
-  check_width c width "Compiled.add_output_error_counts_blocked";
-  let out = c.output_ids and slot = c.slot_of and block = c.block in
-  let n_out = Array.length out in
-  if Array.length into <> n_out then
-    invalid_arg "Compiled.add_output_error_counts_blocked: wrong counter length";
-  let total = ref 0 in
-  for j = 0 to width - 1 do
-    let q = j lsl 3 in
-    let any = ref 0L in
-    for i = 0 to n_out - 1 do
-      let b =
-        ((Array.unsafe_get slot (Array.unsafe_get out i) * block) lsl 3) + q
-      in
-      let wrong = Int64.logxor (get64u golden b) (get64u noisy b) in
-      Array.unsafe_set into i (Array.unsafe_get into i + popcount64 wrong);
-      any := Int64.logor !any wrong
-    done;
-    total := !total + popcount64 !any
-  done;
-  !total
-
 (* ------------------------------------------------------------------ *)
 (* Fused noisy sweeps.                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -826,8 +802,6 @@ type noise_pack = {
   np_draws : int;  (** total noise draws per simulated word *)
   np_nodes : int;  (** node count of the program this pack was built for *)
 }
-
-let noise_draws_per_word pack = pack.np_draws
 
 let pack_noise c eps =
   if Array.length eps <> c.node_count then

@@ -176,13 +176,6 @@ val add_toggle_counts_blocked :
 (** Add [popcount (a lxor b)] of each node's first [width] words to
     [into.(id)]. *)
 
-val add_output_error_counts_blocked :
-  t -> width:int -> golden:Bytes.t -> noisy:Bytes.t -> into:int array -> int
-(** Per primary output [i], add the number of lanes (across the first
-    [width] words) where [noisy] disagrees with [golden] to [into.(i)]
-    ([output_count] entries); returns the number of lanes where at
-    least one output disagrees. *)
-
 (** {2 Fused noisy sweeps} *)
 
 type noise_pack
@@ -195,11 +188,6 @@ val pack_noise : t -> float array -> noise_pack
     non-noisy nodes ignored), each in [[0, 1/2]]. Pack once per run;
     immutable by convention, shareable across domains. Raises
     [Invalid_argument] naming the offending node otherwise. *)
-
-val noise_draws_per_word : noise_pack -> int
-(** Total noise draws one simulated word consumes under this pack
-    (64 per noisy gate, except 1 where [epsilon = 1/2]) — the constant
-    callers need to compute draws-per-word for stream sharding. *)
 
 val run_noisy_words :
   t ->
@@ -226,8 +214,9 @@ val run_noisy_words :
     allocates nothing. Counters are bit-identical to the sequential
     per-word walk draw-inputs / eval / noisy-eval / draw-inputs /
     noisy-eval / count over the same stream, for any block width.
-    Advances [rng] by exactly
-    [words * (2 * (inputs*ipw + noise_draws_per_word))] draws. *)
+    Advances [rng] by exactly [words * (2 * (inputs*ipw + noise))] draws,
+    where [noise] is the pack's draws per word: 64 per noisy gate, or 1
+    where [epsilon = 1/2]. *)
 
 type grid_pack
 (** A lane grid lowered for the fused multi-epsilon sweep: one row of

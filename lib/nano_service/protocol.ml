@@ -171,6 +171,10 @@ let tech_of_json obj =
   | Some _ ->
     Error "field \"tech\" must be a pack name or an inline pack object"
 
+let in_domain name domain valid values =
+  if List.for_all valid values then Ok ()
+  else Error (Printf.sprintf "field %S must lie in %s" name domain)
+
 let circuit_of_json obj =
   match (Json.member "circuit" obj, Json.member "blif" obj) with
   | Some (Json.String name), None -> Ok (Named name)
@@ -217,14 +221,24 @@ let request_of_json obj =
         let* no_map = field_default Json.to_bool obj "no_map" false in
         Ok (Profile { circuit; no_map })
       | "analyze" ->
+        (* The theorems' domain is checked here, before any profile or
+           Monte-Carlo work, so the reply names the offending field. *)
         let* circuit = circuit_of_json obj in
         let* delta = field_default Json.to_float obj "delta" 0.01 in
+        let* () = in_domain "delta" "[0, 1/2)" Metrics.delta_valid [ delta ] in
         let* leakage_share0 =
           field_default Json.to_float obj "leakage_share0" 0.5
+        in
+        let* () =
+          in_domain "leakage_share0" "[0, 1)" Metrics.leakage_share_valid
+            [ leakage_share0 ]
         in
         let* epsilons =
           field_default float_list obj "epsilons"
             Benchmark_eval.paper_epsilons
+        in
+        let* () =
+          in_domain "epsilons" "(0, 1/2]" Metrics.epsilon_valid epsilons
         in
         let* no_map = field_default Json.to_bool obj "no_map" false in
         (* Backward compatible: pre-measurement clients simply omit

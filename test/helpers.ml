@@ -17,6 +17,16 @@ let check_invalid msg f =
 
 let qcheck = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
+(* A built-in suite circuit as its generator builds it, and the same
+   circuit mapped by [rugged_lite] (fanin <= [max_fanin] when given). *)
+let suite_circuit name =
+  match Nano_circuits.Suite.find name with
+  | Some entry -> entry.Nano_circuits.Suite.build ()
+  | None -> Alcotest.failf "missing suite circuit %s" name
+
+let mapped_suite ?max_fanin name =
+  Nano_synth.Script.rugged_lite ?max_fanin (suite_circuit name)
+
 (* ------------------------------------------------------------------ *)
 (* Random netlists for property tests.                                 *)
 (* ------------------------------------------------------------------ *)

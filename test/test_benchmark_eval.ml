@@ -68,6 +68,38 @@ let test_leakage_share_matters () =
   in
   Alcotest.(check bool) "switching-only is larger" true (no_leak > with_leak)
 
+(* A 3x3 measured (eps x delta) grid on mapped c17, encoded through the
+   service protocol: the batched engine and three single-lane runs
+   (which delegate to the per-point simulator) must give the same
+   bytes. *)
+let test_measured_grid_json_identical () =
+  let circuit = Helpers.mapped_suite ~max_fanin:3 "c17" in
+  let epsilons = [ 0.001; 0.01; 0.05 ] in
+  let deltas = [ 0.01; 0.05; 0.1 ] in
+  let vectors = 2048 and seed = 42 in
+  let profile = Profile.of_netlist circuit in
+  let encode rows =
+    String.concat "\n"
+      (List.map
+         (fun r ->
+           Nano_util.Json.to_string
+             (Nano_service.Protocol.measured_row_to_json r))
+         rows)
+  in
+  let batched =
+    BE.measured_grid ~deltas ~epsilons ~vectors ~seed ~profile circuit
+  in
+  let per_point =
+    List.concat_map
+      (fun epsilon ->
+        BE.measured_grid ~deltas ~epsilons:[ epsilon ] ~vectors ~seed ~profile
+          circuit)
+      epsilons
+  in
+  Alcotest.(check int) "3x3 rows" 9 (List.length batched);
+  Alcotest.(check string) "batched JSON = per-point JSON" (encode per_point)
+    (encode batched)
+
 let suite =
   [
     Alcotest.test_case "paper constants" `Quick test_paper_constants;
@@ -76,4 +108,6 @@ let suite =
     Alcotest.test_case "figure 7 shape" `Quick test_figure7_shape;
     Alcotest.test_case "figure 8 shape" `Quick test_figure8_shape;
     Alcotest.test_case "leakage share matters" `Quick test_leakage_share_matters;
+    Alcotest.test_case "measured grid JSON batched = per-point" `Quick
+      test_measured_grid_json_identical;
   ]

@@ -170,47 +170,56 @@ let check_results_equal msg (a : Noisy_sim.result) (b : Noisy_sim.result) =
     (msg ^ ": average activity") a.average_gate_activity
     b.average_gate_activity
 
+let mapped_rca8 () =
+  Nano_synth.Script.rugged_lite (Nano_circuits.Adders.ripple_carry ~width:8)
+
 (* The compiled engine must reproduce the interpretive engine (which
    shares nothing with it but the PRNG stream) bit-for-bit, for every
    job count — and the homogeneous fast path (epsilon = 0.5) and the
-   noiseless edge (epsilon = 0) as well. *)
+   noiseless edge (epsilon = 0) as well. The last three points are the
+   long runs: 2^16 vectors at epsilon 0.01 on c17, mapped rca8 and
+   parity16. *)
 let test_engines_agree () =
-  let circuits =
-    [
-      ("c17", Nano_circuits.Iscas_like.c17 ());
-      ("rca8", Nano_circuits.Adders.ripple_carry ~width:8);
-      ( "rand",
-        Random_circuit.generate
-          ~config:
-            {
-              Random_circuit.inputs = 5;
-              gates = 30;
-              outputs = 3;
-              allow_majority = true;
-              max_fanin = 4;
-            }
-          ~seed:42 () );
-    ]
+  let rand =
+    Random_circuit.generate
+      ~config:
+        {
+          Random_circuit.inputs = 5;
+          gates = 30;
+          outputs = 3;
+          allow_majority = true;
+          max_fanin = 4;
+        }
+      ~seed:42 ()
   in
+  let short = (1024, [ 0.0; 0.02; 0.5 ], [ 1; 2; 4 ]) in
+  let long = (1 lsl 16, [ 0.01 ], [ 1 ]) in
   List.iter
-    (fun (name, n) ->
+    (fun (name, n, (vectors, epsilons, job_counts)) ->
       List.iter
         (fun epsilon ->
           let interp =
-            Noisy_sim.simulate ~vectors:1024 ~engine:`Interp ~epsilon n
+            Noisy_sim.simulate ~vectors ~engine:`Interp ~epsilon n
           in
           List.iter
             (fun jobs ->
               let compiled =
-                Noisy_sim.simulate ~vectors:1024 ~jobs ~engine:`Compiled
-                  ~epsilon n
+                Noisy_sim.simulate ~vectors ~jobs ~engine:`Compiled ~epsilon n
               in
               check_results_equal
-                (Printf.sprintf "%s eps %g jobs %d" name epsilon jobs)
+                (Printf.sprintf "%s v=%d eps %g jobs %d" name vectors epsilon
+                   jobs)
                 interp compiled)
-            [ 1; 2; 4 ])
-        [ 0.0; 0.02; 0.5 ])
-    circuits
+            job_counts)
+        epsilons)
+    [
+      ("c17", Nano_circuits.Iscas_like.c17 (), short);
+      ("rca8", Nano_circuits.Adders.ripple_carry ~width:8, short);
+      ("rand", rand, short);
+      ("c17", Nano_circuits.Iscas_like.c17 (), long);
+      ("mapped rca8", mapped_rca8 (), long);
+      ("parity16", Nano_circuits.Trees.parity_tree ~inputs:16 ~fanin:2, long);
+    ]
 
 let test_engines_agree_heterogeneous () =
   let n = Nano_circuits.Adders.ripple_carry ~width:4 in
@@ -234,11 +243,56 @@ let test_engines_agree_heterogeneous () =
 (* Blocked engine.                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* [Interp] at [vectors] is the reference for every (block, jobs) run
+   of the blocked engine at the same point. *)
+let check_blocked_against_interp ?(input_probability = 0.5) ~vectors ~epsilon
+    ~blocks ~job_counts name n =
+  let reference =
+    Noisy_sim.simulate ~input_probability ~vectors ~engine:`Interp ~epsilon n
+  in
+  List.iter
+    (fun block ->
+      List.iter
+        (fun jobs ->
+          let blocked =
+            Noisy_sim.simulate ~input_probability ~vectors ~jobs
+              ~engine:`Compiled ~block ~epsilon n
+          in
+          check_results_equal
+            (Printf.sprintf "%s p=%g v=%d eps=%g block=%d jobs=%d" name
+               input_probability vectors epsilon block jobs)
+            reference blocked)
+        job_counts)
+    blocks
+
+(* The long-run kernel point on one circuit: [Interp] = blocked at
+   4096 vectors, and jobs 4 = jobs 1 at 2^16 vectors, both at epsilon
+   0.01 and the default block width. *)
+let check_kernel_point ?input_probability (name, n) =
+  let epsilon = 0.01 in
+  check_blocked_against_interp ?input_probability ~vectors:4096 ~epsilon
+    ~blocks:[ Compiled.default_block_width () ] ~job_counts:[ 1 ] name n;
+  let run jobs =
+    Noisy_sim.simulate ?input_probability ~vectors:(1 lsl 16) ~jobs
+      ~engine:`Compiled ~epsilon n
+  in
+  check_results_equal (name ^ ": jobs 4 = jobs 1 at 2^16 vectors") (run 1)
+    (run 4)
+
+let kernel_circuits () =
+  [
+    ("c17", Nano_circuits.Iscas_like.c17 ());
+    ("mapped rca8", mapped_rca8 ());
+    ("mapped mult8", Helpers.mapped_suite "mult8");
+    ("mapped alu8", Helpers.mapped_suite "alu8");
+  ]
+
 (* The blocked engine must reproduce the interpretive engine bit for bit
    at every block width — including width 1, ragged tails (word counts
    not a multiple of the block) and every job count. 320 vectors = 5
    words (ragged at widths 4 and 8); 1088 vectors = 17 words (two full
-   8-blocks plus a tail of one). *)
+   8-blocks plus a tail of one). The mapped suite circuits then run the
+   long-run kernel point. *)
 let test_blocked_bit_identity () =
   let circuits =
     [
@@ -262,26 +316,48 @@ let test_blocked_bit_identity () =
         (fun vectors ->
           List.iter
             (fun epsilon ->
-              let reference =
-                Noisy_sim.simulate ~vectors ~engine:`Interp ~epsilon n
-              in
-              List.iter
-                (fun block ->
-                  List.iter
-                    (fun jobs ->
-                      let blocked =
-                        Noisy_sim.simulate ~vectors ~jobs ~engine:`Compiled
-                          ~block ~epsilon n
-                      in
-                      check_results_equal
-                        (Printf.sprintf "%s v=%d eps=%g block=%d jobs=%d" name
-                           vectors epsilon block jobs)
-                        reference blocked)
-                    [ 1; 4 ])
-                [ 1; 4; 8 ])
+              check_blocked_against_interp ~vectors ~epsilon
+                ~blocks:[ 1; 4; 8 ] ~job_counts:[ 1; 4 ] name n)
             [ 0.02; 0.5 ])
         [ 320; 1088 ])
-    circuits
+    circuits;
+  List.iter check_kernel_point (kernel_circuits ())
+
+(* Biased stimulus: at input densities 0.1 and 0.9 every input word
+   costs 64 draws through the SIMD stub, while [Interp] draws through
+   the pure-OCaml [Prng.word_with_density] — so this pins the stub end
+   to end. The kernel point at p = 0.1 and 0.9 (p = 0.5 runs above). *)
+let test_blocked_biased_stimulus () =
+  List.iter
+    (fun circuit ->
+      List.iter
+        (fun input_probability -> check_kernel_point ~input_probability circuit)
+        [ 0.1; 0.9 ])
+    [
+      ("c17", Nano_circuits.Iscas_like.c17 ());
+      ("mapped rca8", mapped_rca8 ());
+      ("mapped mult8", Helpers.mapped_suite "mult8");
+    ]
+
+(* A ~50k-gate levelized netlist is the one gated circuit whose program
+   spans dozens of cache segments, so a fault confined to multi-segment
+   sweeps only shows here. 1088 vectors = 17 words: two full 8-word
+   blocks plus a tail; [Interp] is too slow for much more. *)
+let test_blocked_multi_segment () =
+  let rand50k =
+    Random_circuit.generate
+      ~config:
+        {
+          Random_circuit.inputs = 64;
+          gates = 50_000;
+          outputs = 32;
+          allow_majority = true;
+          max_fanin = 3;
+        }
+      ~seed:0x50c4 ()
+  in
+  check_blocked_against_interp ~vectors:1088 ~epsilon:0.01 ~blocks:[ 1; 4; 8 ]
+    ~job_counts:[ 1; 4 ] "rand50k" rand50k
 
 (* The memo is keyed by (netlist, block_width): mixed-width callers get
    distinct cached programs, and the width registry reports every width
@@ -398,6 +474,10 @@ let suite =
       test_engines_agree_heterogeneous;
     Alcotest.test_case "blocked engine bit-identical at widths 1/4/8" `Quick
       test_blocked_bit_identity;
+    Alcotest.test_case "biased stimulus: blocked = Interp" `Quick
+      test_blocked_biased_stimulus;
+    Alcotest.test_case "multi-segment rand50k: blocked = Interp" `Slow
+      test_blocked_multi_segment;
     Alcotest.test_case "memo keyed by (netlist, block width)" `Quick
       test_memo_block_width_keyed;
     Alcotest.test_case "pack validation names lane/node" `Quick

@@ -69,10 +69,7 @@ let test_determinism () =
 
 let exact = Alcotest.float 0.
 
-let suite_circuit name =
-  match Nano_circuits.Suite.find name with
-  | Some entry -> entry.Nano_circuits.Suite.build ()
-  | None -> Alcotest.failf "missing suite circuit %s" name
+let suite_circuit = Helpers.suite_circuit
 
 (* Golden values recorded from the single-threaded simulator before the
    parallel engine landed (seed 0xfa17, 4096 vectors, eps 0.02). The
@@ -107,19 +104,27 @@ let test_jobs_reproduce_sequential_golden () =
 
 let test_jobs_identical_fields () =
   (* Beyond the pinned scalars: every field of the result must be
-     bit-identical across job counts, including per-node arrays. *)
-  let circuit = suite_circuit "rca8" in
-  let run jobs =
-    Noisy_sim.simulate ~seed:7 ~vectors:2048 ~jobs ~epsilon:0.03 circuit
+     bit-identical across job counts, including per-node arrays. The
+     second point is the long run: mapped rca8 at 2^18 vectors on the
+     default seed. *)
+  let mapped_rca8 =
+    Nano_synth.Script.rugged_lite (Nano_circuits.Adders.ripple_carry ~width:8)
   in
-  let r1 = run 1 in
   List.iter
-    (fun jobs ->
-      let r = run jobs in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d equals jobs=1" jobs)
-        true (r = r1))
-    [ 2; 3; 4; 5 ]
+    (fun (name, circuit, seed, vectors, epsilon, job_counts) ->
+      let run jobs = Noisy_sim.simulate ?seed ~vectors ~jobs ~epsilon circuit in
+      let r1 = run 1 in
+      List.iter
+        (fun jobs ->
+          let r = run jobs in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: jobs=%d equals jobs=1" name jobs)
+            true (r = r1))
+        job_counts)
+    [
+      ("rca8", suite_circuit "rca8", Some 7, 2048, 0.03, [ 2; 3; 4; 5 ]);
+      ("mapped rca8", mapped_rca8, None, 1 lsl 18, 0.01, [ 2; 4 ]);
+    ]
 
 let test_jobs_heterogeneous () =
   let circuit = suite_circuit "c17" in

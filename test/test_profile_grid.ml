@@ -30,22 +30,43 @@ let check_result_equal msg (a : Noisy_sim.result) (b : Noisy_sim.result) =
 
 (* The batched kernel consumes the PRNG stream exactly like K per-point
    runs at the same seed: every lane — including ε = 0, which is never
-   simulated — must reproduce [simulate] bit for bit. *)
+   simulated — must reproduce [simulate] bit for bit, and sharding the
+   grid over 4 domains must not move a bit. The last two points are the
+   ten-lane sweeps on mapped rca8 and alu8 at 2^16 vectors. *)
 let test_lane_identity () =
-  let netlist = rca8 () in
-  let epsilons = [| 0.; 0.001; 0.01; 0.05; 0.1 |] in
-  let grid =
-    Noisy_sim.profile_grid ~seed:11 ~vectors:4096 ~epsilons netlist
+  let mapped = Helpers.mapped_suite ~max_fanin:3 in
+  let ten_lanes =
+    [| 0.001; 0.002; 0.005; 0.01; 0.015; 0.02; 0.03; 0.05; 0.07; 0.1 |]
   in
-  Alcotest.(check int) "parallel to epsilons" (Array.length epsilons)
-    (Array.length grid);
-  Array.iteri
-    (fun i epsilon ->
-      let point =
-        Noisy_sim.simulate ~seed:11 ~vectors:4096 ~epsilon netlist
+  List.iter
+    (fun (name, netlist, epsilons, seed, vectors) ->
+      let grid jobs =
+        Noisy_sim.profile_grid ~seed ~vectors ~jobs ~epsilons netlist
       in
-      check_result_equal (Printf.sprintf "lane eps=%g" epsilon) point grid.(i))
-    epsilons
+      let g1 = grid 1 in
+      Alcotest.(check int)
+        (name ^ ": parallel to epsilons")
+        (Array.length epsilons) (Array.length g1);
+      Array.iteri
+        (fun i epsilon ->
+          let point =
+            Noisy_sim.simulate ~seed ~vectors ~jobs:1 ~epsilon netlist
+          in
+          check_result_equal
+            (Printf.sprintf "%s lane eps=%g" name epsilon)
+            point g1.(i))
+        epsilons;
+      let g4 = grid 4 in
+      Array.iteri
+        (fun i r ->
+          check_result_equal (Printf.sprintf "%s jobs 4 lane %d" name i) r
+            g4.(i))
+        g1)
+    [
+      ("rca8", rca8 (), [| 0.; 0.001; 0.01; 0.05; 0.1 |], 11, 4096);
+      ("mapped rca8", mapped "rca8", ten_lanes, 42, 1 lsl 16);
+      ("mapped alu8", mapped "alu8", ten_lanes, 42, 1 lsl 16);
+    ]
 
 (* A single-point grid must short-circuit to the per-point engine. *)
 let test_single_point () =

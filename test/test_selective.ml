@@ -132,55 +132,64 @@ let test_heterogeneous_simulation_basics () =
   Helpers.check_float "mean epsilon" 0.03 b.Noisy_sim.epsilon
 
 let test_sweep_voter_epsilons () =
-  (* Each lane of the fused sweep must be bit-identical to a
+  (* Each lane of the fused sweep must equal, field for field, a
      stand-alone heterogeneous run with the same voter_epsilon_of
-     assignment, and the whole sweep must be jobs-invariant. *)
-  let n = base () in
-  let hardened = Selective.harden_top ~fraction:0.5 n in
+     assignment, and the whole sweep must be jobs-invariant. The last
+     two points are the eight-class trade study on c17 and mapped rca8
+     at 2^16 vectors on the default seed. *)
   let gate_epsilon = 0.01 in
-  let voter_epsilons = [| 0.0005; 0.002; 0.008 |] in
-  let seed = 23 and vectors = 4096 in
-  let sweep =
-    Selective.sweep_voter_epsilons ~seed ~vectors hardened ~gate_epsilon
-      ~voter_epsilons
+  let check_point (name, hardened, voter_epsilons, seed, vectors) =
+    let sweep ?jobs () =
+      Selective.sweep_voter_epsilons ?seed ~vectors ?jobs hardened
+        ~gate_epsilon ~voter_epsilons
+    in
+    let fused = sweep () in
+    Alcotest.(check int)
+      (name ^ ": one result per voter class")
+      (Array.length voter_epsilons)
+      (Array.length fused);
+    Array.iteri
+      (fun k voter_epsilon ->
+        let epsilon_of =
+          Selective.voter_epsilon_of hardened ~gate_epsilon ~voter_epsilon
+        in
+        let solo =
+          Noisy_sim.simulate_heterogeneous ?seed ~vectors ~epsilon_of
+            hardened.Selective.netlist
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: lane %d = stand-alone run" name k)
+          true (solo = fused.(k)))
+      voter_epsilons;
+    Alcotest.(check bool)
+      (name ^ ": jobs 4 = jobs 1")
+      true
+      (sweep ~jobs:4 () = fused)
   in
-  Alcotest.(check int)
-    "one result per voter class"
-    (Array.length voter_epsilons)
-    (Array.length sweep);
-  Array.iteri
-    (fun k voter_epsilon ->
-      let epsilon_of =
-        Selective.voter_epsilon_of hardened ~gate_epsilon ~voter_epsilon
-      in
-      let solo =
-        Noisy_sim.simulate_heterogeneous ~seed ~vectors ~epsilon_of
-          hardened.Selective.netlist
-      in
-      Helpers.check_float
-        (Printf.sprintf "lane %d delta" k)
-        solo.Noisy_sim.any_output_error
-        sweep.(k).Noisy_sim.any_output_error;
-      List.iter2
-        (fun (name, solo_d) (name', sweep_d) ->
-          Alcotest.(check string) "output name" name name';
-          Helpers.check_float
-            (Printf.sprintf "lane %d output %s" k name)
-            solo_d sweep_d)
-        solo.Noisy_sim.per_output_error
-        sweep.(k).Noisy_sim.per_output_error)
-    voter_epsilons;
-  let sweep_j =
-    Selective.sweep_voter_epsilons ~seed ~vectors ~jobs:4 hardened
-      ~gate_epsilon ~voter_epsilons
+  let top_quarter circuit =
+    Selective.harden_top ~seed:0x9e7e ~fraction:0.25 circuit
   in
-  Array.iteri
-    (fun k r ->
-      Helpers.check_float
-        (Printf.sprintf "jobs-invariant lane %d" k)
-        r.Noisy_sim.any_output_error
-        sweep_j.(k).Noisy_sim.any_output_error)
-    sweep
+  let eight_classes = Array.init 8 (fun i -> 0.0005 *. float_of_int (i + 1)) in
+  List.iter check_point
+    [
+      ( "rca4",
+        Selective.harden_top ~fraction:0.5 (base ()),
+        [| 0.0005; 0.002; 0.008 |],
+        Some 23,
+        4096 );
+      ( "c17",
+        top_quarter (Nano_circuits.Iscas_like.c17 ()),
+        eight_classes,
+        None,
+        1 lsl 16 );
+      ( "mapped rca8",
+        top_quarter
+          (Nano_synth.Script.rugged_lite
+             (Nano_circuits.Adders.ripple_carry ~width:8)),
+        eight_classes,
+        None,
+        1 lsl 16 );
+    ]
 
 let suite =
   [

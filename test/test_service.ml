@@ -205,16 +205,31 @@ let test_bounds_matches_direct_evaluation () =
   in
   Alcotest.(check string) "service = Metrics.evaluate" expected reply
 
+(* Each line misses once cold and hits once warm with the same bytes:
+   the default-grid analyze on four suite circuits and rca8 priced by
+   both built-in technology packs, whose digest keys the cache. *)
 let test_cache_hit_is_byte_identical () =
   let t = make_service () in
-  let cold = Service.handle_line t analyze_line in
-  let warm = Service.handle_line t analyze_line in
-  Alcotest.(check bool) "cold succeeds" true (reply_ok cold);
-  Alcotest.(check string) "warm bytes = cold bytes" cold warm;
+  let lines =
+    analyze_line
+    :: List.map
+         (Printf.sprintf {|{"kind":"analyze","circuit":"%s"}|})
+         [ "c17"; "rca16"; "alu8"; "mult8" ]
+    @ List.map
+        (Printf.sprintf {|{"kind":"analyze","circuit":"rca8","tech":"%s"}|})
+        [ "cmos55"; "nanodev" ]
+  in
+  List.iter
+    (fun line ->
+      let cold = Service.handle_line t line in
+      let warm = Service.handle_line t line in
+      Alcotest.(check bool) (line ^ ": cold succeeds") true (reply_ok cold);
+      Alcotest.(check string) (line ^ ": warm bytes = cold bytes") cold warm)
+    lines;
   let stats = stats_of_service t in
-  Alcotest.(check int) "one response hit" 1
+  Alcotest.(check int) "one response hit per line" (List.length lines)
     (cache_counter stats ~cache:"responses" ~field:"hits");
-  Alcotest.(check int) "one response miss" 1
+  Alcotest.(check int) "one response miss per line" (List.length lines)
     (cache_counter stats ~cache:"responses" ~field:"misses")
 
 let test_jobs_independent_replies () =
@@ -287,16 +302,21 @@ let test_structured_errors () =
        (String.make 8192 'x'));
   check "timeout" "timeout"
     {|{"kind":"analyze","circuit":"rca8","timeout_ms":0}|};
-  (* A non-positive vector budget is refused by the decoder, before any
-     profile or Monte-Carlo work, with a message naming the field. *)
+  (* A non-positive vector budget, or an analysis parameter outside the
+     theorems' domain, is refused by the decoder, before any profile or
+     Monte-Carlo work, with a message naming the field. *)
+  let profile_lookups () =
+    let stats = stats_of_service t in
+    cache_counter stats ~cache:"profiles" ~field:"hits"
+    + cache_counter stats ~cache:"profiles" ~field:"misses"
+  in
+  let lookups_before = profile_lookups () in
   List.iter
-    (fun vectors ->
+    (fun (fields, expected) ->
       let line =
-        {|{"kind":"analyze","circuit":"rca8","measure":true,|}
-        ^ Printf.sprintf {|"vectors":%d,"epsilons":[0.01]}|} vectors
+        {|{"kind":"analyze","circuit":"rca8","measure":true,|} ^ fields ^ "}"
       in
-      let msg = Printf.sprintf "vectors %d" vectors in
-      check msg "bad_request" line;
+      check fields "bad_request" line;
       let message =
         match Json.parse (Service.handle_line t line) with
         | Ok v ->
@@ -305,9 +325,20 @@ let test_structured_errors () =
         | Error _ -> None
       in
       Alcotest.(check (option string))
-        (msg ^ " message") (Some {|field "vectors" must be a positive integer|})
-        message)
-    [ 0; -5 ]
+        (fields ^ " message") (Some expected) message)
+    [
+      ( {|"vectors":0,"epsilons":[0.01]|},
+        {|field "vectors" must be a positive integer|} );
+      ( {|"vectors":-5,"epsilons":[0.01]|},
+        {|field "vectors" must be a positive integer|} );
+      ({|"epsilons":[0.01,0.6]|}, {|field "epsilons" must lie in (0, 1/2]|});
+      ({|"epsilons":[0]|}, {|field "epsilons" must lie in (0, 1/2]|});
+      ({|"delta":0.5|}, {|field "delta" must lie in [0, 1/2)|});
+      ({|"delta":0.6|}, {|field "delta" must lie in [0, 1/2)|});
+      ({|"leakage_share0":1|}, {|field "leakage_share0" must lie in [0, 1)|});
+    ];
+  Alcotest.(check int) "no profile looked up" lookups_before
+    (profile_lookups ())
 
 let test_static_request () =
   let t = make_service () in

@@ -327,6 +327,86 @@ let test_vacuous_diagnostics () =
   Alcotest.(check int) "no diagnostics" 0
     (List.length (Static.diagnostics quiet (inverter ())))
 
+(* ------------------------------------------------------------------ *)
+(* Six suite circuits against pinned-seed Monte Carlo.                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Seed 0x5eed, 4096 vectors, epsilon 0.01, circuits as built (no
+   mapping). The stream is pinned, so z = 3 is margin against one fixed
+   draw, not against repeated sampling: a miss is an analyzer or kernel
+   bug, not sampling luck. *)
+let mc_seed = 0x5eed
+let mc_vectors = 4096
+let mc_epsilon = 0.01
+let mc_circuits = [ "c17"; "rca8"; "parity16"; "intctl27"; "alu8"; "mult16" ]
+
+(* Every output interval contains the measured rate within the slack;
+   on trees (every interval a point) the point sits within one
+   half-width of it. *)
+let test_suite_contains_mc () =
+  List.iter
+    (fun name ->
+      let netlist = Helpers.suite_circuit name in
+      let t = Static.analyze ~epsilon:mc_epsilon netlist in
+      let mc =
+        Noisy_sim.simulate ~seed:mc_seed ~vectors:mc_vectors
+          ~epsilon:mc_epsilon netlist
+      in
+      let outputs =
+        List.combine t.Static.per_output_error mc.Noisy_sim.per_output_error
+      in
+      List.iter
+        (fun ((o, iv), (o', measured)) ->
+          Alcotest.(check string) "output order" o o';
+          check_contains ~z:3. (name ^ " " ^ o) iv ~vectors:mc_vectors measured)
+        outputs;
+      if List.for_all (fun ((_, iv), _) -> Static.is_point iv) outputs then
+        List.iter
+          (fun ((o, iv), (_, measured)) ->
+            let errors =
+              int_of_float (Float.round (measured *. float_of_int mc_vectors))
+            in
+            let slack = ac_half_width ~z:3. ~vectors:mc_vectors ~errors () in
+            if Float.abs (iv.Static.lo -. measured) > slack then
+              Alcotest.failf "%s %s: tree point %.6g vs MC %.6g (+/- %.2g)"
+                name o iv.Static.lo measured slack)
+          outputs)
+    mc_circuits
+
+(* One static pass replaces the cold Monte-Carlo profile it stands in
+   for (switching activity, output error, and the per-gate criticality
+   ranking [harden_top] runs), and must beat it >= 100x over the six
+   circuits in aggregate. Each circuit is built fresh, so Monte Carlo
+   pays its compile as a cold caller does; static runs once to warm,
+   then once timed. Per-circuit ratios are not gated: c17 is too small
+   for the kernel to amortise anything. *)
+let test_aggregate_speedup () =
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    Unix.gettimeofday () -. t0
+  in
+  let seed = mc_seed and vectors = mc_vectors and epsilon = mc_epsilon in
+  let static_s, mc_s =
+    List.fold_left
+      (fun (static_s, mc_s) name ->
+        let netlist = Helpers.suite_circuit name in
+        ignore (Static.analyze ~epsilon netlist);
+        let t_static = time (fun () -> Static.analyze ~epsilon netlist) in
+        let t_mc =
+          time (fun () -> Nano_sim.Activity.monte_carlo ~seed ~vectors netlist)
+          +. time (fun () -> Noisy_sim.simulate ~seed ~vectors ~epsilon netlist)
+          +. time (fun () ->
+                 Nano_faults.Criticality.analyze ~seed ~vectors netlist)
+        in
+        (static_s +. t_static, mc_s +. t_mc))
+      (0., 0.) mc_circuits
+  in
+  let speedup = mc_s /. static_s in
+  if not (speedup >= 100.) then
+    Alcotest.failf "aggregate speedup %.0fx < 100x (static %.3g s, MC %.3g s)"
+      speedup static_s mc_s
+
 let test_invalid_arguments () =
   Helpers.check_invalid "epsilon > 1/2" (fun () ->
       Static.analyze ~epsilon:0.6 (inverter ()));
@@ -366,4 +446,8 @@ let suite =
     Alcotest.test_case "vacuous diagnostics" `Quick test_vacuous_diagnostics;
     Alcotest.test_case "invalid arguments" `Quick test_invalid_arguments;
     Alcotest.test_case "json deterministic" `Quick test_json_deterministic;
+    Alcotest.test_case "six suite circuits contain pinned-seed MC" `Quick
+      test_suite_contains_mc;
+    Alcotest.test_case "aggregate speedup over MC >= 100x" `Slow
+      test_aggregate_speedup;
   ]

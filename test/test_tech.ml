@@ -10,11 +10,7 @@ let fr = Json.float_repr
 
 let codes ds = List.map (fun d -> d.Diagnostic.code) ds
 
-let mapped_suite name =
-  match Nano_circuits.Suite.find name with
-  | Some e ->
-    Nano_synth.Script.rugged_lite ~max_fanin:3 (e.Nano_circuits.Suite.build ())
-  | None -> Alcotest.failf "suite circuit %s missing" name
+let mapped_suite = Helpers.mapped_suite ~max_fanin:3
 
 let report ~pack net =
   let profile = Nano_bounds.Profile.of_netlist net in
@@ -289,9 +285,31 @@ let test_unmapped_gate_kind () =
   Alcotest.(check bool) "clean report omits the block" true
     (Json.member "diagnostics" (Report.to_json full) = None)
 
+(* Every built-in pack prices the mapped suite circuits the pack report
+   has always been shown on: a finite positive total and a leakage
+   share in [0, 1]. *)
+let test_builtins_price_suite () =
+  List.iter
+    (fun name ->
+      let net = mapped_suite name in
+      List.iter
+        (fun pack ->
+          let r = report ~pack net in
+          let tag = Printf.sprintf "%s/%s" name pack.Pack.name in
+          Alcotest.(check bool)
+            (tag ^ ": total_j finite and > 0")
+            true
+            (Float.is_finite r.Report.total_j && r.Report.total_j > 0.);
+          Helpers.check_in_range (tag ^ ": leakage_share") ~lo:0. ~hi:1.
+            r.Report.leakage_share)
+        Builtin.all)
+    [ "c17"; "rca8"; "alu8" ]
+
 let suite =
   [
     Alcotest.test_case "builtins validate" `Quick test_builtins_clean;
+    Alcotest.test_case "builtins price mapped suite circuits" `Quick
+      test_builtins_price_suite;
     Alcotest.test_case "json round trip" `Quick test_round_trip;
     Alcotest.test_case "schema rejections" `Quick test_rejections;
     Alcotest.test_case "warnings keep pack" `Quick test_warnings_keep_pack;

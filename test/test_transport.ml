@@ -24,12 +24,13 @@ let base_config ?(jobs = 1) ?(workers = 0) ?journal
 
 (* Fork a daemon on a listener the parent already bound (port 0, so
    the kernel picks), hand the port to [f], then reap — escalating to
-   SIGKILL only if shutdown never landed. *)
+   SIGKILL only if shutdown never landed. The backlog holds the soak's
+   200 back-to-back connects, so none waits out a SYN retransmit. *)
 let with_server ?(config = base_config ()) ?(signal_storm = false) f =
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen listen_fd 128;
+  Unix.listen listen_fd 256;
   let port =
     match Unix.getsockname listen_fd with
     | Unix.ADDR_INET (_, p) -> p
@@ -301,6 +302,55 @@ let test_overload_admission () =
       let c = tcp_client port in
       shutdown c)
 
+(* ---- concurrent soak ------------------------------------------------ *)
+
+(* 200 clients hold their sockets open for ten rounds of one bounds
+   request each, against an inline and a 2-worker daemon. Every round
+   is written in full before any reply is read, so the daemon sees all
+   200 requests in flight at once. The key rotates over 64 epsilons, so
+   the first pass is cold and the rest hit the cache. Every reply must
+   arrive and equal the in-process bytes: a shed, lost or corrupted
+   reply fails. *)
+let test_concurrent_soak () =
+  let clients = 200 and rounds = 10 in
+  let line client round =
+    Printf.sprintf {|{"kind":"bounds","epsilon":%g}|}
+      (0.001 +. (0.0005 *. float_of_int (((client * 7) + round) mod 64)))
+  in
+  List.iter
+    (fun workers ->
+      let config =
+        {
+          (base_config ~workers ~max_pending:4096 ()) with
+          Service.max_clients = clients + 8;
+        }
+      in
+      let reference =
+        Service.create
+          ~config:{ config with Service.workers = 0; journal = None }
+          ()
+      in
+      with_server ~config (fun port ->
+          let fds = Array.init clients (fun _ -> raw_connect port) in
+          for round = 0 to rounds - 1 do
+            Array.iteri
+              (fun client fd -> send_raw fd (line client round ^ "\n"))
+              fds;
+            Array.iteri
+              (fun client fd ->
+                let request = line client round in
+                let reply = recv_until fd (fun s -> count_newlines s >= 1) in
+                Alcotest.(check string)
+                  (Printf.sprintf "workers=%d client %d round %d" workers
+                     client round)
+                  (Service.handle_line reference request ^ "\n")
+                  reply)
+              fds
+          done;
+          Array.iter Unix.close fds;
+          shutdown (tcp_client port)))
+    [ 0; 2 ]
+
 (* ---- minimal HTTP front end ---------------------------------------- *)
 
 let http_post body =
@@ -524,6 +574,8 @@ let suite =
       test_oversized_pipelined;
     Alcotest.test_case "admission control sheds load" `Quick
       test_overload_admission;
+    Alcotest.test_case "200-client soak, inline and sharded" `Quick
+      test_concurrent_soak;
     Alcotest.test_case "http post front end" `Quick test_http_post;
     Alcotest.test_case "client connect retries under signal storm" `Quick
       test_client_connect_retry_under_storm;
