@@ -1107,9 +1107,8 @@ let static_cmd =
             List.iter prerr_endline msgs;
             exit 3
           | Ok pack ->
-            (* Same floor the tech report applies to its bound rows:
-               the device cannot be more reliable than the pack says. *)
-            Float.max epsilon pack.Nano_tech.Pack.intrinsic_epsilon)
+            (* Same floor the tech report applies to its bound rows. *)
+            Nano_tech.Pack.effective_epsilon pack epsilon)
       in
       (match
          Nano_static.Static.analyze ~input_probability ~cone_budget ~epsilon

@@ -37,6 +37,15 @@ let evaluate_suite ?delta ?leakage_share0 ?(epsilons = paper_epsilons) ?jobs
   |> Nano_util.Par.map_list ?jobs (fun (profile, epsilon) ->
          evaluate_profile ?delta ?leakage_share0 profile ~epsilon)
 
+(* The δ-free half of a measured grid: per ε lane, the three figures a
+   measured row reports. It reads neither δ nor the leakage share, which
+   is what lets the service reuse it across δ revisits. *)
+type lane = {
+  any_output_error : float;
+  average_gate_activity : float;
+  vectors : int;
+}
+
 type measured_row = {
   row : row;
   measured_delta : float;
@@ -78,30 +87,34 @@ let degenerate_row profile ~epsilon ~delta ~leakage_share0 =
     base ~activity_ratio:(sw /. sw0) ~idle_ratio:((1. -. sw) /. (1. -. sw0))
   end
 
-let measured_grid ?(deltas = [ paper_delta ]) ?(leakage_share0 = 0.5)
-    ?(epsilons = paper_epsilons) ?(vectors = 8192) ?seed ?jobs ?mode ?profile
+let measure ?(epsilons = paper_epsilons) ?(vectors = 8192) ?seed ?jobs ?mode
     netlist =
+  Array.map
+    (fun m ->
+      {
+        any_output_error = m.Nano_faults.Noisy_sim.any_output_error;
+        average_gate_activity = m.Nano_faults.Noisy_sim.average_gate_activity;
+        vectors = m.Nano_faults.Noisy_sim.vectors;
+      })
+    (Nano_faults.Noisy_sim.profile_grid ?seed ~vectors ?jobs ?mode
+       ~epsilons:(Array.of_list epsilons) netlist)
+
+let check_deltas ~caller deltas =
   List.iter
     (fun d ->
       if not (d >= 0.) then
-        invalid_arg "Benchmark_eval.measured_grid: delta must be >= 0")
-    deltas;
-  (* Sensitivity and noiseless activity once per circuit — they are
-     ε-independent — then ONE batched Monte-Carlo pass over the whole ε
-     set: all lanes share input draws and fault uniforms
-     ({!Nano_faults.Noisy_sim.profile_grid}). *)
-  let profile =
-    match profile with Some p -> p | None -> Profile.of_netlist ?jobs netlist
-  in
-  let eps = Array.of_list epsilons in
-  let measured =
-    Nano_faults.Noisy_sim.profile_grid ?seed ~vectors ?jobs ?mode
-      ~epsilons:eps netlist
-  in
+        invalid_arg ("Benchmark_eval." ^ caller ^ ": delta must be >= 0"))
+    deltas
+
+let measured_rows ?(deltas = [ paper_delta ]) ?(leakage_share0 = 0.5)
+    ~epsilons ~profile (lanes : lane array) =
+  check_deltas ~caller:"measured_rows" deltas;
+  if List.length epsilons <> Array.length lanes then
+    invalid_arg "Benchmark_eval.measured_rows: one lane per epsilon";
   List.concat
     (List.mapi
        (fun i epsilon ->
-         let m = measured.(i) in
+         let m = lanes.(i) in
          List.map
            (fun delta ->
              let row =
@@ -111,10 +124,24 @@ let measured_grid ?(deltas = [ paper_delta ]) ?(leakage_share0 = 0.5)
              in
              {
                row;
-               measured_delta = m.Nano_faults.Noisy_sim.any_output_error;
-               measured_activity =
-                 m.Nano_faults.Noisy_sim.average_gate_activity;
-               vectors = m.Nano_faults.Noisy_sim.vectors;
+               measured_delta = m.any_output_error;
+               measured_activity = m.average_gate_activity;
+               vectors = m.vectors;
              })
            deltas)
        epsilons)
+
+let measured_grid ?(deltas = [ paper_delta ]) ?(leakage_share0 = 0.5)
+    ?(epsilons = paper_epsilons) ?vectors ?seed ?jobs ?mode ?profile
+    netlist =
+  (* Refused before any measurement runs. *)
+  check_deltas ~caller:"measured_grid" deltas;
+  (* Sensitivity and noiseless activity once per circuit — they are
+     ε-independent — then ONE batched Monte-Carlo pass over the whole ε
+     set: all lanes share input draws and fault uniforms
+     ({!Nano_faults.Noisy_sim.profile_grid}). *)
+  let profile =
+    match profile with Some p -> p | None -> Profile.of_netlist ?jobs netlist
+  in
+  measured_rows ~deltas ~leakage_share0 ~epsilons ~profile
+    (measure ~epsilons ?vectors ?seed ?jobs ?mode netlist)

@@ -40,6 +40,17 @@ val evaluate_suite :
     many domains ({!Nano_util.Par}); row order and values are identical
     for every job count. *)
 
+type lane = {
+  any_output_error : float;
+      (** Monte-Carlo any-output error of the circuit at this ε. *)
+  average_gate_activity : float;
+      (** Average gate activity at this ε. *)
+  vectors : int;  (** Vectors the lane actually simulated. *)
+}
+(** One ε lane of a measured grid: everything a {!measured_row} takes
+    from simulation. It depends on the circuit, the ε and the vector
+    budget (and seed and mode), never on δ or the leakage share. *)
+
 type measured_row = {
   row : row;  (** The analytic bounds at this (ε, δ) cell. *)
   measured_delta : float;
@@ -50,6 +61,32 @@ type measured_row = {
           counterpart of Theorem 1's sw(ε). *)
   vectors : int;  (** Vectors the lane actually simulated. *)
 }
+
+val measure :
+  ?epsilons:float list ->
+  ?vectors:int ->
+  ?seed:int ->
+  ?jobs:int ->
+  ?mode:Nano_faults.Noisy_sim.mode ->
+  Nano_netlist.Netlist.t ->
+  lane array
+(** The δ-free half of {!measured_grid}: one
+    {!Nano_faults.Noisy_sim.profile_grid} pass over [epsilons] (default
+    {!paper_epsilons}), one lane per ε in order, with [vectors] default
+    8192 and the simulator's [seed] and [mode] defaults. Bit-identical
+    for every [jobs]. *)
+
+val measured_rows :
+  ?deltas:float list ->
+  ?leakage_share0:float ->
+  epsilons:float list ->
+  profile:Profile.t ->
+  lane array ->
+  measured_row list
+(** The δ-dependent half of {!measured_grid}: the rows for lanes
+    [measure ~epsilons] returned, ε-major and δ-minor, with the same
+    defaults and degenerate-cell rules. Raises [Invalid_argument] when
+    a δ is negative or there is not one lane per ε. *)
 
 val measured_grid :
   ?deltas:float list ->
@@ -73,4 +110,6 @@ val measured_grid :
     {!Metrics.evaluate} outside its domain: ε = 0 rows are all-ones;
     δ >= 1/2 rows have size_ratio 1 (the clamped vacuous bound),
     Theorem 1's δ-independent activity ratios, and delay ratio 1.
-    Results are bit-identical for every [jobs]. *)
+    Results are bit-identical for every [jobs]. Equal to
+    [measured_rows ~epsilons ~profile (measure ~epsilons netlist)]
+    under the same options. *)

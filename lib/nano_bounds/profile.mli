@@ -27,7 +27,7 @@ val of_netlist :
   ?jobs:int ->
   Nano_netlist.Netlist.t ->
   t
-(** Measure a netlist. Sensitivity is exact for up to 16 inputs and a
+(** Measure a netlist. Sensitivity is exact for up to 12 inputs and a
     sampled lower estimate beyond that (see {!Nano_sim.Sensitivity});
     [jobs] (default 1) parallelizes that estimate over the
     {!Nano_util.Par} pool without changing its value. *)

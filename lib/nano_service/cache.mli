@@ -1,8 +1,9 @@
 (** Bounded LRU cache with hit/miss/eviction accounting.
 
-    The evaluation service keys entries by content address (strashed
-    netlist digest + canonicalized request parameters), so a lookup hit
-    is a proof that the cached value answers the request — no
+    The evaluation service keys entries by content address (the
+    circuit's spelling or strashed netlist digest, whichever names all
+    the value reads, + canonicalized request parameters), so a lookup
+    hit is a proof that the cached value answers the request — no
     invalidation protocol is needed, stale entries are impossible by
     construction, and the only policy left is capacity (least recently
     used goes first). *)

@@ -41,6 +41,9 @@ type t = {
   circuits : (string * string) Cache.t;
       (** circuit spelling to identity [(name, Strash.digest)]; never the
           netlist, so its footprint stays a few strings per entry *)
+  grids : Benchmark_eval.lane array Cache.t;
+      (** a measured analyze's Monte-Carlo lanes, which no δ reads; a
+          few floats per ε, never a netlist or a lint preflight *)
   metrics : Service_metrics.t;
   journal : Journal.t option;
       (** on-disk backing of [responses]; [None] when persistence is
@@ -72,6 +75,7 @@ let create ?config () =
     responses;
     profiles = Cache.create ~capacity:config.cache_capacity;
     circuits = Cache.create ~capacity:config.cache_capacity;
+    grids = Cache.create ~capacity:config.cache_capacity;
     metrics = Service_metrics.create ~now:(Unix.gettimeofday ());
     journal;
     lint_hits = 0;
@@ -119,8 +123,16 @@ let resolve_circuit = function
 
 (* A circuit as [prepare] sees it: the identity its cache keys need,
    known before any lookup, and the netlist, built only when a handler
-   actually runs (a response-cache miss). *)
-type circuit = { name : string; digest : string; netlist : Netlist.t Lazy.t }
+   actually runs (a response-cache miss). The spelling ([name:<suite
+   name>] or [blif:<MD5 of the text>]) names the netlist exactly; the
+   strash digest names only its structure up to strashing, which
+   spellings with different raw netlists can share. *)
+type circuit = {
+  name : string;
+  spelling : string;
+  digest : string;
+  netlist : Netlist.t Lazy.t;
+}
 
 (* Spelling → identity memo. Suite builds, BLIF parsing and strash are
    pure functions of the spelling, so a remembered (name, digest) is
@@ -136,12 +148,12 @@ let identify t circuit =
   in
   match Cache.find t.circuits spelling with
   | Some (name, digest) ->
-    { name; digest; netlist = lazy (snd (resolve_circuit circuit)) }
+    { name; spelling; digest; netlist = lazy (snd (resolve_circuit circuit)) }
   | None ->
     let name, netlist = resolve_circuit circuit in
     let digest = Nano_synth.Strash.digest netlist in
     Cache.add t.circuits spelling (name, digest);
-    { name; digest; netlist = Lazy.from_val netlist }
+    { name; spelling; digest; netlist = Lazy.from_val netlist }
 
 (* Technology-pack resolution: a name looks up a built-in, an inline
    object goes through the JSON loader. Both failure shapes are error
@@ -169,15 +181,23 @@ let resolve_tech = function
                   (fun d -> Format.asprintf "%a" Nano_lint.Diagnostic.pp d)
                   diagnostics) )))
 
-(* Profile of the (optionally mapped) circuit, by content address: the
-   Monte-Carlo activity + sensitivity measurement only depends on the
-   strashed structure, so it is shared across requests — and across
-   differing model names, which only relabel the result. The mapped
-   netlist comes back too: the one the profile measured on a miss, so
-   the grid and the tech report reuse its compiled program; mapped
-   afresh, on demand, on a hit. *)
-let profile_for t ~deadline ~digest ~name ~no_map netlist =
-  let core_key = Printf.sprintf "profile-core|%s|%b" digest no_map in
+let fr = Json.float_repr
+
+(* Profile of the (optionally mapped) circuit. A mapped profile depends
+   only on the strashed structure ([rugged_lite] strashes first), so it
+   is keyed on the strash digest and shared across requests, and across
+   differing model names, which only relabel the result. An unmapped
+   profile measures the raw netlist, so it is keyed on the spelling.
+   The mapped netlist comes back too: the one the profile measured on a
+   miss, so the grid and the tech report reuse its compiled program;
+   mapped afresh, on demand, on a hit. *)
+let profile_for t ~deadline (c : circuit) ~no_map =
+  let netlist = Lazy.force c.netlist in
+  let core_key =
+    Printf.sprintf "profile-core|%s|%b"
+      (if no_map then c.spelling else c.digest)
+      no_map
+  in
   let map () =
     if no_map then netlist
     else Nano_synth.Script.rugged_lite ~max_fanin:3 netlist
@@ -192,9 +212,28 @@ let profile_for t ~deadline ~digest ~name ~no_map netlist =
       Cache.add t.profiles core_key p;
       (p, Lazy.from_val mapped)
   in
-  ({ profile with Profile.name = name }, mapped)
+  ({ profile with Profile.name = c.name }, mapped)
 
-let fr = Json.float_repr
+(* The Monte-Carlo lanes of a measured analyze. They read the (mapped)
+   circuit, the ε list and the vector budget, never δ or the leakage
+   share, so a revisit with a new δ reuses them and maps, lowers and
+   simulates nothing. Keyed on the spelling, like the unmapped profile:
+   with [no_map] the lanes measure the raw netlist. *)
+let lanes_for t (c : circuit) ~no_map ~epsilons ~vectors mapped =
+  let key =
+    Printf.sprintf "grid|%s|%b|%s|%d" c.spelling no_map
+      (String.concat "," (List.map fr epsilons))
+      vectors
+  in
+  match Cache.find t.grids key with
+  | Some lanes -> lanes
+  | None ->
+    let lanes =
+      Benchmark_eval.measure ~epsilons ~vectors ~jobs:t.config.jobs
+        (Lazy.force mapped)
+    in
+    Cache.add t.grids key lanes;
+    lanes
 
 (* Pre-flight: static-analysis findings on the input netlist (before
    any mapping), attached to analyze/profile replies only when there
@@ -330,6 +369,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
                 ("responses", Cache.stats t.responses);
                 ("profiles", Cache.stats t.profiles);
                 ("circuits", Cache.stats t.circuits);
+                ("grids", Cache.stats t.grids);
               ]
             ~now:(Unix.gettimeofday ()));
     }
@@ -352,28 +392,26 @@ let prepare t ~deadline (env : Protocol.envelope) =
       run = (fun () -> Protocol.bounds_to_json (Metrics.evaluate scenario));
     }
   | Protocol.Profile { circuit; no_map } ->
-    let { name; digest; netlist } = identify t circuit in
-    let key = Printf.sprintf "profile|%s|%s|%b" digest name no_map in
+    let c = identify t circuit in
+    let key = Printf.sprintf "profile|%s|%b" c.spelling no_map in
     {
       key = Some key;
       run =
         (fun () ->
-          let netlist = Lazy.force netlist in
-          let profile, _ =
-            profile_for t ~deadline ~digest ~name ~no_map netlist
-          in
-          attach_preflight ~digest netlist (Protocol.profile_to_json profile));
+          let profile, _ = profile_for t ~deadline c ~no_map in
+          attach_preflight ~digest:c.digest (Lazy.force c.netlist)
+            (Protocol.profile_to_json profile));
     }
   | Protocol.Analyze
       { circuit; delta; leakage_share0; epsilons; no_map; measure; vectors;
         tech } ->
-    let { name; digest; netlist } = identify t circuit in
+    let c = identify t circuit in
     (* Resolved before the cache key so bad packs are error replies
        (never cached), and so named/inline spellings of one pack key
        on the same canonical digest. *)
     let tech = Option.map resolve_tech tech in
     let key =
-      Printf.sprintf "analyze|%s|%s|%b|%s|%s|%s|%b|%d%s" digest name no_map
+      Printf.sprintf "analyze|%s|%b|%s|%s|%s|%b|%d%s" c.spelling no_map
         (fr delta) (fr leakage_share0)
         (String.concat "," (List.map fr epsilons))
         measure vectors
@@ -387,10 +425,8 @@ let prepare t ~deadline (env : Protocol.envelope) =
       key = Some key;
       run =
         (fun () ->
-          let netlist = Lazy.force netlist in
-          let profile, mapped =
-            profile_for t ~deadline ~digest ~name ~no_map netlist
-          in
+          let netlist = Lazy.force c.netlist in
+          let profile, mapped = profile_for t ~deadline c ~no_map in
           check_deadline deadline;
           (* The absolute-energy block rides after "rows"; replies
              without --tech carry no block at all and stay
@@ -411,11 +447,11 @@ let prepare t ~deadline (env : Protocol.envelope) =
                was measured on covers the whole grid, with jobs
                sharding vectors inside it (jobs-independent). *)
             let rows =
-              Benchmark_eval.measured_grid ~deltas:[ delta ] ~leakage_share0
-                ~epsilons ~vectors ~jobs:t.config.jobs ~profile
-                (Lazy.force mapped)
+              Benchmark_eval.measured_rows ~deltas:[ delta ] ~leakage_share0
+                ~epsilons ~profile
+                (lanes_for t c ~no_map ~epsilons ~vectors mapped)
             in
-            attach_preflight ~digest netlist
+            attach_preflight ~digest:c.digest netlist
               (Json.Obj
                  ([
                     ("profile", Protocol.profile_to_json profile);
@@ -435,7 +471,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
                     profile ~epsilon)
                 epsilons
             in
-            attach_preflight ~digest netlist
+            attach_preflight ~digest:c.digest netlist
               (Json.Obj
                  ([
                     ("profile", Protocol.profile_to_json profile);
@@ -456,7 +492,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
        reports here, never error replies. *)
     (match circuit with
     | Protocol.Named _ ->
-      let { name; digest; netlist } = identify t circuit in
+      let { name; digest; netlist; _ } = identify t circuit in
       {
         key = Some (Printf.sprintf "lint|net:%s|%s|%s" digest name params);
         run =
@@ -475,7 +511,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
       })
   | Protocol.Static { circuit; epsilon; input_probability; cone_budget; tech }
     ->
-    let { name; digest; netlist } = identify t circuit in
+    let c = identify t circuit in
     (* Bad packs become error replies before any key exists (never
        cached); the effective ε is floored at the pack's intrinsic ε,
        matching both the tech report's bound rows and the CLI verb. *)
@@ -483,10 +519,10 @@ let prepare t ~deadline (env : Protocol.envelope) =
     let epsilon =
       match tech with
       | None -> epsilon
-      | Some pack -> Float.max epsilon pack.Nano_tech.Pack.intrinsic_epsilon
+      | Some pack -> Nano_tech.Pack.effective_epsilon pack epsilon
     in
     let key =
-      Printf.sprintf "static|%s|%s|%s|%s|%d" digest name (fr epsilon)
+      Printf.sprintf "static|%s|%s|%s|%d" c.spelling (fr epsilon)
         (fr input_probability) cone_budget
     in
     {
@@ -494,7 +530,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
       run =
         (fun () ->
           check_deadline deadline;
-          let netlist = Lazy.force netlist in
+          let netlist = Lazy.force c.netlist in
           let analysis =
             Nano_static.Static.analyze ~input_probability ~cone_budget
               ~epsilon netlist

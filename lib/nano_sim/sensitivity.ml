@@ -67,19 +67,37 @@ let at_assignment netlist bits =
   let c = Compiled.of_netlist netlist in
   at_assignment_in c ~values:(Compiled.create_values_blocked c) bits
 
+(* The structural ceiling: inputs in the transitive fanin of some
+   output. Flipping an input outside every output's cone changes no
+   output, so no assignment's sensitivity exceeds this count, and a
+   shard whose running maximum reaches it has found the maximum. It is
+   the support, not the input count: a circuit with an unused input
+   would otherwise never stop early. *)
+let support netlist =
+  let in_cone =
+    Netlist.transitive_fanin netlist
+      (Array.to_list (Netlist.output_ids netlist))
+  in
+  Array.fold_left
+    (fun k id -> if in_cone id then k + 1 else k)
+    0 (Netlist.input_ids netlist)
+
 (* Maximum of [at_assignment] over the assignments encoded by integers
-   [lo, hi); each shard allocates its own evaluation buffer, so shards
-   share nothing but the read-only compiled program. *)
-let max_over_range c n (lo, hi) =
+   [lo, hi), stopping at [ceiling]; each shard allocates its own
+   evaluation buffer, so shards share nothing but the read-only compiled
+   program. *)
+let max_over_range c n ~ceiling (lo, hi) =
   let bits = Array.make n false in
   let values = Compiled.create_values_blocked c in
   let best = ref 0 in
-  for a = lo to hi - 1 do
+  let a = ref lo in
+  while !a < hi && !best < ceiling do
     for i = 0 to n - 1 do
-      bits.(i) <- (a lsr i) land 1 = 1
+      bits.(i) <- (!a lsr i) land 1 = 1
     done;
     let s = at_assignment_in c ~values bits in
-    if s > !best then best := s
+    if s > !best then best := s;
+    incr a
   done;
   !best
 
@@ -88,33 +106,42 @@ let exact ?(max_inputs = 12) ?(jobs = 1) netlist =
   if n > max_inputs then None
   else begin
     (* Partition the assignment space [0, 2^n) into contiguous ranges;
-       the maximum is order-insensitive, so the result cannot depend on
-       the job count. *)
+       the maximum is order-insensitive, and every shard either scans its
+       whole range or stops at the ceiling no shard can pass, so the
+       result cannot depend on the job count. *)
     let c = Compiled.of_netlist netlist in
+    let ceiling = support netlist in
     Some
       (Array.fold_left max 0
-         (Par.map ~jobs (max_over_range c n) (Par.ranges ~jobs (1 lsl n))))
+         (Par.map ~jobs
+            (max_over_range c n ~ceiling)
+            (Par.ranges ~jobs (1 lsl n))))
   end
 
 let sampled ?(seed = 0x5e15) ?(samples = 2048) ?(jobs = 1) netlist =
   let n = Netlist.input_count netlist in
   let c = Compiled.of_netlist netlist in
+  let ceiling = support netlist in
   (* Each sample consumes exactly [n] PRNG draws (one per input bit), so
      a shard handling samples [lo, hi) jumps the seed stream to draw
      [lo * n] and replays the exact segment the sequential loop would
-     use: results are bit-identical for every job count. *)
+     use: results are bit-identical for every job count. A shard that
+     reaches the ceiling stops; the samples it skips could not raise the
+     maximum. *)
   let shard (lo, hi) =
     let rng = Prng.create ~seed in
     Prng.jump rng ~draws:(lo * n);
     let bits = Array.make n false in
     let values = Compiled.create_values_blocked c in
     let best = ref 0 in
-    for _ = lo to hi - 1 do
+    let k = ref lo in
+    while !k < hi && !best < ceiling do
       for i = 0 to n - 1 do
         bits.(i) <- Prng.bool rng
       done;
       let s = at_assignment_in c ~values bits in
-      if s > !best then best := s
+      if s > !best then best := s;
+      incr k
     done;
     !best
   in

@@ -15,7 +15,13 @@ val exact : ?max_inputs:int -> ?jobs:int -> Nano_netlist.Netlist.t -> int option
     netlist has more than [max_inputs] (default 12) primary inputs.
     [jobs] (default 1) partitions the assignment space across domains;
     the maximum is order-insensitive, so the result is identical for
-    every job count. *)
+    every job count.
+
+    Both {!exact} and {!sampled} stop once the maximum found equals the
+    structural support, the number of inputs in the transitive fanin of
+    some output: an input outside every output's cone cannot flip an
+    output, so no assignment scores higher. The value is the one the
+    full scan returns. *)
 
 val sampled :
   ?seed:int -> ?samples:int -> ?jobs:int -> Nano_netlist.Netlist.t -> int

@@ -29,6 +29,8 @@ let reference_arity = function
 
 let find t kind = List.assoc_opt kind t.gates
 
+let effective_epsilon t epsilon = Float.max epsilon t.intrinsic_epsilon
+
 let scaled t kind ~arity =
   match find t kind with
   | None -> None

@@ -35,8 +35,8 @@ type t = {
           times its base entry, uniformly on all four constants. *)
   intrinsic_epsilon : float;
       (** The device family's intrinsic gate-error rate, in [0, 1/2];
-          0 for reliable CMOS. Reported for context — analyses still
-          use the ε the caller asks for. *)
+          0 for reliable CMOS. Analyses under the pack floor the ε the
+          caller asks for at this value ({!effective_epsilon}). *)
   gates : (Nano_netlist.Gate.kind * entry) list;
       (** Per-kind base entries, in canonical kind order. Sources
           ([Input]/[Const]) are always free and never listed. *)
@@ -52,6 +52,11 @@ val reference_arity : Nano_netlist.Gate.kind -> int
 
 val find : t -> Nano_netlist.Gate.kind -> entry option
 (** The base entry for a kind; [None] when the pack does not map it. *)
+
+val effective_epsilon : t -> float -> float
+(** [effective_epsilon pack epsilon] is [max epsilon intrinsic_epsilon]:
+    the device cannot be more reliable than its pack says. The tech
+    report's bound rows and [static] under a pack both use it. *)
 
 val scaled : t -> Nano_netlist.Gate.kind -> arity:int -> entry option
 (** {!find} with the {!field-fanin_scale} derate applied for arities

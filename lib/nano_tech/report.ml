@@ -123,9 +123,7 @@ let analyze ?(delta = Benchmark_eval.paper_delta)
   let bounds =
     List.map
       (fun epsilon ->
-        let effective_epsilon =
-          Float.max epsilon pack.Pack.intrinsic_epsilon
-        in
+        let effective_epsilon = Pack.effective_epsilon pack epsilon in
         let row =
           Benchmark_eval.evaluate_profile ~delta ~leakage_share0:share0
             profile ~epsilon:effective_epsilon

@@ -27,7 +27,7 @@ type gate_row = {
 
 type bound_row = {
   epsilon : float;  (** Requested device-error level. *)
-  effective_epsilon : float;  (** [max epsilon intrinsic_epsilon]. *)
+  effective_epsilon : float;  (** {!Pack.effective_epsilon}. *)
   energy_ratio : float;  (** Corollary 2's E/E0 at the pack's λ0. *)
   bound_energy_j : float;  (** [energy_ratio *. total_energy_j]. *)
   leakage_ratio_change : float;  (** Theorem 3's W/W0 at the pack λ0. *)

@@ -100,6 +100,174 @@ let prop_at_assignment_brute_force =
       done;
       Sensitivity.at_assignment netlist bits = !brute)
 
+(* ------------------------------------------------------------------ *)
+(* The structural ceiling: stopping early never changes a value.        *)
+(* ------------------------------------------------------------------ *)
+
+module Netlist = Nano_netlist.Netlist
+module Gate = Nano_netlist.Gate
+module Prng = Nano_util.Prng
+
+(* A suite circuit with one more primary input that feeds nothing, the
+   way the explore benchmark makes a suite circuit new to every cache:
+   the name goes at the end of the [.inputs] declaration. *)
+let padded name =
+  let lines =
+    String.split_on_char '\n'
+      (Nano_blif.Blif.to_string (Helpers.suite_circuit name))
+  in
+  let rec pad = function
+    | l :: (o :: _ as rest) when String.starts_with ~prefix:".outputs" o ->
+      (l ^ " pad") :: rest
+    | l :: rest -> l :: pad rest
+    | [] -> []
+  in
+  match Nano_blif.Blif.parse_string (String.concat "\n" (pad lines)) with
+  | Ok n -> n
+  | Error _ -> Alcotest.failf "padded %s does not parse" name
+
+let random_shaped ~seed ~inputs ~gates ~outputs =
+  Nano_circuits.Random_circuit.generate
+    ~config:
+      { Nano_circuits.Random_circuit.default_config with inputs; gates; outputs }
+    ~seed ()
+
+(* Values of [Sensitivity.estimate] on mapped circuits, recorded from the
+   implementation before the ceiling existed (default seed and samples):
+   padded suite circuits, where the support is one short of the input
+   count; random netlists of the explore benchmark's four shapes; and
+   named suite circuits. Each must hold at every job count. *)
+let test_pinned_estimates () =
+  let cases =
+    List.map (fun (name, s) -> ("padded " ^ name, (fun () -> padded name), s))
+      [ ("c17", 4); ("rca8", 17); ("parity16", 16); ("alu8", 20);
+        ("datapath32", 65) ]
+    @ List.map
+        (fun ((seed, inputs, gates, outputs), s) ->
+          ( Printf.sprintf "random %d/%d/%d" inputs gates outputs,
+            (fun () -> random_shaped ~seed ~inputs ~gates ~outputs),
+            s ))
+        [ ((1, 12, 100, 4), 7); ((2, 16, 1600, 12), 16);
+          ((3, 24, 3000, 16), 23); ((4, 32, 8000, 24), 32) ]
+    @ List.map (fun (name, s) -> (name, (fun () -> Helpers.suite_circuit name), s))
+        [ ("c17", 4); ("rca8", 17); ("parity16", 16); ("alu8", 20);
+          ("mult8", 16); ("mult16", 32) ]
+  in
+  List.iter
+    (fun (label, build, expected) ->
+      let mapped = Nano_synth.Script.rugged_lite ~max_fanin:3 (build ()) in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s jobs=%d" label jobs)
+            expected
+            (Sensitivity.estimate ~jobs mapped))
+        [ 1; 2; 4 ])
+    cases
+
+(* The definitions, with no early stop: every assignment when the
+   exhaustive path applies (at most 12 inputs), else the maximum over
+   the sampled path's 2048 assignments, drawn as it draws them. *)
+let reference netlist =
+  let n = Netlist.input_count netlist in
+  let bits = Array.make n false in
+  let best = ref 0 in
+  let visit () = best := max !best (Sensitivity.at_assignment netlist bits) in
+  if n <= 12 then
+    for a = 0 to (1 lsl n) - 1 do
+      Array.iteri (fun i _ -> bits.(i) <- (a lsr i) land 1 = 1) bits;
+      visit ()
+    done
+  else begin
+    let rng = Prng.create ~seed:0x5e15 in
+    for _ = 1 to 2048 do
+      Array.iteri (fun i _ -> bits.(i) <- Prng.bool rng) bits;
+      visit ()
+    done
+  end;
+  !best
+
+(* A random netlist over [used] inputs with [unused] more declared at
+   seeded positions and never read; with [constant] every output is a
+   constant instead, so no input reaches an output (support 0). *)
+let netlist_with_unused ~seed ~used ~unused ~gates ~constant =
+  let rng = Prng.create ~seed in
+  let b = Netlist.Builder.create ~name:"unused" () in
+  let total = used + unused in
+  let skip = Array.make total false in
+  let marked = ref 0 in
+  while !marked < unused do
+    let i = Prng.int rng ~bound:total in
+    if not skip.(i) then begin
+      skip.(i) <- true;
+      incr marked
+    end
+  done;
+  let nodes = ref [] in
+  for i = 0 to total - 1 do
+    let x = Netlist.Builder.input b (Printf.sprintf "x%d" i) in
+    if not skip.(i) then nodes := x :: !nodes
+  done;
+  let pick () =
+    let arr = Array.of_list !nodes in
+    arr.(Prng.int rng ~bound:(Array.length arr))
+  in
+  for _ = 1 to gates do
+    let kind, arity =
+      match Prng.int rng ~bound:6 with
+      | 0 -> (Gate.Not, 1)
+      | 1 -> (Gate.And, 2)
+      | 2 -> (Gate.Or, 2)
+      | 3 -> (Gate.Xor, 2)
+      | 4 -> (Gate.Nand, 3)
+      | _ -> (Gate.Majority, 3)
+    in
+    nodes := Netlist.Builder.add b kind (List.init arity (fun _ -> pick ())) :: !nodes
+  done;
+  if constant then begin
+    Netlist.Builder.output b "f0" (Netlist.Builder.const b false);
+    Netlist.Builder.output b "f1" (Netlist.Builder.const b true)
+  end
+  else begin
+    Netlist.Builder.output b "f0" (List.hd !nodes);
+    Netlist.Builder.output b "f1" (pick ())
+  end;
+  Netlist.Builder.finish b
+
+let prop_estimate_matches_reference =
+  QCheck2.Test.make
+    ~name:"estimate = the uncapped definition, unused inputs included"
+    ~count:60
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let netlist =
+        netlist_with_unused ~seed
+          ~used:(1 + Prng.int rng ~bound:15)
+          ~unused:(Prng.int rng ~bound:4)
+          ~gates:(Prng.int rng ~bound:25)
+          ~constant:(Prng.int rng ~bound:6 = 0)
+      in
+      let expected = reference netlist in
+      List.for_all
+        (fun jobs -> Sensitivity.estimate ~jobs netlist = expected)
+        [ 1; 2; 4 ])
+
+let test_constant_outputs () =
+  List.iter
+    (fun used ->
+      let n =
+        netlist_with_unused ~seed:used ~used ~unused:2 ~gates:8 ~constant:true
+      in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d inputs, jobs=%d" (used + 2) jobs)
+            0
+            (Sensitivity.estimate ~jobs n))
+        [ 1; 2; 4 ])
+    [ 3; 14 ]
+
 let suite =
   [
     Alcotest.test_case "parity full sensitivity" `Quick
@@ -113,4 +281,7 @@ let suite =
     Alcotest.test_case "jobs exact partition" `Quick test_jobs_exact_partition;
     Helpers.qcheck prop_sampled_le_exact;
     Helpers.qcheck prop_at_assignment_brute_force;
+    Alcotest.test_case "pinned estimates" `Quick test_pinned_estimates;
+    Alcotest.test_case "constant outputs" `Quick test_constant_outputs;
+    Helpers.qcheck prop_estimate_matches_reference;
   ]

@@ -480,6 +480,16 @@ let test_identity_memo_miss_path_matches_cold () =
      builds its netlist lazily. Its reply must be the bytes a fresh
      service computes cold. *)
   let tech = ("tech", Json.String "nanodev") in
+  let measured ?(epsilons = [ 0.01; 0.05 ]) ?(vectors = 256) fields =
+    blif_line "analyze"
+      (fields
+      @ [
+          ("epsilons", Json.List (List.map (fun e -> Json.Float e) epsilons));
+          ("measure", Json.Bool true);
+          ("vectors", Json.Int vectors);
+        ])
+  in
+  let no_map = ("no_map", Json.Bool true) in
   let pairs =
     [
       ( blif_line "static" [ ("epsilon", Json.Float 0.02) ],
@@ -491,6 +501,14 @@ let test_identity_memo_miss_path_matches_cold () =
       ( {|{"kind":"analyze","circuit":"c17","epsilons":[0.01],"measure":true,"vectors":256}|},
         {|{"kind":"analyze","circuit":"c17","epsilons":[0.01],"measure":true,"vectors":256,"delta":0.02,"tech":"nanodev"}|}
       );
+      (* A measured revisit with a new delta reuses the grid's lanes,
+         mapped and unmapped; one that changes what the lanes measure
+         (mapping, vector budget, epsilon list) must not. *)
+      (measured [], measured [ ("delta", Json.Float 0.02) ]);
+      (measured [ no_map ], measured [ no_map; ("delta", Json.Float 0.03) ]);
+      (measured [], measured [ no_map ]);
+      (measured [], measured ~vectors:512 []);
+      (measured [], measured ~epsilons:[ 0.01 ] []);
       ( {|{"kind":"lint","circuit":"rca8"}|},
         {|{"kind":"lint","circuit":"rca8","epsilon":0.05}|} );
     ]
@@ -586,20 +604,105 @@ let test_cold_measure_compiles_once () =
     (Nano_netlist.Compiled.memo_stats ()).Nano_netlist.Compiled.memo_misses
   in
   let t = make_service () in
-  let line delta =
+  let line ?(tech = "") delta =
     Printf.sprintf
-      {|{"kind":"analyze","circuit":"alu8","epsilons":[0.01],"measure":true,"vectors":256,"delta":%g}|}
-      delta
+      {|{"kind":"analyze","circuit":"alu8","epsilons":[0.01],"measure":true,"vectors":256,"delta":%g%s}|}
+      delta tech
   in
   let before = misses () in
   Alcotest.(check bool) "cold ok" true
     (reply_ok (Service.handle_line t (line 0.01)));
   (* The profile and the measured grid run on one mapped netlist. *)
   Alcotest.(check int) "cold visit lowers one program" 1 (misses () - before);
+  (* A new delta reuses the profile and the grid's lanes: nothing is
+     mapped, lowered or simulated. *)
   let before = misses () in
   Alcotest.(check bool) "revisit ok" true
     (reply_ok (Service.handle_line t (line 0.02)));
-  Alcotest.(check int) "revisit maps once, lowers once" 1 (misses () - before)
+  Alcotest.(check int) "revisit lowers nothing" 0 (misses () - before);
+  (* The tech report needs the mapped netlist, so a tech revisit maps
+     once and lowers once; the lanes still come from the memo. *)
+  let before = misses () in
+  Alcotest.(check bool) "tech revisit ok" true
+    (reply_ok (Service.handle_line t (line ~tech:{|,"tech":"nanodev"|} 0.03)));
+  Alcotest.(check int) "tech revisit maps once, lowers once" 1
+    (misses () - before);
+  let stats = stats_of_service t in
+  Alcotest.(check int) "one grid measured" 1
+    (cache_counter stats ~cache:"grids" ~field:"misses");
+  Alcotest.(check int) "both revisits reused it" 2
+    (cache_counter stats ~cache:"grids" ~field:"hits")
+
+(* ------------------------------------------------------------------ *)
+(* Replies that read the raw netlist key on its spelling.              *)
+(* ------------------------------------------------------------------ *)
+
+(* Three spellings of model t, y = (a & b) | c, with one strash digest:
+   plain, with a double inversion, and with a duplicated AND. Their raw
+   netlists differ, and static, unmapped profiles and every lint
+   preflight read the raw netlist. *)
+let digest_equal_spellings =
+  let blif body = ".model t\n.inputs a b c\n.outputs y\n" ^ body ^ ".end\n" in
+  [
+    blif ".names a b g\n11 1\n.names g c y\n1- 1\n-1 1\n";
+    blif
+      ".names a b g\n11 1\n.names g n\n0 1\n.names n m\n0 1\n\
+       .names m c y\n1- 1\n-1 1\n";
+    blif ".names a b g\n11 1\n.names a b h\n11 1\n.names g h c y\n11- 1\n--1 1\n";
+  ]
+
+let test_digest_equal_spellings_keep_their_replies () =
+  let digest text =
+    match Nano_blif.Blif.parse_string text with
+    | Ok n -> Nano_synth.Strash.digest n
+    | Error _ -> Alcotest.fail "spelling does not parse"
+  in
+  let digests = List.map digest digest_equal_spellings in
+  List.iter
+    (Alcotest.(check string) "one strash digest" (List.hd digests))
+    digests;
+  let line kind fields text =
+    Json.to_string
+      (Json.Obj
+         ([ ("kind", Json.String kind); ("blif", Json.String text) ] @ fields))
+  in
+  let no_map = ("no_map", Json.Bool true) in
+  let measured =
+    [
+      ("epsilons", Json.List [ Json.Float 0.01 ]);
+      ("measure", Json.Bool true);
+      ("vectors", Json.Int 256);
+    ]
+  in
+  (* One service sees every request kind on every spelling in turn; each
+     reply must be the one a fresh service computes for it alone. *)
+  let warm = make_service () in
+  List.iter
+    (fun (label, kind, fields) ->
+      let fresh =
+        List.map
+          (fun text ->
+            let l = line kind fields text in
+            let expected = Service.handle_line (make_service ()) l in
+            Alcotest.(check string)
+              (label ^ ": reply = fresh service's")
+              expected
+              (Service.handle_line warm l);
+            expected)
+          digest_equal_spellings
+      in
+      Alcotest.(check bool)
+        (label ^ ": the spellings' replies differ")
+        true
+        (List.length (List.sort_uniq compare fresh) > 1))
+    [
+      ("static", "static", []);
+      ("unmapped profile", "profile", [ no_map ]);
+      ("unmapped analyze", "analyze", [ no_map ]);
+      ("mapped analyze", "analyze", []);
+      ("mapped measured analyze", "analyze", measured);
+      ("unmapped measured analyze", "analyze", no_map :: measured);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* stdio transport.                                                     *)
@@ -698,6 +801,8 @@ let suite =
       test_journal_warmed_lines_hit;
     Alcotest.test_case "cold measured analyze compiles once" `Quick
       test_cold_measure_compiles_once;
+    Alcotest.test_case "digest-equal spellings keep their replies" `Quick
+      test_digest_equal_spellings_keep_their_replies;
     Alcotest.test_case "stdio transport" `Quick test_stdio_transport;
     Alcotest.test_case "stdio shutdown stops loop" `Quick
       test_stdio_shutdown_stops_loop;
