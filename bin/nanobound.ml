@@ -849,45 +849,10 @@ let critical_cmd =
 (* ------------------------------------------------------------------ *)
 
 let sweep_cmd =
-  let run figure chart jobs format =
-    let series, title, x, y =
-      match figure with
-      | "fig2" ->
-        ( Nano_bounds.Figures.fig2_activity_map ~jobs (),
-          "Figure 2: noisy switching activity", "sw(y)", "sw(z)" )
-      | "fig3" ->
-        ( Nano_bounds.Figures.fig3_redundancy ~jobs (),
-          "Figure 3: minimum redundancy factor", "eps", "size ratio" )
-      | "fig4" ->
-        ( Nano_bounds.Figures.fig4_leakage ~jobs (),
-          "Figure 4: leakage/switching ratio", "eps", "W/W0" )
-      | "fig5" ->
-        ( Nano_bounds.Figures.fig5_delay_and_edp ~jobs (),
-          "Figure 5: delay and energy-delay", "eps", "ratio" )
-      | "fig6" ->
-        ( Nano_bounds.Figures.fig6_average_power ~jobs (),
-          "Figure 6: average power", "eps", "P/P0" )
-      | "omega" ->
-        ( Nano_bounds.Figures.ablation_omega_models ~jobs (),
-          "Ablation: omega models", "eps", "size ratio" )
-      | "delta" ->
-        (* One batched multi-ε Monte-Carlo pass per circuit: the whole
-           measured series costs about one per-point simulation. *)
-        let circuits =
-          List.filter_map
-            (fun name ->
-              Option.map
-                (fun e -> (name, e.Nano_circuits.Suite.build ()))
-                (Nano_circuits.Suite.find name))
-            [ "c17"; "rca8"; "parity16" ]
-        in
-        ( Nano_bounds.Figures.measured_delta ~jobs circuits,
-          "Measured output error (batched Monte-Carlo)", "eps", "delta-hat" )
-      | other ->
-        (* Unreachable: figures are dispatched as subcommands below. *)
-        prerr_endline ("unknown figure: " ^ other);
-        exit 1
-    in
+  let run (figure, title, x, y) chart jobs format =
+    (* The figure names are the subcommands below, all of which the
+       service dispatcher knows. *)
+    let series = Option.get (Nano_service.Service.sweep_series ~jobs figure) in
     let data =
       List.map
         (fun s -> (s.Nano_bounds.Figures.label, s.Nano_bounds.Figures.points))
@@ -921,17 +886,18 @@ let sweep_cmd =
      spelling working under the command group. *)
   let figure_cmds =
     List.map
-      (fun (fig, doc) ->
-        Cmd.v (Cmd.info fig ~doc)
-          Term.(const run $ const fig $ chart $ jobs_arg $ format_arg))
+      (fun ((fig, title, _, _) as figure) ->
+        Cmd.v (Cmd.info fig ~doc:title)
+          Term.(const run $ const figure $ chart $ jobs_arg $ format_arg))
       [
-        ("fig2", "Figure 2: noisy switching activity");
-        ("fig3", "Figure 3: minimum redundancy factor");
-        ("fig4", "Figure 4: leakage/switching ratio");
-        ("fig5", "Figure 5: delay and energy-delay");
-        ("fig6", "Figure 6: average power");
-        ("omega", "Ablation: omega models");
-        ("delta", "Measured output error (batched Monte-Carlo)");
+        ("fig2", "Figure 2: noisy switching activity", "sw(y)", "sw(z)");
+        ("fig3", "Figure 3: minimum redundancy factor", "eps", "size ratio");
+        ("fig4", "Figure 4: leakage/switching ratio", "eps", "W/W0");
+        ("fig5", "Figure 5: delay and energy-delay", "eps", "ratio");
+        ("fig6", "Figure 6: average power", "eps", "P/P0");
+        ("omega", "Ablation: omega models", "eps", "size ratio");
+        ( "delta", "Measured output error (batched Monte-Carlo)", "eps",
+          "delta-hat" );
       ]
   in
   (* Voter-class trade study over a selectively hardened circuit:

@@ -55,7 +55,7 @@ val measured_delta :
     versus ε — from one batched multi-lane simulation pass per circuit
     ({!Nano_faults.Noisy_sim.profile_grid}): all grid points share input
     draws and fault uniforms (common random numbers), so the whole
-    series costs about one per-point simulation. One series per circuit,
+    series costs about one single-point simulation. One series per circuit,
     labelled by its given name; [jobs] shards simulation vectors, not
     grid points, and the series are bit-identical for every job
     count. *)

@@ -24,10 +24,9 @@ let noisy_node info =
   | Gate.Xnor | Gate.Majority -> true
 
 (* Interpretive clean evaluation, kept verbatim from the pre-compiled
-   engine. The [`Interp] engine exists so differential tests and the
-   bench's interp-vs-compiled series can compare the compiled kernel
-   against an implementation that shares nothing with it but the PRNG
-   stream. *)
+   engine. The [`Interp] engine exists so differential tests can compare
+   the compiled kernel against an implementation that shares nothing
+   with it but the PRNG stream. *)
 let eval_words_interp netlist ~input_words ~values =
   List.iteri
     (fun i id -> values.(id) <- input_words.(i))
@@ -39,9 +38,20 @@ let eval_words_interp netlist ~input_words ~values =
         let words = Array.map (fun f -> values.(f)) info.Netlist.fanins in
         values.(id) <- Gate.eval_word kind words)
 
-(* Evaluate with fresh noise on every logic gate output; [channels]
-   holds one channel per node (entries for sources are unused). *)
-let eval_noisy netlist channels rng ~input_words ~values =
+(* 64 channel-flip decisions, one uniform per bit at every epsilon,
+   1/2 included: the noise layout of the compiled kernel, reached
+   through nothing but [Prng.float]. *)
+let noise_word_interp rng ~epsilon =
+  let w = ref 0L in
+  for i = 0 to 63 do
+    if Prng.float rng < epsilon then w := Int64.logor !w (Int64.shift_left 1L i)
+  done;
+  !w
+
+(* Evaluate with fresh noise on every logic gate output; [epsilons]
+   holds one error probability per node (entries for sources are
+   unused). *)
+let eval_noisy netlist epsilons rng ~input_words ~values =
   List.iteri
     (fun i id -> values.(id) <- input_words.(i))
     (Netlist.inputs netlist);
@@ -53,37 +63,42 @@ let eval_noisy netlist channels rng ~input_words ~values =
         let clean = Gate.eval_word kind words in
         values.(id) <-
           (if noisy_node info then
-             Int64.logxor clean (Channel.noise_word channels.(id) rng)
+             Int64.logxor clean (noise_word_interp rng ~epsilon:epsilons.(id))
            else clean))
 
 (* How many raw PRNG draws one 64-vector word of simulation consumes:
-   two input draws plus two noisy evaluations. This is what lets a shard
-   [Prng.jump] straight to its first word and replay the exact segment
-   of the sequential stream — parallel results are bit-identical to the
-   single-stream simulation for every job count. Error probabilities
-   travel as one plain float per node ([epsilons]); the compiled engine
-   packs them straight into threshold buffers, and only the
-   interpretive reference engine wraps them in {!Channel.t} values. *)
-let draws_per_word netlist ~epsilons ~input_probability =
-  let n_in = Netlist.input_count netlist in
-  let noise = ref 0 in
-  Netlist.iter netlist (fun id info ->
-      if noisy_node info then
-        noise := !noise + Prng.draws_per_word ~p:epsilons.(id));
-  2 * ((n_in * Prng.draws_per_word ~p:input_probability) + !noise)
+   inputs_a, noise_a, inputs_b, noise_b, with 64 noise draws per logic
+   gate whatever its epsilon. This is what lets a shard [Prng.jump]
+   straight to its first word and replay the exact segment of the
+   sequential stream — parallel results are bit-identical to the
+   single-stream simulation for every job count — and, being
+   independent of the epsilons, what lets a grid lane replay a
+   single-point run and adaptive freezing drop lanes mid-stream. *)
+let draws_per_word netlist ~input_probability =
+  let noisy =
+    Netlist.fold netlist ~init:0 ~f:(fun k _ info ->
+        if noisy_node info then k + 1 else k)
+  in
+  2
+  * ((Netlist.input_count netlist * Prng.draws_per_word ~p:input_probability)
+    + (64 * noisy))
 
-(* Per-shard integer counters; merged by summation in shard order, which
-   is exact (integer adds), so the derived floats match sequential
-   results bit-for-bit. *)
-type shard_counts = {
-  s_ones : int array;
-  s_toggles : int array;
-  s_out_errors : int array;
-  s_any_errors : int;
+(* Per-shard integer counters, one set per lane: a golden set (only
+   sized when an ε = 0 grid lane needs it) plus one set per simulated
+   lane. Merged by summation in shard order, which is exact (integer
+   adds), so the derived floats match sequential results bit-for-bit. *)
+type grid_counts = {
+  g_ones0 : int array;
+  g_toggles0 : int array;
+  g_ones : int array array;
+  g_toggles : int array array;
+  g_out_errors : int array array;
+  g_any : int array;
 }
 
+(* The interpretive shard: one lane, walked word by word. *)
 let run_shard_interp ~seed ~first_word ~words ~draws_per_word
-    ~input_probability ~channels netlist =
+    ~input_probability ~epsilons netlist =
   let rng = Prng.create ~seed in
   Prng.jump rng ~draws:(first_word * draws_per_word);
   let n = Netlist.node_count netlist in
@@ -108,8 +123,8 @@ let run_shard_interp ~seed ~first_word ~words ~draws_per_word
        vectors, so the (a, b) pair measures Theorem 1's switching
        activity under the temporal-independence model (independent
        inputs AND independent noise at the two time points). *)
-    eval_noisy netlist channels rng ~input_words ~values:noisy_a;
-    eval_noisy netlist channels rng ~input_words:(draw ()) ~values:noisy_b;
+    eval_noisy netlist epsilons rng ~input_words ~values:noisy_a;
+    eval_noisy netlist epsilons rng ~input_words:(draw ()) ~values:noisy_b;
     for id = 0 to n - 1 do
       ones.(id) <- ones.(id) + Bits.popcount64 noisy_a.(id);
       let diff = Int64.logxor noisy_a.(id) noisy_b.(id) in
@@ -125,45 +140,58 @@ let run_shard_interp ~seed ~first_word ~words ~draws_per_word
     any_errors := !any_errors + Bits.popcount64 !any
   done;
   {
-    s_ones = ones;
-    s_toggles = toggles;
-    s_out_errors = out_errors;
-    s_any_errors = !any_errors;
+    g_ones0 = [||];
+    g_toggles0 = [||];
+    g_ones = [| ones |];
+    g_toggles = [| toggles |];
+    g_out_errors = [| out_errors |];
+    g_any = [| !any_errors |];
   }
 
-(* The blocked shard drives the fused wide-word kernel: one call
-   simulates the whole shard segment in blocks of the compiled program's
-   width, with evaluation, noise injection and every counter folded into
-   a single level-ordered sweep per block. The kernel addresses the PRNG
-   stream positionally under the same per-word layout as
-   [run_shard_interp], so the counters — and therefore the final
-   result — are bit-identical to it at any block width. *)
-let run_shard_blocked ~seed ~first_word ~words ~draws_per_word
-    ~input_probability ~noise c =
+(* One shard of a compiled run: the fused blocked grid kernel
+   ([Compiled.run_noisy_grid_words]) simulates [lanes] noise replicas
+   coupled by common random numbers plus a golden pair that doubles as
+   the ε = 0 lanes' statistics. Stream discipline: every word consumes
+   exactly [draws_per_word] draws whatever the lane set — the two noise
+   segments are 64 draws per noisy gate whether injected or merely
+   accounted for ([lanes = 0]) — so shards jump straight to
+   [first_word], adaptive freezing (which shrinks [lanes] between
+   blocks) never shifts the stream, and every lane replays the
+   interpretive walk at its epsilons bit for bit. *)
+let run_grid_shard ~seed ~first_word ~words ~draws_per_word ~input_probability
+    ~grid ~need0 c =
   let rng = Prng.create ~seed in
   Prng.jump rng ~draws:(first_word * draws_per_word);
   let n = Compiled.node_count c in
-  let golden = Compiled.create_values_blocked c in
-  let na = Compiled.create_values_blocked c in
-  let nb = Compiled.create_values_blocked c in
-  let ones = Array.make n 0 in
-  let toggles = Array.make n 0 in
-  let out_errors = Array.make (Array.length (Compiled.output_ids c)) 0 in
-  let any =
-    Compiled.run_noisy_words c ~noise ~rng ~input_probability ~words ~golden
-      ~na ~nb ~ones ~toggles ~out_errors
-  in
+  let out_n = Array.length (Compiled.output_ids c) in
+  let lanes = Compiled.grid_lanes grid in
+  let golden_a = Compiled.create_values_blocked c in
+  let golden_b = Compiled.create_values_blocked c in
+  let na = Array.init lanes (fun _ -> Compiled.create_values_blocked c) in
+  let nb = Array.init lanes (fun _ -> Compiled.create_values_blocked c) in
+  let dim0 = if need0 then n else 0 in
+  let ones0 = Array.make dim0 0 in
+  let toggles0 = Array.make dim0 0 in
+  let ones = Array.init lanes (fun _ -> Array.make n 0) in
+  let toggles = Array.init lanes (fun _ -> Array.make n 0) in
+  let out_errors = Array.init lanes (fun _ -> Array.make out_n 0) in
+  let any = Array.make lanes 0 in
+  Compiled.run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
+    ~golden_a ~golden_b ~na ~nb ~ones0 ~toggles0 ~ones ~toggles ~out_errors
+    ~any;
   {
-    s_ones = ones;
-    s_toggles = toggles;
-    s_out_errors = out_errors;
-    s_any_errors = any;
+    g_ones0 = ones0;
+    g_toggles0 = toggles0;
+    g_ones = ones;
+    g_toggles = toggles;
+    g_out_errors = out_errors;
+    g_any = any;
   }
 
 (* Shared result assembly: integer counters over [words] 64-vector words
-   to the floating-point result record. Both the per-point engine and
-   the batched grid engine end here, so a grid lane whose counters match
-   a per-point run produces a bit-identical [result]. *)
+   to the floating-point result record. Every engine and entry point
+   ends here, so a grid lane whose counters match a one-lane run
+   produces a bit-identical [result]. *)
 let result_of_counts netlist ~epsilon ~words ~ones ~toggles ~out_errors
     ~any_errors =
   let outputs = Netlist.outputs netlist in
@@ -190,55 +218,79 @@ let result_of_counts netlist ~epsilon ~words ~ones ~toggles ~out_errors
     average_gate_activity;
   }
 
+(* Fixed-budget results of [lanes] simulated lanes: the shards' lane
+   counters summed in shard order, then assembled per lane, labelled
+   [epsilons.(k)]. *)
+let lane_results netlist ~words ~epsilons shards =
+  let lanes = Array.length epsilons in
+  let n = Netlist.node_count netlist in
+  let out_n = List.length (Netlist.outputs netlist) in
+  let ones = Array.init lanes (fun _ -> Array.make n 0) in
+  let toggles = Array.init lanes (fun _ -> Array.make n 0) in
+  let out_errors = Array.init lanes (fun _ -> Array.make out_n 0) in
+  let any = Array.make lanes 0 in
+  Array.iter
+    (fun s ->
+      for k = 0 to lanes - 1 do
+        let so = s.g_ones.(k)
+        and st = s.g_toggles.(k)
+        and go = ones.(k)
+        and gt = toggles.(k) in
+        for id = 0 to n - 1 do
+          go.(id) <- go.(id) + so.(id);
+          gt.(id) <- gt.(id) + st.(id)
+        done;
+        let se = s.g_out_errors.(k) and ge = out_errors.(k) in
+        for i = 0 to out_n - 1 do
+          ge.(i) <- ge.(i) + se.(i)
+        done;
+        any.(k) <- any.(k) + s.g_any.(k)
+      done)
+    shards;
+  Array.init lanes (fun k ->
+      result_of_counts netlist ~epsilon:epsilons.(k) ~words ~ones:ones.(k)
+        ~toggles:toggles.(k) ~out_errors:out_errors.(k) ~any_errors:any.(k))
+
+(* Every entry point checks its budget up front, under its own name,
+   so a bad value never reaches the shard loop. *)
+let check_budget name ~jobs ~vectors ~input_probability =
+  if jobs < 1 then invalid_arg (name ^ ": jobs must be >= 1");
+  if vectors < 1 then invalid_arg (name ^ ": vectors must be >= 1");
+  if not (input_probability >= 0. && input_probability <= 1.) then
+    invalid_arg (name ^ ": input_probability must lie in [0, 1]")
+
+(* A fixed-budget compiled run of [grid] over all [words], sharded by
+   word ranges across [jobs] domains. *)
+let grid_shards ~seed ~words ~jobs ~input_probability ~grid netlist c =
+  let draws_per_word = draws_per_word netlist ~input_probability in
+  Par.map ~jobs
+    (fun (lo, hi) ->
+      run_grid_shard ~seed ~first_word:lo ~words:(hi - lo) ~draws_per_word
+        ~input_probability ~grid ~need0:false c)
+    (Par.ranges ~jobs words)
+
 let run ?(jobs = 1) ?(engine = `Compiled) ?block ~seed ~vectors
     ~input_probability ~epsilons ~mean_epsilon netlist =
-  if jobs < 1 then invalid_arg "Noisy_sim.run: jobs must be >= 1";
-  if vectors < 1 then invalid_arg "Noisy_sim.run: vectors must be >= 1";
+  check_budget "Noisy_sim.run" ~jobs ~vectors ~input_probability;
   let words = Nano_util.Math_ext.ceil_div vectors 64 in
-  let n = Netlist.node_count netlist in
-  let outputs = Netlist.outputs netlist in
-  let draws_per_word = draws_per_word netlist ~epsilons ~input_probability in
   let shards =
     match engine with
     | `Compiled ->
-      (* Lower once on the submitting domain; shards share the compiled
-         program (immutable) and allocate only their own buffers. *)
+      (* A single-point run is a one-lane grid. Lower once on the
+         submitting domain; shards share the compiled program
+         (immutable) and allocate only their own buffers. *)
       let c = Compiled.of_netlist ?block netlist in
-      let noise = Compiled.pack_noise c epsilons in
-      Par.map ~jobs
-        (fun (lo, hi) ->
-          run_shard_blocked ~seed ~first_word:lo ~words:(hi - lo)
-            ~draws_per_word ~input_probability ~noise c)
-        (Par.ranges ~jobs words)
+      let grid = Compiled.pack_grid_heterogeneous c [| epsilons |] in
+      grid_shards ~seed ~words ~jobs ~input_probability ~grid netlist c
     | `Interp ->
-      (* The interpretive walk is the one engine that still consumes
-         boxed channels; build them here, off the hot paths. *)
-      let channels =
-        Array.map (fun e -> Channel.create ~epsilon:e) epsilons
-      in
+      let draws_per_word = draws_per_word netlist ~input_probability in
       Par.map ~jobs
         (fun (lo, hi) ->
           run_shard_interp ~seed ~first_word:lo ~words:(hi - lo)
-            ~draws_per_word ~input_probability ~channels netlist)
+            ~draws_per_word ~input_probability ~epsilons netlist)
         (Par.ranges ~jobs words)
   in
-  let ones = Array.make n 0 in
-  let toggles = Array.make n 0 in
-  let out_errors = Array.make (List.length outputs) 0 in
-  let any_errors = ref 0 in
-  Array.iter
-    (fun s ->
-      for id = 0 to n - 1 do
-        ones.(id) <- ones.(id) + s.s_ones.(id);
-        toggles.(id) <- toggles.(id) + s.s_toggles.(id)
-      done;
-      Array.iteri
-        (fun i e -> out_errors.(i) <- out_errors.(i) + e)
-        s.s_out_errors;
-      any_errors := !any_errors + s.s_any_errors)
-    shards;
-  result_of_counts netlist ~epsilon:mean_epsilon ~words ~ones ~toggles
-    ~out_errors ~any_errors:!any_errors
+  (lane_results netlist ~words ~epsilons:[| mean_epsilon |] shards).(0)
 
 let simulate ?(seed = 0xfa17) ?(vectors = 8192) ?(input_probability = 0.5)
     ?jobs ?engine ?block ~epsilon netlist =
@@ -282,58 +334,6 @@ let output_reliability r = 1. -. r.any_output_error
 
 type mode = Fixed | Adaptive of { half_width : float; z : float }
 
-(* Per-shard counters of a grid run: one golden set (only sized when an
-   ε = 0 lane needs it) plus one set per simulated (ε > 0) lane. *)
-type grid_counts = {
-  g_ones0 : int array;
-  g_toggles0 : int array;
-  g_ones : int array array;
-  g_toggles : int array array;
-  g_out_errors : int array array;
-  g_any : int array;
-}
-
-(* One shard of a batched grid run: the fused blocked grid kernel
-   ([Compiled.run_noisy_grid_words]) simulates [lanes] noise replicas
-   coupled by common random numbers plus a golden pair that doubles as
-   the ε = 0 lanes' statistics. Stream discipline: every word consumes
-   exactly [draws_per_word] draws whatever the lane set — the two noise
-   segments are 64 draws per noisy gate whether injected or merely
-   accounted for ([lanes = 0]) — so shards jump straight to
-   [first_word], and adaptive freezing (which shrinks [lanes] between
-   blocks) never shifts the stream. The per-word draw layout (inputs_a,
-   noise_a, inputs_b, noise_b) matches [run_shard_blocked], so each
-   ε ≠ 1/2 lane replays a per-point run bit-for-bit. *)
-let run_grid_shard ~seed ~first_word ~words ~draws_per_word ~input_probability
-    ~grid ~need0 c =
-  let rng = Prng.create ~seed in
-  Prng.jump rng ~draws:(first_word * draws_per_word);
-  let n = Compiled.node_count c in
-  let out_n = Array.length (Compiled.output_ids c) in
-  let lanes = Compiled.grid_lanes grid in
-  let golden_a = Compiled.create_values_blocked c in
-  let golden_b = Compiled.create_values_blocked c in
-  let na = Array.init lanes (fun _ -> Compiled.create_values_blocked c) in
-  let nb = Array.init lanes (fun _ -> Compiled.create_values_blocked c) in
-  let dim0 = if need0 then n else 0 in
-  let ones0 = Array.make dim0 0 in
-  let toggles0 = Array.make dim0 0 in
-  let ones = Array.init lanes (fun _ -> Array.make n 0) in
-  let toggles = Array.init lanes (fun _ -> Array.make n 0) in
-  let out_errors = Array.init lanes (fun _ -> Array.make out_n 0) in
-  let any = Array.make lanes 0 in
-  Compiled.run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
-    ~golden_a ~golden_b ~na ~nb ~ones0 ~toggles0 ~ones ~toggles ~out_errors
-    ~any;
-  {
-    g_ones0 = ones0;
-    g_toggles0 = toggles0;
-    g_ones = ones;
-    g_toggles = toggles;
-    g_out_errors = out_errors;
-    g_any = any;
-  }
-
 (* Adaptive mode re-checks lane confidence intervals every block of this
    many words (16 words = 1024 vectors): coarse enough that the
    Agresti–Coull interval is sane at the first boundary, fine enough
@@ -355,11 +355,7 @@ let run_grid ?block ~seed ~vectors ~input_probability ~jobs ~mode ~epsilons
   in
   let lanes = Array.length sim_idx in
   let need0 = lanes < k in
-  let dpw =
-    (2 * Netlist.input_count netlist
-    * Prng.draws_per_word ~p:input_probability)
-    + (2 * 64 * Compiled.noisy_count c)
-  in
+  let dpw = draws_per_word netlist ~input_probability in
   (* Global accumulators; shard counters are merged in shard order at
      every block boundary (exact integer adds — jobs-independent). *)
   let ones0 = Array.make (if need0 then n else 0) 0 in
@@ -457,9 +453,7 @@ let run_grid ?block ~seed ~vectors ~input_probability ~jobs ~mode ~epsilons
 
 let profile_grid ?(seed = 0xfa17) ?(vectors = 8192) ?(input_probability = 0.5)
     ?(jobs = 1) ?(mode = Fixed) ?block ~epsilons netlist =
-  if jobs < 1 then invalid_arg "Noisy_sim.profile_grid: jobs must be >= 1";
-  if vectors < 1 then
-    invalid_arg "Noisy_sim.profile_grid: vectors must be >= 1";
+  check_budget "Noisy_sim.profile_grid" ~jobs ~vectors ~input_probability;
   Array.iter
     (fun e ->
       if not (e >= 0. && e <= 0.5) then
@@ -473,15 +467,9 @@ let profile_grid ?(seed = 0xfa17) ?(vectors = 8192) ?(input_probability = 0.5)
     if not (z > 0.) then invalid_arg "Noisy_sim.profile_grid: z must be > 0");
   match Array.length epsilons with
   | 0 -> [||]
-  | 1 when mode = Fixed ->
-    (* Single-point grids take the per-point engine on the calling
-       domain: no pool spin-up, and bit-identity with {!simulate} holds
-       by construction. *)
-    [|
-      simulate ~seed ~vectors ~input_probability ~jobs:1 ?block
-        ~epsilon:epsilons.(0) netlist;
-    |]
   | 1 ->
+    (* A single-point grid runs on the calling domain: no pool
+       spin-up. *)
     run_grid ?block ~seed ~vectors ~input_probability ~jobs:1 ~mode ~epsilons
       netlist
   | _ ->
@@ -500,64 +488,21 @@ let profile_grid ?(seed = 0xfa17) ?(vectors = 8192) ?(input_probability = 0.5)
    consumption, seed-jump sharding and all. Every lane is simulated
    (no ε = 0 short-circuit: a lane that is zero at SOME gates still
    needs its pass), and each lane reproduces
-   {!simulate_heterogeneous} at its assignment bit-for-bit whenever no
-   gate sits exactly at ε = 1/2 (the grid kernel always consumes 64
-   shared draws per noisy gate; the per-point pack consumes 1 there). *)
+   {!simulate_heterogeneous} at its assignment bit-for-bit. *)
 let profile_grid_heterogeneous ?(seed = 0xfa17) ?(vectors = 8192)
     ?(input_probability = 0.5) ?(jobs = 1) ?block ~epsilon_of_lanes netlist =
-  if jobs < 1 then
-    invalid_arg "Noisy_sim.profile_grid_heterogeneous: jobs must be >= 1";
-  if vectors < 1 then
-    invalid_arg "Noisy_sim.profile_grid_heterogeneous: vectors must be >= 1";
-  let lanes = Array.length epsilon_of_lanes in
-  if lanes = 0 then [||]
+  check_budget "Noisy_sim.profile_grid_heterogeneous" ~jobs ~vectors
+    ~input_probability;
+  if Array.length epsilon_of_lanes = 0 then [||]
   else begin
     let per_lane =
       Array.map
         (fun epsilon_of -> heterogeneous_epsilons netlist ~epsilon_of)
         epsilon_of_lanes
     in
-    let words_total = Nano_util.Math_ext.ceil_div vectors 64 in
+    let words = Nano_util.Math_ext.ceil_div vectors 64 in
     let c = Compiled.of_netlist ?block netlist in
-    let n = Compiled.node_count c in
-    let out_n = List.length (Netlist.outputs netlist) in
     let grid = Compiled.pack_grid_heterogeneous c (Array.map fst per_lane) in
-    let dpw =
-      (2 * Netlist.input_count netlist
-      * Prng.draws_per_word ~p:input_probability)
-      + (2 * 64 * Compiled.noisy_count c)
-    in
-    let ones = Array.init lanes (fun _ -> Array.make n 0) in
-    let toggles = Array.init lanes (fun _ -> Array.make n 0) in
-    let out_errors = Array.init lanes (fun _ -> Array.make out_n 0) in
-    let any = Array.make lanes 0 in
-    let shards =
-      Par.map ~jobs
-        (fun (lo, hi) ->
-          run_grid_shard ~seed ~first_word:lo ~words:(hi - lo)
-            ~draws_per_word:dpw ~input_probability ~grid ~need0:false c)
-        (Par.ranges ~jobs words_total)
-    in
-    Array.iter
-      (fun s ->
-        for k = 0 to lanes - 1 do
-          let so = s.g_ones.(k)
-          and st = s.g_toggles.(k)
-          and go = ones.(k)
-          and gt = toggles.(k) in
-          for id = 0 to n - 1 do
-            go.(id) <- go.(id) + so.(id);
-            gt.(id) <- gt.(id) + st.(id)
-          done;
-          let se = s.g_out_errors.(k) and ge = out_errors.(k) in
-          for i = 0 to out_n - 1 do
-            ge.(i) <- ge.(i) + se.(i)
-          done;
-          any.(k) <- any.(k) + s.g_any.(k)
-        done)
-      shards;
-    Array.init lanes (fun k ->
-        result_of_counts netlist ~epsilon:(snd per_lane.(k)) ~words:words_total
-          ~ones:ones.(k) ~toggles:toggles.(k) ~out_errors:out_errors.(k)
-          ~any_errors:any.(k))
+    lane_results netlist ~words ~epsilons:(Array.map snd per_lane)
+      (grid_shards ~seed ~words ~jobs ~input_probability ~grid netlist c)
   end

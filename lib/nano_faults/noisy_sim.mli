@@ -12,12 +12,14 @@ type engine = [ `Compiled | `Interp ]
     {!Nano_netlist.Compiled} and runs the BLOCKED wide-word kernel:
     blocks of [block_width] words per gate visit with evaluation, noise
     injection and counter accumulation fused into one level-ordered
-    sweep ({!Nano_netlist.Compiled.run_noisy_words}). [`Interp] is the
-    historical walk over [Netlist.iter] / [Gate.eval_word], one word at
-    a time. Both consume the PRNG stream in exactly the same per-word
-    order and produce bit-identical results; [`Interp] shares nothing
-    else with the compiled kernel and survives as its independent
-    reference for differential tests and the benchmark series. *)
+    sweep ({!Nano_netlist.Compiled.run_noisy_grid_words}, a single-point
+    run being a one-lane grid). [`Interp] is the historical walk over
+    [Netlist.iter] / [Gate.eval_word], one word at a time. Both consume
+    the PRNG stream in exactly the same per-word order — 64 uniforms per
+    logic gate per noisy evaluation at every ε, 1/2 included — and
+    produce bit-identical results; [`Interp] shares nothing else with
+    the compiled kernel and survives as its independent reference for
+    differential tests. *)
 
 type result = {
   epsilon : float;
@@ -47,7 +49,9 @@ val simulate :
   Nano_netlist.Netlist.t ->
   result
 (** [vectors] (default 8192) is rounded up to a multiple of 64; it must
-    be at least 1, as [jobs] must, or [Invalid_argument] is raised.
+    be at least 1, as [jobs] must, and [input_probability] (default
+    1/2, the density of every primary input) must lie in [[0, 1]], or
+    [Invalid_argument] is raised before any simulation.
 
     [jobs] (default 1) shards the vector words across that many domains
     via {!Nano_util.Par}. Sharding is seed-stable: each shard jumps the
@@ -80,8 +84,8 @@ val simulate_heterogeneous :
 type mode =
   | Fixed
       (** Simulate every lane for the full vector budget. The default:
-          bit-reproducible, jobs-independent, and (per lane, at any
-          ε ≠ 1/2) bit-identical to {!simulate}. *)
+          bit-reproducible, jobs-independent, and (per lane) bit-identical
+          to {!simulate}. *)
   | Adaptive of { half_width : float; z : float }
       (** Confidence-interval early stopping: after every block of 1024
           vectors, freeze each lane whose Agresti–Coull interval around
@@ -110,20 +114,21 @@ val profile_grid :
     gate draws ONE shared 64-uniform noise word thinned against the
     packed per-lane thresholds ({!Nano_netlist.Compiled.run_noisy_grid_words}).
     Lanes are therefore coupled by common random numbers — grid
-    differences have collapsed variance — and each ε ≠ 1/2 lane is
-    bit-identical to the per-point {!simulate} at the same seed.
-    Defaults match {!simulate} ([seed = 0xfa17], [vectors = 8192],
-    [input_probability = 0.5], [jobs = 1], [mode = Fixed]).
+    differences have collapsed variance — and each lane is
+    bit-identical to {!simulate} at the same seed, whatever the other
+    lanes are. Defaults match {!simulate} ([seed = 0xfa17],
+    [vectors = 8192], [input_probability = 0.5], [jobs = 1],
+    [mode = Fixed]).
 
     Returned array is parallel to [epsilons]. Edge cases short-circuit:
     an empty grid returns [[||]] without touching the pool; a
-    single-point grid runs the per-point engine on the calling domain;
-    ε = 0 lanes are never simulated — their output-error figures are
-    exactly zero and their node statistics come from the golden pair the
-    pass computes anyway. [jobs] shards vector words (not grid points)
-    across domains with the seed-jump discipline of {!simulate}:
-    results are bit-identical for every job count. [vectors] and [jobs]
-    must be at least 1, or [Invalid_argument] is raised. *)
+    single-point grid runs on the calling domain; ε = 0 lanes are never
+    simulated — their output-error figures are exactly zero and their
+    node statistics come from the golden pair the pass computes anyway.
+    [jobs] shards vector words (not grid points) across domains with the
+    seed-jump discipline of {!simulate}: results are bit-identical for
+    every job count. [vectors], [jobs] and [input_probability] are
+    checked as in {!simulate}. *)
 
 val profile_grid_heterogeneous :
   ?seed:int ->
@@ -142,12 +147,11 @@ val profile_grid_heterogeneous :
     noisy gate draws one shared 64-uniform word thinned against its own
     per-lane thresholds ({!Nano_netlist.Compiled.pack_grid_heterogeneous}) —
     so differences between assignments have collapsed variance. Each
-    lane is bit-identical to {!simulate_heterogeneous} at the same seed
-    whenever none of its gates sits exactly at ε = 1/2. Every lane runs
-    the full vector budget; the returned array is parallel to
-    [epsilon_of_lanes] (empty input returns [[||]]). Defaults, the
-    [vectors]/[jobs] preconditions and the [jobs] seed-jump discipline
-    match {!simulate}. *)
+    lane is bit-identical to {!simulate_heterogeneous} at the same
+    seed. Every lane runs the full vector budget; the returned array is
+    parallel to [epsilon_of_lanes] (empty input returns [[||]]).
+    Defaults, the [vectors]/[jobs]/[input_probability] preconditions and
+    the [jobs] seed-jump discipline match {!simulate}. *)
 
 val output_reliability : result -> float
 (** [1 - any_output_error]: the empirical probability that the whole

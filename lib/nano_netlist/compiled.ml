@@ -785,60 +785,11 @@ let add_toggle_counts_blocked c ~width ~a ~b ~into =
 (* Fused noisy sweeps.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-point noise pack: the per-node epsilons lowered onto schedule
-   positions as integer thresholds plus the gate's canonical draw offset
-   within a word's noise segment (prefix sums of draw consumption in
-   ascending NODE-ID order — the stream layout both engines share).
-   Positioned draws are what let the level-ordered sweep replay the
-   id-ordered stream exactly: the primitive synthesizes the generator
-   state at [gate offset + word * draws_per_word] without mutating the
-   generator, and one jump per block settles the accounting. *)
-type noise_pack = {
-  np_thr : Bytes.t;  (** position-indexed {!Prng.threshold_bits} words *)
-  np_kind : Bytes.t;
-      (** position-indexed: ['\000'] quiet, ['\001'] 64-draw threshold
-          gate, ['\002'] one-draw [epsilon = 1/2] gate *)
-  np_off : int array;  (** position-indexed draw offset in the noise segment *)
-  np_draws : int;  (** total noise draws per simulated word *)
-  np_nodes : int;  (** node count of the program this pack was built for *)
-}
-
-let pack_noise c eps =
-  if Array.length eps <> c.node_count then
-    invalid_arg "Compiled.pack_noise: wrong epsilons length";
-  let n = c.node_count in
-  let thr = Bytes.make (max 8 (n lsl 3)) '\000' in
-  let kind = Bytes.make (max 1 n) '\000' in
-  let off = Array.make (max 1 n) 0 in
-  let acc = ref 0 in
-  for id = 0 to n - 1 do
-    let e = eps.(id) in
-    if not (e >= 0. && e <= 0.5) then
-      invalid_arg
-        (Printf.sprintf
-           "Compiled.pack_noise: node %d: epsilon must lie in [0, 1/2]" id);
-    let p = c.slot_of.(id) in
-    if Bytes.get c.sched_noisy p <> '\000' then begin
-      off.(p) <- !acc;
-      if e = 0.5 then begin
-        (* One raw draw, matching [Prng.draws_per_word ~p:0.5]. *)
-        Bytes.set kind p '\002';
-        incr acc
-      end
-      else begin
-        Bytes.set kind p '\001';
-        set64 thr (p lsl 3) (Nano_util.Prng.threshold_bits ~p:e);
-        acc := !acc + 64
-      end
-    end
-  done;
-  { np_thr = thr; np_kind = kind; np_off = off; np_draws = !acc; np_nodes = n }
-
 (* Grid pack: one row of [lanes + 1] integer thresholds per noisy
    schedule position — word 0 the row maximum (the lanes primitive's
-   early-out), words 1..lanes the per-lane values. Unlike the per-point
-   pack every noisy gate consumes exactly 64 shared draws whatever the
-   lane set, so adaptive freezing never shifts the stream. *)
+   early-out), words 1..lanes the per-lane values. Every noisy gate
+   consumes exactly 64 shared draws whatever its thresholds and whatever
+   the lane set, so adaptive freezing never shifts the stream. *)
 type grid_pack = {
   gp_thr : Bytes.t;
   gp_lanes : int;
@@ -922,130 +873,25 @@ let pack_grid_heterogeneous c eps =
   done;
   { gp_thr = thr; gp_lanes = lanes; gp_nodes = n }
 
-(* The fused per-point sweep: one pass over the levelized program per
-   block of [block] words computes the golden evaluation, both noisy
-   replicas (noise injected from positioned draws as each gate settles),
-   and the ones/toggle counters, segment by segment, so each cache
-   segment's three value rows are touched while still resident. The
-   per-word stream layout — inputs_a, noise_a in ascending node-id
-   order, inputs_b, noise_b — is exactly the order a sequential
+(* The fused grid sweep, the one noisy Monte-Carlo kernel: one pass
+   over the levelized program per block of [block] words computes the
+   golden pair, every lane's two noisy replicas (noise injected from
+   positioned draws as each gate settles) and the counters, segment by
+   segment, so each cache segment's value rows are touched while still
+   resident. Lane replicas advance gate by gate within each segment —
+   every lane's clean value must exist before the ONE shared 64-uniform
+   draw per noisy gate is thinned against all lane thresholds (the
+   common-random-numbers coupling). The per-word stream layout —
+   inputs_a, noise_a (64 draws per noisy gate in ascending node-id
+   order), inputs_b, noise_b — is exactly the order a sequential
    word-by-word walk draws in (Noisy_sim's interpretive engine); word
    [j] of a block owns draw interval [j*dpw, (j+1)*dpw), every
    primitive addresses its segment positionally without mutating the
    generator, and one jump per block advances it, so results are
-   bit-identical to that walk at ANY block width and any sharding. *)
-let run_noisy_words c ~noise ~rng ~input_probability ~words ~golden ~na ~nb
-    ~ones ~toggles ~out_errors =
-  check_values_blocked c golden "Compiled.run_noisy_words";
-  check_values_blocked c na "Compiled.run_noisy_words";
-  check_values_blocked c nb "Compiled.run_noisy_words";
-  if noise.np_nodes <> c.node_count then
-    invalid_arg
-      "Compiled.run_noisy_words: noise pack does not match program (use \
-       Compiled.pack_noise)";
-  if words < 0 then invalid_arg "Compiled.run_noisy_words: words must be >= 0";
-  if Array.length ones <> c.node_count then
-    invalid_arg "Compiled.run_noisy_words: wrong ones counter length";
-  if Array.length toggles <> c.node_count then
-    invalid_arg "Compiled.run_noisy_words: wrong toggles counter length";
-  let n_out = Array.length c.output_ids in
-  if Array.length out_errors <> n_out then
-    invalid_arg "Compiled.run_noisy_words: wrong output counter length";
-  let block = c.block in
-  let ops = c.sched_ops and offs = c.sched_offs and fan = c.sched_fan in
-  let kind = noise.np_kind and thr = noise.np_thr and noff = noise.np_off in
-  let segs = c.seg_starts in
-  let nseg = Array.length segs - 1 in
-  let out = c.output_ids and slot = c.slot_of and sid = c.sched_id in
-  let ipw = Nano_util.Prng.draws_per_word ~p:input_probability in
-  let in_draws = Array.length c.input_ids * ipw in
-  let half = in_draws + noise.np_draws in
-  let dpw = 2 * half in
-  let any_count = ref 0 in
-  let done_words = ref 0 in
-  while !done_words < words do
-    let bw = min block (words - !done_words) in
-    draw_input_words_blocked c rng ~offset:0 ~stride:dpw ~width:bw
-      ~input_probability ~values:golden;
-    copy_input_words_blocked c ~src:golden ~dst:na;
-    draw_input_words_blocked c rng ~offset:half ~stride:dpw ~width:bw
-      ~input_probability ~values:nb;
-    for s = 0 to nseg - 1 do
-      let lo = Array.unsafe_get segs s
-      and hi = Array.unsafe_get segs (s + 1) in
-      for p = lo to hi - 1 do
-        eval_pos_blocked ops offs fan ~block ~width:bw ~src:golden ~dst:golden
-          p
-      done;
-      for p = lo to hi - 1 do
-        eval_pos_blocked ops offs fan ~block ~width:bw ~src:na ~dst:na p;
-        let k = Bytes.unsafe_get kind p in
-        if k <> '\000' then begin
-          let off = in_draws + Array.unsafe_get noff p in
-          if k = '\001' then
-            Nano_util.Prng.xor_noise_blocked rng ~offset:off ~stride:dpw
-              ~width:bw ~thr ~thr_pos:(p lsl 3) na ~pos:((p * block) lsl 3)
-          else
-            Nano_util.Prng.xor_bits64_blocked rng ~offset:off ~stride:dpw
-              ~width:bw na ~pos:((p * block) lsl 3)
-        end
-      done;
-      for p = lo to hi - 1 do
-        eval_pos_blocked ops offs fan ~block ~width:bw ~src:nb ~dst:nb p;
-        let k = Bytes.unsafe_get kind p in
-        if k <> '\000' then begin
-          let off = half + in_draws + Array.unsafe_get noff p in
-          if k = '\001' then
-            Nano_util.Prng.xor_noise_blocked rng ~offset:off ~stride:dpw
-              ~width:bw ~thr ~thr_pos:(p lsl 3) nb ~pos:((p * block) lsl 3)
-          else
-            Nano_util.Prng.xor_bits64_blocked rng ~offset:off ~stride:dpw
-              ~width:bw nb ~pos:((p * block) lsl 3)
-        end
-      done;
-      for p = lo to hi - 1 do
-        let base = (p * block) lsl 3 in
-        let s1 = ref 0 and s2 = ref 0 in
-        for j = 0 to bw - 1 do
-          let q = base + (j lsl 3) in
-          let a = get64u na q in
-          s1 := !s1 + popcount64 a;
-          s2 := !s2 + popcount64 (Int64.logxor a (get64u nb q))
-        done;
-        let id = Array.unsafe_get sid p in
-        Array.unsafe_set ones id (Array.unsafe_get ones id + !s1);
-        Array.unsafe_set toggles id (Array.unsafe_get toggles id + !s2)
-      done
-    done;
-    for j = 0 to bw - 1 do
-      let q = j lsl 3 in
-      let any = ref 0L in
-      for i = 0 to n_out - 1 do
-        let b =
-          ((Array.unsafe_get slot (Array.unsafe_get out i) * block) lsl 3) + q
-        in
-        let wrong = Int64.logxor (get64u golden b) (get64u na b) in
-        Array.unsafe_set out_errors i
-          (Array.unsafe_get out_errors i + popcount64 wrong);
-        any := Int64.logor !any wrong
-      done;
-      any_count := !any_count + popcount64 !any
-    done;
-    Nano_util.Prng.jump rng ~draws:(bw * dpw);
-    done_words := !done_words + bw
-  done;
-  !any_count
-
-(* The fused grid sweep: one pass for a whole multi-epsilon grid. Lane
-   replicas advance gate by gate within each segment — every lane's
-   clean value must exist before the ONE shared 64-uniform draw per
-   noisy gate is thinned against all lane thresholds (the
-   common-random-numbers coupling) — while the golden pair, the
-   counters and the noise offsets follow the same positioned-draw
-   discipline as {!run_noisy_words}. With [grid = empty_grid_pack] only
-   the golden statistics are computed, yet the jump accounting still
-   covers the noise segments, so frozen-lane continuation runs stay
-   stream-aligned. *)
+   bit-identical to that walk at ANY block width and any sharding. With
+   [grid = empty_grid_pack] only the golden statistics are computed,
+   yet the jump accounting still covers the noise segments, so
+   frozen-lane continuation runs stay stream-aligned. *)
 let run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
     ~golden_a ~golden_b ~na ~nb ~ones0 ~toggles0 ~ones ~toggles ~out_errors
     ~any =

@@ -3,9 +3,9 @@
 
     {!of_netlist} lowers a {!Netlist.t} once into a level-ordered opcode
     array, a CSR fanin encoding and packed source/output/noise tables;
-    the [exec_*_blocked] and [run_noisy_*] entry points then evaluate
-    blocks of 64-vector words with no per-gate allocation and no
-    dispatch through closures. Results are bit-identical to the
+    the [exec_*_blocked] entry points and {!run_noisy_grid_words} then
+    evaluate blocks of 64-vector words with no per-gate allocation and
+    no dispatch through closures. Results are bit-identical to the
     interpretive walk over [Netlist.iter] / [Gate.eval_word] — the
     compiled form only changes how the same arithmetic is reached.
 
@@ -79,7 +79,7 @@ val output_names : t -> string array
     mutate. *)
 
 val noisy_count : t -> int
-(** Number of nodes at which {!run_noisy_words} injects noise (the
+(** Number of nodes at which {!run_noisy_grid_words} injects noise (the
     logic gates — sources and buffers are error-free, matching
     [Noisy_sim]). *)
 
@@ -106,7 +106,7 @@ val opcode : t -> int -> string
     Bit-identity: the blocked engine consumes the canonical PRNG stream
     POSITIONALLY — each gate's draws sit at fixed offsets derived from
     the ascending-node-id layout (inputs_a, noise_a, inputs_b, noise_b
-    per word), primitives synthesize generator states in O(1) without
+    per word, 64 noise draws per logic gate), primitives synthesize generator states in O(1) without
     mutating the generator, and one jump per block advances it — so
     counters are bit-identical to a sequential word-by-word walk of
     that stream (the interpretive [Noisy_sim] engine) at ANY block
@@ -176,47 +176,7 @@ val add_toggle_counts_blocked :
 (** Add [popcount (a lxor b)] of each node's first [width] words to
     [into.(id)]. *)
 
-(** {2 Fused noisy sweeps} *)
-
-type noise_pack
-(** Per-node epsilons lowered for the fused per-point sweep: integer
-    thresholds ({!Nano_util.Prng.threshold_bits}) plus each noisy gate's
-    canonical draw offset, both indexed by schedule position. *)
-
-val pack_noise : t -> float array -> noise_pack
-(** [pack_noise c eps] with one epsilon per node id (entries for
-    non-noisy nodes ignored), each in [[0, 1/2]]. Pack once per run;
-    immutable by convention, shareable across domains. Raises
-    [Invalid_argument] naming the offending node otherwise. *)
-
-val run_noisy_words :
-  t ->
-  noise:noise_pack ->
-  rng:Nano_util.Prng.t ->
-  input_probability:float ->
-  words:int ->
-  golden:Bytes.t ->
-  na:Bytes.t ->
-  nb:Bytes.t ->
-  ones:int array ->
-  toggles:int array ->
-  out_errors:int array ->
-  int
-(** The fused per-point Monte-Carlo kernel: simulates [words] 64-vector
-    words in blocks of [block_width], computing per block the golden
-    evaluation, two noisy replicas (noise_a on the golden stimulus,
-    noise_b on fresh stimulus) and ALL counters — ones into
-    [ones.(id)], toggles into [toggles.(id)], per-output errors into
-    [out_errors.(i)] — in one level-ordered sweep per buffer, segment by
-    segment. Returns the any-output-error lane count (the caller adds it
-    to its accumulator). [golden]/[na]/[nb] are caller-owned blocked
-    buffers ({!create_values_blocked}), reused across blocks so the loop
-    allocates nothing. Counters are bit-identical to the sequential
-    per-word walk draw-inputs / eval / noisy-eval / draw-inputs /
-    noisy-eval / count over the same stream, for any block width.
-    Advances [rng] by exactly [words * (2 * (inputs*ipw + noise))] draws,
-    where [noise] is the pack's draws per word: 64 per noisy gate, or 1
-    where [epsilon = 1/2]. *)
+(** {2 Fused noisy sweep} *)
 
 type grid_pack
 (** A lane grid lowered for the fused multi-epsilon sweep: one row of
@@ -237,12 +197,9 @@ val pack_grid_heterogeneous : t -> float array array -> grid_pack
     per-gate variation only changes what the pack writes there: each
     noisy gate's row holds its own [lanes] thresholds and its own row
     maximum, keeping the early-out as tight as that gate allows. Lane
-    [k] of a run is bit-identical to a per-point
-    heterogeneous run at epsilons [eps.(k)] whenever no entry is
-    exactly [1/2] (the grid kernel always consumes 64 shared draws per
-    noisy gate, whereas the per-point pack consumes 1 at [1/2]).
-    Raises [Invalid_argument] naming the offending lane and node
-    otherwise. *)
+    [k] of a run is bit-identical to a one-lane run at [eps.(k)],
+    whatever the other lanes are. Raises [Invalid_argument] naming the
+    offending lane and node otherwise. *)
 
 val grid_lanes : grid_pack -> int
 
@@ -270,17 +227,22 @@ val run_noisy_grid_words :
   out_errors:int array array ->
   any:int array ->
   unit
-(** The fused grid kernel: simulates [words] words with
-    [grid_lanes grid] coupled noise replicas — ONE shared 64-uniform
-    draw per noisy gate thinned against all lane thresholds
+(** The fused Monte-Carlo kernel, the one every compiled noisy
+    simulation runs through (a single-point run is a one-lane grid):
+    simulates [words] words with [grid_lanes grid] coupled noise
+    replicas — ONE shared 64-uniform draw per noisy gate thinned
+    against all lane thresholds
     ({!Nano_util.Prng.xor_noise_lanes_blocked}), the common-random-numbers
     coupling — plus the golden pair, whose statistics go to
     [ones0]/[toggles0] when [need0] (pass empty arrays otherwise).
-    Per-lane counters land in
-    [ones.(k)]/[toggles.(k)]/[out_errors.(k)]/[any.(k)]. All buffers
-    are caller-owned blocked buffers; [na]/[nb] must carry one buffer
-    per lane, and the loop allocates nothing. Draw consumption per word
-    (64 per noisy gate per noise segment) is independent of the lane
-    set, so dropping lanes between calls never shifts the stream, and
-    every lane is bit-identical to a per-point {!run_noisy_words} run
-    at that lane's epsilon when [epsilon <> 1/2]. *)
+    Lane [k]'s first replica runs on the golden stimulus and its second
+    on fresh stimulus; its counters land in [ones.(k)] and
+    [toggles.(k)] (per node), [out_errors.(k)] (per output) and
+    [any.(k)] (vectors with any output wrong). All buffers are
+    caller-owned blocked buffers; [na]/[nb] must carry one buffer per
+    lane, and the loop allocates nothing. Each word consumes
+    [2 * (inputs * Prng.draws_per_word ~p:input_probability + 64 *
+    noisy_count)] draws — 64 per noisy gate per noise segment, whatever
+    the epsilons and the lane set — so dropping lanes between calls
+    never shifts the stream, and every lane is bit-identical to a
+    one-lane run at that lane's epsilon. *)

@@ -256,12 +256,12 @@ let delta_figure_circuits = [ "c17"; "rca8"; "parity16" ]
 
 let sweep_series ~jobs figure =
   match figure with
-  | "fig2" -> Figures.fig2_activity_map ~jobs ()
-  | "fig3" -> Figures.fig3_redundancy ~jobs ()
-  | "fig4" -> Figures.fig4_leakage ~jobs ()
-  | "fig5" -> Figures.fig5_delay_and_edp ~jobs ()
-  | "fig6" -> Figures.fig6_average_power ~jobs ()
-  | "omega" -> Figures.ablation_omega_models ~jobs ()
+  | "fig2" -> Some (Figures.fig2_activity_map ~jobs ())
+  | "fig3" -> Some (Figures.fig3_redundancy ~jobs ())
+  | "fig4" -> Some (Figures.fig4_leakage ~jobs ())
+  | "fig5" -> Some (Figures.fig5_delay_and_edp ~jobs ())
+  | "fig6" -> Some (Figures.fig6_average_power ~jobs ())
+  | "omega" -> Some (Figures.ablation_omega_models ~jobs ())
   | "delta" ->
     let circuits =
       List.filter_map
@@ -271,11 +271,8 @@ let sweep_series ~jobs figure =
             (Nano_circuits.Suite.find name))
         delta_figure_circuits
     in
-    Figures.measured_delta ~jobs circuits
-  | other ->
-    raise
-      (Reply_error
-         ("unknown_figure", other ^ ": expected fig2..fig6, omega or delta"))
+    Some (Figures.measured_delta ~jobs circuits)
+  | _ -> None
 
 (* A request prepared for execution: its content-addressed key (when
    cacheable) is known before any expensive work runs, which is what
@@ -544,7 +541,15 @@ let prepare t ~deadline (env : Protocol.envelope) =
       run =
         (fun () ->
           check_deadline deadline;
-          let series = sweep_series ~jobs:t.config.jobs figure in
+          let series =
+            match sweep_series ~jobs:t.config.jobs figure with
+            | Some series -> series
+            | None ->
+              raise
+                (Reply_error
+                   ( "unknown_figure",
+                     figure ^ ": expected fig2..fig6, omega or delta" ))
+          in
           Protocol.series_to_json
             (List.map
                (fun s -> (s.Figures.label, s.Figures.points))

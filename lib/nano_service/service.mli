@@ -84,6 +84,13 @@ val close : t -> unit
 (** Close the journal handle, if any. Appends are flushed per record,
     so this is hygiene rather than durability. *)
 
+val sweep_series :
+  jobs:int -> string -> Nano_bounds.Figures.series list option
+(** The data series a [sweep] request answers with: [fig2] .. [fig6],
+    [omega] (the ω-model ablation) or [delta] (measured δ̂ on c17, rca8
+    and parity16, one batched Monte-Carlo pass per circuit); [None] for
+    any other name. [nanobound sweep] prints the same series. *)
+
 val handle_line : t -> string -> string
 (** Evaluate one raw request line into one reply line (no trailing
     newline). Never raises. *)

@@ -167,15 +167,6 @@ let xor_noise_blocked_ref t ~offset ~stride ~width ~thr ~thr_pos dst ~pos =
     base := Int64.add !base gstride
   done
 
-let xor_bits64_blocked t ~offset ~stride ~width dst ~pos =
-  let gstride = Int64.mul (Int64.of_int stride) golden_gamma in
-  let base = ref (state_at t offset) in
-  for j = 0 to width - 1 do
-    let p = pos + (j lsl 3) in
-    set64 dst p (Int64.logxor (get64 dst p) (mix (Int64.add !base golden_gamma)));
-    base := Int64.add !base gstride
-  done
-
 let xor_noise_lanes_blocked_ref t ~offset ~stride ~width ~thr ~thr_pos ~lanes
     (dst : Bytes.t array) ~pos =
   if lanes < 1 then
@@ -271,8 +262,16 @@ let xor_noise_lanes_blocked t ~offset ~stride ~width ~thr ~thr_pos ~lanes
     invalid_arg
       "Nano_util.Prng.xor_noise_lanes_blocked: fewer destination buffers than \
        lanes";
-  xor_noise_lanes_blocked_stub t.buf offset stride width thr thr_pos lanes dst
-    pos
+  (* One lane flips exactly the bits the single-threshold mask stub
+     flips at lane 0's threshold, and that stub skips the candidate pass
+     and the per-bit lane loop: one-lane simulations of rca8 and mult16
+     ran 1.2-3.4x faster through it on a 2-vCPU x86-64 AVX-512 host. *)
+  if lanes = 1 then
+    xor_noise_blocked_stub t.buf offset stride width thr (thr_pos + 8) dst.(0)
+      pos
+  else
+    xor_noise_lanes_blocked_stub t.buf offset stride width thr thr_pos lanes
+      dst pos
 
 let store_words_with_density_at_ref t ~offset ~stride ~width ~p dst ~pos
     ~pos_stride =

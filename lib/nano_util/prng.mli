@@ -95,12 +95,6 @@ val xor_noise_blocked :
     builds prevent cross-library inlining, and a boxed argument would
     allocate at every call. Branch-free; does not mutate [t]. *)
 
-val xor_bits64_blocked :
-  t -> offset:int -> stride:int -> width:int -> Bytes.t -> pos:int -> unit
-(** The [p = 0.5] counterpart of {!xor_noise_blocked}: word [j] is the
-    single raw draw at stream position [offset + j*stride] (one draw per
-    word, matching [draws_per_word ~p:0.5 = 1]). *)
-
 val xor_noise_lanes_blocked :
   t ->
   offset:int ->
@@ -124,8 +118,10 @@ val xor_noise_lanes_blocked :
     nested in the threshold, and each lane flips exactly the bits
     {!xor_noise_blocked} would at that lane's threshold. Consumes 64
     draws per word whatever [lanes] is, so callers can change the lane
-    set without shifting the stream. Requires [lanes >= 1] and at least
-    [lanes] buffers in [dst]. Does not mutate [t]. *)
+    set without shifting the stream. One lane runs the
+    {!xor_noise_blocked} stub at lane 0's threshold. Requires
+    [lanes >= 1] and at least [lanes] buffers in [dst]. Does not mutate
+    [t]. *)
 
 val xor_noise_blocked_ref :
   t ->

@@ -70,8 +70,7 @@ let test_leakage_share_matters () =
 
 (* A 3x3 measured (eps x delta) grid on mapped c17, encoded through the
    service protocol: the batched engine and three single-lane runs
-   (which delegate to the per-point simulator) must give the same
-   bytes. *)
+   must give the same bytes. *)
 let test_measured_grid_json_identical () =
   let circuit = Helpers.mapped_suite ~max_fanin:3 "c17" in
   let epsilons = [ 0.001; 0.01; 0.05 ] in

@@ -175,10 +175,10 @@ let mapped_rca8 () =
 
 (* The compiled engine must reproduce the interpretive engine (which
    shares nothing with it but the PRNG stream) bit-for-bit, for every
-   job count — and the homogeneous fast path (epsilon = 0.5) and the
-   noiseless edge (epsilon = 0) as well. The last three points are the
-   long runs: 2^16 vectors at epsilon 0.01 on c17, mapped rca8 and
-   parity16. *)
+   job count — and the coin-flip edge (epsilon = 0.5, still 64 draws
+   per gate) and the noiseless edge (epsilon = 0) as well. The last
+   three points are the long runs: 2^16 vectors at epsilon 0.01 on c17,
+   mapped rca8 and parity16. *)
 let test_engines_agree () =
   let rand =
     Random_circuit.generate
@@ -393,13 +393,7 @@ let test_pack_validation_messages () =
   check "pack_grid names the lane and value"
     "Compiled.pack_grid: lane 1 (every gate): epsilon 0.9 must lie in [0, 1/2]"
     (fun () -> Compiled.pack_grid c [| 0.1; 0.9 |]);
-  let eps = Array.make (Compiled.node_count c) 0.01 in
   let bad = (Compiled.output_ids c).(0) in
-  eps.(bad) <- 0.6;
-  check "pack_noise names the node"
-    (Printf.sprintf
-       "Compiled.pack_noise: node %d: epsilon must lie in [0, 1/2]" bad)
-    (fun () -> Compiled.pack_noise c eps);
   check "pack_grid_heterogeneous rejects an empty lane set"
     "Compiled.pack_grid_heterogeneous: need at least one lane" (fun () ->
       Compiled.pack_grid_heterogeneous c [||]);
@@ -427,7 +421,9 @@ let test_pack_validation_messages () =
 
 (* The ROADMAP invariant carried over to the blocked kernel: once the
    pack and the blocked buffers exist, the fused noisy sweep allocates
-   nothing on the minor heap. *)
+   nothing on the minor heap. One lane is the shape every single-point
+   simulation runs, through the one-lane dispatch of
+   [Prng.xor_noise_lanes_blocked]. *)
 let test_blocked_zero_allocation () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> ()
@@ -435,22 +431,21 @@ let test_blocked_zero_allocation () =
     let n = Nano_circuits.Adders.ripple_carry ~width:8 in
     let c = Compiled.of_netlist n in
     let rng = Prng.create ~seed:9 in
-    let noise =
-      Compiled.pack_noise c (Array.make (Compiled.node_count c) 0.02)
-    in
-    let golden = Compiled.create_values_blocked c in
-    let na = Compiled.create_values_blocked c in
-    let nb = Compiled.create_values_blocked c in
+    let grid = Compiled.pack_grid c [| 0.02 |] in
+    let golden_a = Compiled.create_values_blocked c in
+    let golden_b = Compiled.create_values_blocked c in
+    let na = [| Compiled.create_values_blocked c |] in
+    let nb = [| Compiled.create_values_blocked c |] in
     let count = Compiled.node_count c in
-    let ones = Array.make count 0 in
-    let toggles = Array.make count 0 in
-    let out_errors = Array.make (Array.length (Compiled.output_ids c)) 0 in
-    let any = ref 0 in
+    let ones = [| Array.make count 0 |] in
+    let toggles = [| Array.make count 0 |] in
+    let out_n = Array.length (Compiled.output_ids c) in
+    let out_errors = [| Array.make out_n 0 |] in
+    let any = [| 0 |] in
     let loop words =
-      any :=
-        !any
-        + Compiled.run_noisy_words c ~noise ~rng ~input_probability:0.3 ~words
-            ~golden ~na ~nb ~ones ~toggles ~out_errors
+      Compiled.run_noisy_grid_words c ~grid ~rng ~input_probability:0.3 ~words
+        ~need0:false ~golden_a ~golden_b ~na ~nb ~ones0:[||] ~toggles0:[||]
+        ~ones ~toggles ~out_errors ~any
     in
     (* Warm-up triggers any one-time lazy initialization. *)
     loop 2;

@@ -173,6 +173,35 @@ let test_vectors_invalid () =
   check "Criticality.analyze" (fun vectors ->
       Nano_faults.Criticality.analyze ~vectors n)
 
+(* The input density gets the same up-front check, under the entry
+   point's own name and on both engines, instead of surfacing from
+   inside the shard loop as a [Prng.word_with_density] error. *)
+let test_input_probability_invalid () =
+  let n = suite_circuit "c17" in
+  let check name f =
+    List.iter
+      (fun input_probability ->
+        Alcotest.check_raises
+          (Printf.sprintf "%s input_probability=%g" name input_probability)
+          (Invalid_argument (name ^ ": input_probability must lie in [0, 1]"))
+          (fun () -> ignore (f input_probability)))
+      [ 1.5; -0.1; Float.nan ]
+  in
+  let epsilon_of _ = 0.01 in
+  List.iter
+    (fun engine ->
+      check "Noisy_sim.run" (fun input_probability ->
+          Noisy_sim.simulate ~engine ~input_probability ~epsilon:0.01 n);
+      check "Noisy_sim.run" (fun input_probability ->
+          Noisy_sim.simulate_heterogeneous ~engine ~input_probability
+            ~epsilon_of n))
+    [ `Compiled; `Interp ];
+  check "Noisy_sim.profile_grid" (fun input_probability ->
+      Noisy_sim.profile_grid ~input_probability ~epsilons:[| 0.01; 0.02 |] n);
+  check "Noisy_sim.profile_grid_heterogeneous" (fun input_probability ->
+      Noisy_sim.profile_grid_heterogeneous ~input_probability
+        ~epsilon_of_lanes:[| epsilon_of |] n)
+
 let test_coin_flip_limit () =
   (* At eps = 1/2 every gate output is uniform noise: a single-gate
      output is wrong half of the time. *)
@@ -213,6 +242,8 @@ let suite =
     Alcotest.test_case "jobs heterogeneous" `Quick test_jobs_heterogeneous;
     Alcotest.test_case "jobs invalid" `Quick test_jobs_invalid;
     Alcotest.test_case "vectors invalid" `Quick test_vectors_invalid;
+    Alcotest.test_case "input_probability invalid" `Quick
+      test_input_probability_invalid;
     Alcotest.test_case "coin flip limit" `Quick test_coin_flip_limit;
     Helpers.qcheck prop_any_error_dominates_each_output;
   ]

@@ -234,6 +234,19 @@ let test_blocked_noise_stub_matches_reference () =
         db.(k)
     done
   done;
+  (* One lane runs the single-threshold stub, which must read lane 0's
+     threshold rather than word 0, a row bound that may be looser; the
+     row sits past a foreign word, as packed rows do. *)
+  let lthr = random_bytes 24 in
+  set64 lthr 8 (Prng.threshold_bits ~p:0.5);
+  set64 lthr 16 (Prng.threshold_bits ~p:0.01);
+  let da = [| random_bytes 64 |] in
+  let db = Array.map Bytes.copy da in
+  Prng.xor_noise_lanes_blocked_ref rng ~offset:3 ~stride:70 ~width:8
+    ~thr:lthr ~thr_pos:8 ~lanes:1 da ~pos:0;
+  Prng.xor_noise_lanes_blocked rng ~offset:3 ~stride:70 ~width:8 ~thr:lthr
+    ~thr_pos:8 ~lanes:1 db ~pos:0;
+  Alcotest.(check bytes) "one lane under a loose row bound" da.(0) db.(0);
   (* The dispatcher picked SOME path; record that it answered sanely. *)
   Alcotest.(check bool)
     "simd width is 1, 2, 4 or 8" true

@@ -25,18 +25,20 @@ let check_result_equal msg (a : Noisy_sim.result) (b : Noisy_sim.result) =
     a.average_gate_activity b.average_gate_activity
 
 (* ------------------------------------------------------------------ *)
-(* Bit-identity against the per-point engine.                           *)
+(* Bit-identity against single-point runs.                            *)
 (* ------------------------------------------------------------------ *)
 
 (* The batched kernel consumes the PRNG stream exactly like K per-point
    runs at the same seed: every lane — including ε = 0, which is never
-   simulated — must reproduce [simulate] bit for bit, and sharding the
+   simulated, and ε = 1/2, which draws 64 uniforms per gate like every
+   other lane — must reproduce [simulate] bit for bit, and sharding the
    grid over 4 domains must not move a bit. The last two points are the
-   ten-lane sweeps on mapped rca8 and alu8 at 2^16 vectors. *)
+   ten-lane sweeps on mapped rca8 and alu8 at 2^16 vectors, plus a
+   coin-flip lane. *)
 let test_lane_identity () =
   let mapped = Helpers.mapped_suite ~max_fanin:3 in
-  let ten_lanes =
-    [| 0.001; 0.002; 0.005; 0.01; 0.015; 0.02; 0.03; 0.05; 0.07; 0.1 |]
+  let sweep_lanes =
+    [| 0.001; 0.002; 0.005; 0.01; 0.015; 0.02; 0.03; 0.05; 0.07; 0.1; 0.5 |]
   in
   List.iter
     (fun (name, netlist, epsilons, seed, vectors) ->
@@ -63,12 +65,12 @@ let test_lane_identity () =
             g4.(i))
         g1)
     [
-      ("rca8", rca8 (), [| 0.; 0.001; 0.01; 0.05; 0.1 |], 11, 4096);
-      ("mapped rca8", mapped "rca8", ten_lanes, 42, 1 lsl 16);
-      ("mapped alu8", mapped "alu8", ten_lanes, 42, 1 lsl 16);
+      ("rca8", rca8 (), [| 0.; 0.001; 0.01; 0.05; 0.1; 0.5 |], 11, 4096);
+      ("mapped rca8", mapped "rca8", sweep_lanes, 42, 1 lsl 16);
+      ("mapped alu8", mapped "alu8", sweep_lanes, 42, 1 lsl 16);
     ]
 
-(* A single-point grid must short-circuit to the per-point engine. *)
+(* A single-point grid must equal [simulate] at that point. *)
 let test_single_point () =
   let netlist = rca8 () in
   let grid =
@@ -261,12 +263,16 @@ let hetero_lanes () =
 (* Each lane of the fused heterogeneous sweep must reproduce the
    stand-alone per-point heterogeneous run bit for bit — including at a
    biased input density, which routes the grid kernel's stimulus through
-   the SIMD store stub. *)
+   the SIMD store stub, and on a lane whose gates sit partly at exactly
+   ε = 1/2. *)
 let test_heterogeneous_lane_identity () =
   let netlist = rca8 () in
   List.iter
     (fun input_probability ->
-      let lanes = hetero_lanes () in
+      let lanes =
+        Array.append (hetero_lanes ())
+          [| (fun id -> if id mod 4 = 0 then 0.5 else 0.01) |]
+      in
       let grid =
         Noisy_sim.profile_grid_heterogeneous ~seed:13 ~vectors:4096
           ~input_probability ~epsilon_of_lanes:lanes netlist
@@ -388,7 +394,7 @@ let test_memo_stats () =
 (* Allocation.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Same bar as the per-point kernel: once the lane buffers, counters and
+(* Same bar as the one-lane run: once the lane buffers, counters and
    grid pack exist, the fused grid kernel that runs every profile_grid,
    sweep and analyze --measure allocates nothing on the minor heap —
    golden pair and four coupled lanes included. Native-code only;
