@@ -25,14 +25,18 @@ let json_line v = print_endline (Nano_util.Json.to_string v)
 (* Shared arguments.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let positive_int =
+(* An int converter admitting only values >= [lo], so an out-of-range
+   count is a usage error before any work starts. *)
+let int_at_least ~expected lo =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok _ -> Error (`Msg "expected a positive integer")
+    | Ok n when n >= lo -> Ok n
+    | Ok _ -> Error (`Msg ("expected " ^ expected))
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let positive_int = int_at_least ~expected:"a positive integer" 1
 
 (* A float converter admitting only [valid] values, so an out-of-domain
    parameter is a usage error before any work starts. *)
@@ -664,8 +668,9 @@ let synth_cmd =
              ~doc:"Synthesis flow: rugged, map or nand.")
   in
   let max_fanin =
-    Arg.(value & opt int 3
-         & info [ "max-fanin" ] ~docv:"K" ~doc:"Library fanin bound.")
+    Arg.(value & opt (int_at_least ~expected:"an integer >= 2" 2) 3
+         & info [ "max-fanin" ] ~docv:"K"
+             ~doc:"Library fanin bound, at least 2.")
   in
   let doc = "Optimize and map a netlist (verified-equivalent)" in
   Cmd.v (Cmd.info "synth" ~doc)
@@ -906,7 +911,7 @@ let sweep_cmd =
      baseline at the same seed. *)
   let voters_cmd =
     let run spec fraction gate_epsilon voter_epsilons ranking vectors seed
-        input_probability jobs block format =
+        input_probability jobs format =
       match load_circuit spec with
       | Error msg ->
         prerr_endline msg;
@@ -928,12 +933,11 @@ let sweep_cmd =
           let voter_epsilons = Array.of_list voter_epsilons in
           let results =
             Nano_redundancy.Selective.sweep_voter_epsilons ~seed ~vectors
-              ~input_probability ~jobs ?block hardened
-              ~gate_epsilon ~voter_epsilons
+              ~input_probability ~jobs hardened ~gate_epsilon ~voter_epsilons
           in
           let baseline =
             (Nano_faults.Noisy_sim.simulate ~seed ~vectors ~input_probability
-               ~jobs ?block ~epsilon:gate_epsilon netlist)
+               ~jobs ~epsilon:gate_epsilon netlist)
               .Nano_faults.Noisy_sim.any_output_error
           in
           (hardened, voter_epsilons, results, baseline)
@@ -1035,18 +1039,11 @@ let sweep_cmd =
         & info [ "input-probability" ] ~docv:"P"
             ~doc:"Pr(input = 1) for every primary input.")
     in
-    let block =
-      Arg.(
-        value & opt (some int) None
-        & info [ "block" ] ~docv:"WORDS"
-            ~doc:"Words per kernel block (default: engine choice).")
-    in
     let doc = "Sweep voter-device error classes over a hardened circuit" in
     Cmd.v (Cmd.info "voters" ~doc)
       Term.(
         const run $ circuit_arg $ fraction $ epsilon_arg $ voter_epsilons
-        $ ranking $ vectors $ seed $ input_probability $ jobs_arg $ block
-        $ format_arg)
+        $ ranking $ vectors $ seed $ input_probability $ jobs_arg $ format_arg)
   in
   let doc =
     "Print the data series behind the paper's figures; sweep voter classes"

@@ -87,8 +87,7 @@ let degenerate_row profile ~epsilon ~delta ~leakage_share0 =
     base ~activity_ratio:(sw /. sw0) ~idle_ratio:((1. -. sw) /. (1. -. sw0))
   end
 
-let measure ?(epsilons = paper_epsilons) ?(vectors = 8192) ?seed ?jobs ?mode
-    netlist =
+let measure ?(epsilons = paper_epsilons) ?(vectors = 8192) ?seed ?jobs netlist =
   Array.map
     (fun m ->
       {
@@ -96,7 +95,7 @@ let measure ?(epsilons = paper_epsilons) ?(vectors = 8192) ?seed ?jobs ?mode
         average_gate_activity = m.Nano_faults.Noisy_sim.average_gate_activity;
         vectors = m.Nano_faults.Noisy_sim.vectors;
       })
-    (Nano_faults.Noisy_sim.profile_grid ?seed ~vectors ?jobs ?mode
+    (Nano_faults.Noisy_sim.profile_grid ?seed ~vectors ?jobs
        ~epsilons:(Array.of_list epsilons) netlist)
 
 let check_deltas ~caller deltas =
@@ -132,8 +131,7 @@ let measured_rows ?(deltas = [ paper_delta ]) ?(leakage_share0 = 0.5)
        epsilons)
 
 let measured_grid ?(deltas = [ paper_delta ]) ?(leakage_share0 = 0.5)
-    ?(epsilons = paper_epsilons) ?vectors ?seed ?jobs ?mode ?profile
-    netlist =
+    ?(epsilons = paper_epsilons) ?vectors ?seed ?jobs ?profile netlist =
   (* Refused before any measurement runs. *)
   check_deltas ~caller:"measured_grid" deltas;
   (* Sensitivity and noiseless activity once per circuit — they are
@@ -144,4 +142,4 @@ let measured_grid ?(deltas = [ paper_delta ]) ?(leakage_share0 = 0.5)
     match profile with Some p -> p | None -> Profile.of_netlist ?jobs netlist
   in
   measured_rows ~deltas ~leakage_share0 ~epsilons ~profile
-    (measure ~epsilons ?vectors ?seed ?jobs ?mode netlist)
+    (measure ~epsilons ?vectors ?seed ?jobs netlist)

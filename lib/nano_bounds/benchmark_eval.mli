@@ -45,7 +45,9 @@ type lane = {
       (** Monte-Carlo any-output error of the circuit at this ε. *)
   average_gate_activity : float;
       (** Average gate activity at this ε. *)
-  vectors : int;  (** Vectors the lane actually simulated. *)
+  vectors : int;
+      (** Vectors the lane simulated: the budget rounded up to a
+          multiple of 64. *)
 }
 (** One ε lane of a measured grid: everything a {!measured_row} takes
     from simulation. It depends on the circuit, the ε and the vector
@@ -59,7 +61,9 @@ type measured_row = {
   measured_activity : float;
       (** Empirical average gate activity at this ε — the measured
           counterpart of Theorem 1's sw(ε). *)
-  vectors : int;  (** Vectors the lane actually simulated. *)
+  vectors : int;
+      (** Vectors the lane simulated: the budget rounded up to a
+          multiple of 64. *)
 }
 
 val measure :
@@ -67,14 +71,13 @@ val measure :
   ?vectors:int ->
   ?seed:int ->
   ?jobs:int ->
-  ?mode:Nano_faults.Noisy_sim.mode ->
   Nano_netlist.Netlist.t ->
   lane array
 (** The δ-free half of {!measured_grid}: one
     {!Nano_faults.Noisy_sim.profile_grid} pass over [epsilons] (default
     {!paper_epsilons}), one lane per ε in order, with [vectors] default
-    8192 and the simulator's [seed] and [mode] defaults. Bit-identical
-    for every [jobs]. *)
+    8192 and the simulator's [seed] default. Bit-identical for every
+    [jobs]. *)
 
 val measured_rows :
   ?deltas:float list ->
@@ -95,7 +98,6 @@ val measured_grid :
   ?vectors:int ->
   ?seed:int ->
   ?jobs:int ->
-  ?mode:Nano_faults.Noisy_sim.mode ->
   ?profile:Profile.t ->
   Nano_netlist.Netlist.t ->
   measured_row list

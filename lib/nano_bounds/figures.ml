@@ -112,13 +112,13 @@ let fig6_average_power ?(fanins = [ 2; 3; 4 ]) ?(steps = 30) ?jobs () =
    Parallelism shards vector words inside each pass rather than grid
    points across the pool, and results are jobs-independent. *)
 let measured_delta ?(epsilons = default_eps_grid ()) ?(vectors = 8192) ?seed
-    ?jobs ?mode circuits =
+    ?jobs circuits =
   let eps = Array.of_list epsilons in
   List.map
     (fun (name, netlist) ->
       let results =
-        Nano_faults.Noisy_sim.profile_grid ?seed ~vectors ?jobs ?mode
-          ~epsilons:eps netlist
+        Nano_faults.Noisy_sim.profile_grid ?seed ~vectors ?jobs ~epsilons:eps
+          netlist
       in
       {
         label = name;

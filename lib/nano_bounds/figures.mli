@@ -48,7 +48,6 @@ val measured_delta :
   ?vectors:int ->
   ?seed:int ->
   ?jobs:int ->
-  ?mode:Nano_faults.Noisy_sim.mode ->
   (string * Nano_netlist.Netlist.t) list ->
   series list
 (** Empirical δ̂(ε) — Monte-Carlo any-output error of each named circuit

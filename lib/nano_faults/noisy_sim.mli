@@ -10,16 +10,25 @@ type engine = [ `Compiled | `Interp ]
 (** Which evaluation kernel runs the Monte-Carlo word loop. [`Compiled]
     (the default) lowers the netlist once through
     {!Nano_netlist.Compiled} and runs the BLOCKED wide-word kernel:
-    blocks of [block_width] words per gate visit with evaluation, noise
-    injection and counter accumulation fused into one level-ordered
-    sweep ({!Nano_netlist.Compiled.run_noisy_grid_words}, a single-point
-    run being a one-lane grid). [`Interp] is the historical walk over
+    blocks of {!Nano_netlist.Compiled.default_block_width} words per
+    gate visit with evaluation, noise injection and counter accumulation
+    fused into one level-ordered sweep
+    ({!Nano_netlist.Compiled.run_noisy_grid_words}, a single-point run
+    being a one-lane grid). [`Interp] is the historical walk over
     [Netlist.iter] / [Gate.eval_word], one word at a time. Both consume
     the PRNG stream in exactly the same per-word order — 64 uniforms per
     logic gate per noisy evaluation at every ε, 1/2 included — and
     produce bit-identical results; [`Interp] shares nothing else with
     the compiled kernel and survives as its independent reference for
-    differential tests. *)
+    differential tests.
+
+    Every entry point runs through one fixed-budget path: the vector
+    words are sharded once across [jobs] domains, the compiled kernel
+    simulates every lane with a positive ε, and the shards' counters
+    are merged in shard order. A lane with no positive ε is never
+    simulated: its output-error figures are exactly zero and its node
+    statistics are the golden (noise-free) pair's, which is exactly
+    what simulating it would give. *)
 
 type result = {
   epsilon : float;
@@ -44,7 +53,6 @@ val simulate :
   ?input_probability:float ->
   ?jobs:int ->
   ?engine:engine ->
-  ?block:int ->
   epsilon:float ->
   Nano_netlist.Netlist.t ->
   result
@@ -58,12 +66,7 @@ val simulate :
     seed generator to its segment of the sequential PRNG stream
     ({!Nano_util.Prng.jump}), so the result is bit-identical for every
     job count — and identical to the historical single-threaded
-    simulation.
-
-    [block] selects the blocked engine's words-per-gate-visit width
-    (default {!Nano_netlist.Compiled.default_block_width}, i.e. 8 or
-    the [NANOBOUND_BLOCK_WIDTH] environment override). Results are
-    bit-identical at every width; the knob only moves throughput. *)
+    simulation. *)
 
 val simulate_heterogeneous :
   ?seed:int ->
@@ -71,7 +74,6 @@ val simulate_heterogeneous :
   ?input_probability:float ->
   ?jobs:int ->
   ?engine:engine ->
-  ?block:int ->
   epsilon_of:(Nano_netlist.Netlist.node -> float) ->
   Nano_netlist.Netlist.t ->
   result
@@ -81,30 +83,11 @@ val simulate_heterogeneous :
     consulted once per logic gate and must return values in [[0, 1/2]];
     the result's [epsilon] field reports the mean over logic gates. *)
 
-type mode =
-  | Fixed
-      (** Simulate every lane for the full vector budget. The default:
-          bit-reproducible, jobs-independent, and (per lane) bit-identical
-          to {!simulate}. *)
-  | Adaptive of { half_width : float; z : float }
-      (** Confidence-interval early stopping: after every block of 1024
-          vectors, freeze each lane whose Agresti–Coull interval around
-          its empirical δ̂ has half-width ≤ [half_width] at [z] standard
-          normal quantiles (e.g. [z = 1.96] for 95%), and keep
-          simulating the rest. A frozen lane's [result.vectors] records
-          how far it ran; because the batched kernel's draw consumption
-          is independent of the lane set, its counts equal a [Fixed] run
-          truncated at that block — decisions are made on merged
-          counters at fixed block boundaries, so results remain
-          jobs-independent. *)
-
 val profile_grid :
   ?seed:int ->
   ?vectors:int ->
   ?input_probability:float ->
   ?jobs:int ->
-  ?mode:mode ->
-  ?block:int ->
   epsilons:float array ->
   Nano_netlist.Netlist.t ->
   result array
@@ -117,25 +100,20 @@ val profile_grid :
     differences have collapsed variance — and each lane is
     bit-identical to {!simulate} at the same seed, whatever the other
     lanes are. Defaults match {!simulate} ([seed = 0xfa17],
-    [vectors = 8192], [input_probability = 0.5], [jobs = 1],
-    [mode = Fixed]).
+    [vectors = 8192], [input_probability = 0.5], [jobs = 1]).
 
-    Returned array is parallel to [epsilons]. Edge cases short-circuit:
-    an empty grid returns [[||]] without touching the pool; a
-    single-point grid runs on the calling domain; ε = 0 lanes are never
-    simulated — their output-error figures are exactly zero and their
-    node statistics come from the golden pair the pass computes anyway.
-    [jobs] shards vector words (not grid points) across domains with the
-    seed-jump discipline of {!simulate}: results are bit-identical for
-    every job count. [vectors], [jobs] and [input_probability] are
-    checked as in {!simulate}. *)
+    Returned array is parallel to [epsilons]; an empty grid returns
+    [[||]] without touching the pool, and ε = 0 lanes take the golden
+    pair's statistics. [jobs] shards vector words (not grid points)
+    across domains with the seed-jump discipline of {!simulate}:
+    results are bit-identical for every job count. [vectors], [jobs]
+    and [input_probability] are checked as in {!simulate}. *)
 
 val profile_grid_heterogeneous :
   ?seed:int ->
   ?vectors:int ->
   ?input_probability:float ->
   ?jobs:int ->
-  ?block:int ->
   epsilon_of_lanes:(Nano_netlist.Netlist.node -> float) array ->
   Nano_netlist.Netlist.t ->
   result array
@@ -148,8 +126,10 @@ val profile_grid_heterogeneous :
     per-lane thresholds ({!Nano_netlist.Compiled.pack_grid_heterogeneous}) —
     so differences between assignments have collapsed variance. Each
     lane is bit-identical to {!simulate_heterogeneous} at the same
-    seed. Every lane runs the full vector budget; the returned array is
-    parallel to [epsilon_of_lanes] (empty input returns [[||]]).
+    seed, and a lane that is zero at every gate takes the golden pair's
+    statistics. Every lane runs the full vector budget; the returned
+    array is parallel to [epsilon_of_lanes] (empty input returns
+    [[||]]).
     Defaults, the [vectors]/[jobs]/[input_probability] preconditions and
     the [jobs] seed-jump discipline match {!simulate}. *)
 

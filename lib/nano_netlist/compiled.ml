@@ -59,7 +59,6 @@ type t = {
      window resident however large the netlist — and the
      position-indexed layout turns the value stores of one pass into a
      single sequential stream. *)
-  block : int;  (** value words interleaved per gate visit (>= 1) *)
   sched_id : int array;  (** schedule position -> node id *)
   slot_of : int array;  (** node id -> schedule position *)
   sched_ops : int array;  (** opcode per schedule position *)
@@ -81,23 +80,13 @@ let input_ids c = c.input_ids
 let output_ids c = c.output_ids
 let output_names c = c.output_names
 let noisy_count c = c.noisy_count
-let block_width c = c.block
 
-(* Default block width: 8 words = 512 effective vector lanes per gate
-   visit. Overridable through the environment for experiments and for
-   callers that cannot thread an explicit [?block] argument (the
-   evaluation service daemon). *)
-let default_block_width =
-  let v =
-    lazy
-      (match Sys.getenv_opt "NANOBOUND_BLOCK_WIDTH" with
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some b when b >= 1 && b <= 16 -> b
-        | _ -> 8)
-      | None -> 8)
-  in
-  fun () -> Lazy.force v
+(* Value words interleaved per gate visit: 8 words = 512 effective
+   vector lanes, amortizing dispatch while one level's blocked rows stay
+   cache-resident. Every program shares it. *)
+let block = 8
+let block_width _ = block
+let default_block_width () = block
 
 let is_noisy c id =
   if id < 0 || id >= c.node_count then
@@ -142,12 +131,7 @@ let opcode c id =
    even on multiplexed circuits far larger than the cache. *)
 let seg_budget_bytes = 192 * 1024
 
-let compile ?block netlist =
-  let block =
-    match block with None -> default_block_width () | Some b -> b
-  in
-  if block < 1 || block > 16 then
-    invalid_arg "Compiled.compile: block width must lie in [1, 16]";
+let compile netlist =
   let n = Netlist.node_count netlist in
   let opcodes = Array.make n op_input in
   let fanin_offsets = Array.make (n + 1) 0 in
@@ -260,7 +244,6 @@ let compile ?block netlist =
     output_ids;
     output_names = Array.copy (Netlist.output_names netlist);
     noisy_count = !noisy_count;
-    block;
     sched_id;
     slot_of;
     sched_ops;
@@ -272,15 +255,12 @@ let compile ?block netlist =
   }
 
 (* Compiled programs are memoized per live netlist, keyed by physical
-   identity, with an association list of block widths per netlist so
-   mixed-width callers (a service daemon answering both blocked
-   Monte-Carlo requests and width-1 debugging probes, say) neither
-   recompile on every call nor silently hand each other the wrong
-   layout. The ephemeron keeps the cache from pinning netlists (entries
-   die with their key even though the compiled value is reachable from
-   the table); the mutex makes concurrent lookups from worker domains
-   safe — sharded Monte-Carlo runs compile once on the submitting
-   domain, but nothing stops user code from racing two circuits. *)
+   identity. The ephemeron keeps the cache from pinning netlists
+   (entries die with their key even though the compiled value is
+   reachable from the table); the mutex makes concurrent lookups from
+   worker domains safe — sharded Monte-Carlo runs compile once on the
+   submitting domain, but nothing stops user code from racing two
+   circuits. *)
 module Cache = Ephemeron.K1.Make (struct
   type nonrec t = Netlist.t
 
@@ -296,7 +276,6 @@ let cache_mutex = Mutex.create ()
    come from a different domain than the increments. *)
 let memo_hit_count = Atomic.make 0
 let memo_miss_count = Atomic.make 0
-let width_registry = ref []
 
 type memo_stats = { memo_hits : int; memo_misses : int }
 
@@ -309,15 +288,9 @@ let clear_cache () =
   Cache.clear cache;
   Mutex.unlock cache_mutex
 
-let of_netlist ?block netlist =
-  let block =
-    match block with None -> default_block_width () | Some b -> b
-  in
+let of_netlist netlist =
   Mutex.lock cache_mutex;
-  let entries =
-    match Cache.find_opt cache netlist with Some l -> l | None -> []
-  in
-  match List.assoc_opt block entries with
+  match Cache.find_opt cache netlist with
   | Some c ->
     Atomic.incr memo_hit_count;
     Mutex.unlock cache_mutex;
@@ -325,29 +298,15 @@ let of_netlist ?block netlist =
   | None ->
     Atomic.incr memo_miss_count;
     let c =
-      match compile ~block netlist with
+      match compile netlist with
       | c -> c
       | exception e ->
         Mutex.unlock cache_mutex;
         raise e
     in
-    Cache.replace cache netlist ((block, c) :: entries);
-    if not (List.mem block !width_registry) then
-      width_registry := List.sort_uniq compare (block :: !width_registry);
+    Cache.replace cache netlist c;
     Mutex.unlock cache_mutex;
     c
-
-(* Sorted deduplicated widths this process has compiled for, reported by
-   the service's [stats] request under [compiled_programs] so operators
-   can see which layouts a warm daemon holds. A side registry rather
-   than a walk of the ephemeron table: the table intentionally exposes
-   no enumeration (entries die with their keys), and process-lifetime
-   accounting matches the hit/miss counters above. *)
-let cached_block_widths () =
-  Mutex.lock cache_mutex;
-  let ws = !width_registry in
-  Mutex.unlock cache_mutex;
-  ws
 
 (* ------------------------------------------------------------------ *)
 (* Counting kernels.                                                    *)
@@ -372,54 +331,53 @@ let[@inline] popcount64 w =
 (* Blocked wide-word kernel.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The blocked engine widens every gate visit to [block] words — 256/512
-   effective vector lanes at the default widths — so opcode dispatch,
-   CSR fanin indexing and the call into the evaluator amortize across
-   the block. Values live in a position-indexed blocked buffer: the word
-   [j] of the node at schedule position [p] sits at byte
-   [((p * block + j) lsl 3)]. Indexing by LEVEL-ORDERED position rather
-   than node id means one evaluation pass writes a single sequential
-   stream and reads only the few most recently written levels, and the
-   level-aligned [seg_starts] segments bound the working set each fused
-   pass cycles over. *)
+(* The blocked engine widens every gate visit to [block] words — 512
+   effective vector lanes — so opcode dispatch, CSR fanin indexing and
+   the call into the evaluator amortize across the block. Values live
+   in a position-indexed blocked buffer: the word [j] of the node at
+   schedule position [p] sits at byte [((p * block + j) lsl 3)].
+   Indexing by LEVEL-ORDERED position rather than node id means one
+   evaluation pass writes a single sequential stream and reads only the
+   few most recently written levels, and the level-aligned [seg_starts]
+   segments bound the working set each fused pass cycles over. *)
 
 let[@inline] check_values_blocked c values name =
-  if Bytes.length values <> (c.node_count * c.block) lsl 3 then
+  if Bytes.length values <> (c.node_count * block) lsl 3 then
     invalid_arg
       (name
       ^ ": blocked values buffer length does not match node_count * block \
          (use Compiled.create_values_blocked)")
 
-let[@inline] check_width c width name =
-  if width < 1 || width > c.block then
+let[@inline] check_width width name =
+  if width < 1 || width > block then
     invalid_arg (name ^ ": width must lie in [1, block_width]")
 
 let create_values_blocked c =
-  Bytes.make ((c.node_count * c.block) lsl 3) '\000'
+  Bytes.make ((c.node_count * block) lsl 3) '\000'
 
 let get_word_blocked c ~values ~id ~word =
   check_values_blocked c values "Compiled.get_word_blocked";
   if id < 0 || id >= c.node_count then
     invalid_arg "Compiled.get_word_blocked: node id out of range";
-  if word < 0 || word >= c.block then
+  if word < 0 || word >= block then
     invalid_arg "Compiled.get_word_blocked: word index out of range";
-  get64 values (((c.slot_of.(id) * c.block) + word) lsl 3)
+  get64 values (((c.slot_of.(id) * block) + word) lsl 3)
 
 let set_word_blocked c ~values ~id ~word w =
   check_values_blocked c values "Compiled.set_word_blocked";
   if id < 0 || id >= c.node_count then
     invalid_arg "Compiled.set_word_blocked: node id out of range";
-  if word < 0 || word >= c.block then
+  if word < 0 || word >= block then
     invalid_arg "Compiled.set_word_blocked: word index out of range";
-  set64 values (((c.slot_of.(id) * c.block) + word) lsl 3) w
+  set64 values (((c.slot_of.(id) * block) + word) lsl 3) w
 
 let blit_values_blocked c ~values ~word ~into =
   check_values_blocked c values "Compiled.blit_values_blocked";
   if Array.length into <> c.node_count then
     invalid_arg "Compiled.blit_values_blocked: wrong destination length";
-  if word < 0 || word >= c.block then
+  if word < 0 || word >= block then
     invalid_arg "Compiled.blit_values_blocked: word index out of range";
-  let block = c.block and sid = c.sched_id in
+  let sid = c.sched_id in
   for p = 0 to c.node_count - 1 do
     Array.unsafe_set into
       (Array.unsafe_get sid p)
@@ -429,7 +387,7 @@ let blit_values_blocked c ~values ~word ~into =
 let copy_input_words_blocked c ~src ~dst =
   check_values_blocked c src "Compiled.copy_input_words_blocked";
   check_values_blocked c dst "Compiled.copy_input_words_blocked";
-  let block = c.block and slot = c.slot_of in
+  let slot = c.slot_of in
   let ids = c.input_ids in
   for i = 0 to Array.length ids - 1 do
     let b = (Array.unsafe_get slot (Array.unsafe_get ids i) * block) lsl 3 in
@@ -439,8 +397,8 @@ let copy_input_words_blocked c ~src ~dst =
 let draw_input_words_blocked c rng ~offset ~stride ~width ~input_probability
     ~values =
   check_values_blocked c values "Compiled.draw_input_words_blocked";
-  check_width c width "Compiled.draw_input_words_blocked";
-  let ids = c.input_ids and slot = c.slot_of and block = c.block in
+  check_width width "Compiled.draw_input_words_blocked";
+  let ids = c.input_ids and slot = c.slot_of in
   let ipw = Nano_util.Prng.draws_per_word ~p:input_probability in
   (* Input [i]'s word [j] owns draws [offset + i*ipw + j*stride ..]: one
      density word per input in declaration order within each word's
@@ -459,7 +417,7 @@ let draw_input_words_blocked c rng ~offset ~stride ~width ~input_probability
    loop overhead halves. Not inlined — the call is paid once per
    [width] words, which is exactly the amortization the blocked layout
    exists to buy. *)
-let eval_pos_blocked ops offs fan ~block ~width ~src ~dst p =
+let eval_pos_blocked ops offs fan ~width ~src ~dst p =
   let d = (p * block) lsl 3 in
   match Array.unsafe_get ops p with
   | 0 (* input *) ->
@@ -724,35 +682,29 @@ let eval_pos_blocked ops offs fan ~block ~width ~src ~dst p =
 
 let exec_words_blocked c ~width ~values =
   check_values_blocked c values "Compiled.exec_words_blocked";
-  check_width c width "Compiled.exec_words_blocked";
-  let ops = c.sched_ops
-  and offs = c.sched_offs
-  and fan = c.sched_fan
-  and block = c.block in
+  check_width width "Compiled.exec_words_blocked";
+  let ops = c.sched_ops and offs = c.sched_offs and fan = c.sched_fan in
   for p = 0 to c.node_count - 1 do
-    eval_pos_blocked ops offs fan ~block ~width ~src:values ~dst:values p
+    eval_pos_blocked ops offs fan ~width ~src:values ~dst:values p
   done
 
 let exec_step_blocked c ~width ~src ~dst =
   check_values_blocked c src "Compiled.exec_step_blocked";
   check_values_blocked c dst "Compiled.exec_step_blocked";
-  check_width c width "Compiled.exec_step_blocked";
+  check_width width "Compiled.exec_step_blocked";
   if src == dst then
     invalid_arg "Compiled.exec_step_blocked: src and dst must be distinct";
-  let ops = c.sched_ops
-  and offs = c.sched_offs
-  and fan = c.sched_fan
-  and block = c.block in
+  let ops = c.sched_ops and offs = c.sched_offs and fan = c.sched_fan in
   for p = 0 to c.node_count - 1 do
-    eval_pos_blocked ops offs fan ~block ~width ~src ~dst p
+    eval_pos_blocked ops offs fan ~width ~src ~dst p
   done
 
 let add_ones_counts_blocked c ~width ~values ~into =
   check_values_blocked c values "Compiled.add_ones_counts_blocked";
-  check_width c width "Compiled.add_ones_counts_blocked";
+  check_width width "Compiled.add_ones_counts_blocked";
   if Array.length into <> c.node_count then
     invalid_arg "Compiled.add_ones_counts_blocked: wrong counter length";
-  let block = c.block and sid = c.sched_id in
+  let sid = c.sched_id in
   for p = 0 to c.node_count - 1 do
     let base = (p * block) lsl 3 in
     let s = ref 0 in
@@ -766,10 +718,10 @@ let add_ones_counts_blocked c ~width ~values ~into =
 let add_toggle_counts_blocked c ~width ~a ~b ~into =
   check_values_blocked c a "Compiled.add_toggle_counts_blocked";
   check_values_blocked c b "Compiled.add_toggle_counts_blocked";
-  check_width c width "Compiled.add_toggle_counts_blocked";
+  check_width width "Compiled.add_toggle_counts_blocked";
   if Array.length into <> c.node_count then
     invalid_arg "Compiled.add_toggle_counts_blocked: wrong counter length";
-  let block = c.block and sid = c.sched_id in
+  let sid = c.sched_id in
   for p = 0 to c.node_count - 1 do
     let base = (p * block) lsl 3 in
     let s = ref 0 in
@@ -787,9 +739,12 @@ let add_toggle_counts_blocked c ~width ~a ~b ~into =
 
 (* Grid pack: one row of [lanes + 1] integer thresholds per noisy
    schedule position — word 0 the row maximum (the lanes primitive's
-   early-out), words 1..lanes the per-lane values. Every noisy gate
-   consumes exactly 64 shared draws whatever its thresholds and whatever
-   the lane set, so adaptive freezing never shifts the stream. *)
+   early-out, as tight as that gate's lanes allow), words 1..lanes the
+   per-lane values. The execution loop reads the row at [p * stride],
+   so epsilon varies per gate as well as per lane at no run-time cost;
+   a gate-uniform lane is a row of one repeated value. Every noisy gate
+   consumes exactly 64 shared draws whatever its thresholds and
+   whatever the lane set, so the lane set never shifts the stream. *)
 type grid_pack = {
   gp_thr : Bytes.t;
   gp_lanes : int;
@@ -799,40 +754,6 @@ type grid_pack = {
 let grid_lanes g = g.gp_lanes
 let empty_grid_pack = { gp_thr = Bytes.empty; gp_lanes = 0; gp_nodes = 0 }
 
-let pack_grid c eps =
-  let lanes = Array.length eps in
-  if lanes < 1 then invalid_arg "Compiled.pack_grid: need at least one lane";
-  let tb =
-    Array.mapi
-      (fun k e ->
-        if not (e >= 0. && e <= 0.5) then
-          invalid_arg
-            (Printf.sprintf
-               "Compiled.pack_grid: lane %d (every gate): epsilon %g must lie \
-                in [0, 1/2]"
-               k e);
-        Nano_util.Prng.threshold_bits ~p:e)
-      eps
-  in
-  let tmax = Array.fold_left Int64.max 0L tb in
-  let stride = (lanes + 1) lsl 3 in
-  let thr = Bytes.make (max 8 (c.node_count * stride)) '\000' in
-  for p = 0 to c.node_count - 1 do
-    if Bytes.get c.sched_noisy p <> '\000' then begin
-      let base = p * stride in
-      set64 thr base tmax;
-      Array.iteri (fun k t -> set64 thr (base + ((k + 1) lsl 3)) t) tb
-    end
-  done;
-  { gp_thr = thr; gp_lanes = lanes; gp_nodes = c.node_count }
-
-(* The heterogeneous packer exploits what the homogeneous one wastes:
-   rows are already per schedule position (stride 8*(lanes+1)), the
-   execution loop already reads thresholds at [p * stride], so varying
-   epsilon per GATE as well as per lane costs nothing at run time — only
-   the pack differs: each noisy position gets its own row and its own
-   row maximum (the early-out stays as tight as that gate allows,
-   instead of the global maximum). *)
 let pack_grid_heterogeneous c eps =
   let lanes = Array.length eps in
   if lanes < 1 then
@@ -888,10 +809,9 @@ let pack_grid_heterogeneous c eps =
    [j] of a block owns draw interval [j*dpw, (j+1)*dpw), every
    primitive addresses its segment positionally without mutating the
    generator, and one jump per block advances it, so results are
-   bit-identical to that walk at ANY block width and any sharding. With
+   bit-identical to that walk at any ragged tail and any sharding. With
    [grid = empty_grid_pack] only the golden statistics are computed,
-   yet the jump accounting still covers the noise segments, so
-   frozen-lane continuation runs stay stream-aligned. *)
+   yet the jump accounting still covers the noise segments. *)
 let run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
     ~golden_a ~golden_b ~na ~nb ~ones0 ~toggles0 ~ones ~toggles ~out_errors
     ~any =
@@ -901,7 +821,7 @@ let run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
   if lanes > 0 && grid.gp_nodes <> c.node_count then
     invalid_arg
       "Compiled.run_noisy_grid_words: grid pack does not match program (use \
-       Compiled.pack_grid)";
+       Compiled.pack_grid_heterogeneous)";
   if Array.length na <> lanes || Array.length nb <> lanes then
     invalid_arg
       "Compiled.run_noisy_grid_words: one value buffer per lane required";
@@ -934,7 +854,6 @@ let run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
       invalid_arg
         "Compiled.run_noisy_grid_words: wrong lane output counter length"
   done;
-  let block = c.block in
   let ops = c.sched_ops and offs = c.sched_offs and fan = c.sched_fan in
   let noisy = c.sched_noisy and rank = c.sched_noise_rank in
   let thr = grid.gp_thr in
@@ -964,19 +883,19 @@ let run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
       let lo = Array.unsafe_get segs s
       and hi = Array.unsafe_get segs (s + 1) in
       for p = lo to hi - 1 do
-        eval_pos_blocked ops offs fan ~block ~width:bw ~src:golden_a
+        eval_pos_blocked ops offs fan ~width:bw ~src:golden_a
           ~dst:golden_a p
       done;
       if need0 then
         for p = lo to hi - 1 do
-          eval_pos_blocked ops offs fan ~block ~width:bw ~src:golden_b
+          eval_pos_blocked ops offs fan ~width:bw ~src:golden_b
             ~dst:golden_b p
         done;
       if lanes > 0 then begin
         for p = lo to hi - 1 do
           for k = 0 to lanes - 1 do
             let v = Array.unsafe_get na k in
-            eval_pos_blocked ops offs fan ~block ~width:bw ~src:v ~dst:v p
+            eval_pos_blocked ops offs fan ~width:bw ~src:v ~dst:v p
           done;
           if Bytes.unsafe_get noisy p <> '\000' then
             Nano_util.Prng.xor_noise_lanes_blocked rng
@@ -987,7 +906,7 @@ let run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
         for p = lo to hi - 1 do
           for k = 0 to lanes - 1 do
             let v = Array.unsafe_get nb k in
-            eval_pos_blocked ops offs fan ~block ~width:bw ~src:v ~dst:v p
+            eval_pos_blocked ops offs fan ~width:bw ~src:v ~dst:v p
           done;
           if Bytes.unsafe_get noisy p <> '\000' then
             Nano_util.Prng.xor_noise_lanes_blocked rng

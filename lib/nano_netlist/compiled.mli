@@ -19,35 +19,22 @@ type t
 
 (** {1 Lowering} *)
 
-val of_netlist : ?block:int -> Netlist.t -> t
-(** Compiled form of the netlist, memoized per physical
-    [(Netlist.t, block width)] pair (weak ephemeron cache keyed on the
-    netlist, one entry per width, safe to call from any domain):
-    repeated calls for the same netlist and width return the same
-    compiled program without re-lowering, and mixed-width callers
-    neither thrash the cache nor receive a layout they did not ask for.
-    [block] is the blocked engine's words-per-gate-visit width in
-    [[1, 16]], defaulting to {!default_block_width}. *)
+val of_netlist : Netlist.t -> t
+(** Compiled form of the netlist, memoized per physical [Netlist.t]
+    (weak ephemeron cache keyed on the netlist, safe to call from any
+    domain): repeated calls for the same netlist return the same
+    compiled program without re-lowering. *)
 
-val compile : ?block:int -> Netlist.t -> t
+val compile : Netlist.t -> t
 (** Always lowers afresh, bypassing the memo table. Prefer
     {!of_netlist}. *)
 
 val default_block_width : unit -> int
-(** The block width {!of_netlist} uses when none is given: 8 words
-    (512 effective lanes), overridable via the [NANOBOUND_BLOCK_WIDTH]
-    environment variable (clamped to [[1, 16]]; read once per
-    process). *)
+(** The blocked engine's words per gate visit: 8 words (512 effective
+    lanes), the same for every program. *)
 
 val block_width : t -> int
-(** The width this program was compiled for. *)
-
-val cached_block_widths : unit -> int list
-(** Sorted, deduplicated block widths compiled since process start
-    (surfaced by the evaluation service's [stats] request under
-    [compiled_programs]). Like {!memo_stats} this is process-lifetime
-    accounting: widths remain listed even after their programs die with
-    their netlists or {!clear_cache}. *)
+(** The width this program runs at, {!default_block_width}. *)
 
 val clear_cache : unit -> unit
 (** Drop every memoized compiled program. The cache is keyed weakly, so
@@ -92,11 +79,11 @@ val opcode : t -> int -> string
 (** {1 Blocked wide-word engine}
 
     The high-throughput engine: every gate visit processes a block of
-    [block_width] words (256/512 effective vector lanes at widths 4/8),
-    amortizing opcode dispatch and fanin indexing, and the noisy
-    Monte-Carlo passes fuse evaluation, noise injection and counter
-    accumulation into ONE sweep over a LEVEL-ordered re-sequencing of
-    the program, walked in level-aligned cache segments.
+    [block_width] words (512 effective vector lanes), amortizing opcode
+    dispatch and fanin indexing, and the noisy Monte-Carlo passes fuse
+    evaluation, noise injection and counter accumulation into ONE sweep
+    over a LEVEL-ordered re-sequencing of the program, walked in
+    level-aligned cache segments.
 
     Blocked buffers are indexed by schedule POSITION, not node id: word
     [j] of the node at position [p] lives at byte [8 * (p*block + j)].
@@ -109,8 +96,8 @@ val opcode : t -> int -> string
     per word, 64 noise draws per logic gate), primitives synthesize generator states in O(1) without
     mutating the generator, and one jump per block advances it — so
     counters are bit-identical to a sequential word-by-word walk of
-    that stream (the interpretive [Noisy_sim] engine) at ANY block
-    width, any ragged tail, and any shard count. *)
+    that stream (the interpretive [Noisy_sim] engine) at any ragged
+    tail and any shard count. *)
 
 val create_values_blocked : t -> Bytes.t
 (** A zeroed blocked buffer of [8 * node_count * block_width] bytes. *)
@@ -183,31 +170,24 @@ type grid_pack
     [lanes + 1] integer thresholds per noisy schedule position, word 0
     the row maximum (early-out). *)
 
-val pack_grid : t -> float array -> grid_pack
-(** [pack_grid c eps] with one epsilon per lane, each in [[0, 1/2]]
-    (non-empty), for {!run_noisy_grid_words}. Raises [Invalid_argument]
-    naming the offending lane and value otherwise. *)
-
 val pack_grid_heterogeneous : t -> float array array -> grid_pack
 (** [pack_grid_heterogeneous c eps] with [eps.(k).(id)] lane [k]'s
     epsilon at node [id] ([lanes] rows of [node_count c] entries,
-    non-noisy nodes ignored), each in [[0, 1/2]]. The resulting pack
-    runs through {!run_noisy_grid_words} unchanged — the blocked layout
-    already carries one threshold row per schedule position, so
-    per-gate variation only changes what the pack writes there: each
-    noisy gate's row holds its own [lanes] thresholds and its own row
-    maximum, keeping the early-out as tight as that gate allows. Lane
-    [k] of a run is bit-identical to a one-lane run at [eps.(k)],
-    whatever the other lanes are. Raises [Invalid_argument] naming the
-    offending lane and node otherwise. *)
+    non-noisy nodes ignored), each in [[0, 1/2]], for
+    {!run_noisy_grid_words}. Each noisy gate's row holds its own
+    [lanes] thresholds and its own row maximum, keeping the early-out
+    as tight as that gate allows; a gate-uniform lane is a row of one
+    repeated epsilon. Lane [k] of a run is bit-identical to a one-lane
+    run at [eps.(k)], whatever the other lanes are. Raises
+    [Invalid_argument] naming the offending lane and node otherwise. *)
 
 val grid_lanes : grid_pack -> int
 
 val empty_grid_pack : grid_pack
 (** The zero-lane pack: {!run_noisy_grid_words} with it computes only
     the golden statistics while keeping stream accounting (64 draws per
-    noisy gate per noise segment) intact — the frozen-lanes /
-    all-epsilon-zero continuation path. *)
+    noisy gate per noise segment) intact — the path of a run whose
+    every lane is noise-free. *)
 
 val run_noisy_grid_words :
   t ->
@@ -243,6 +223,5 @@ val run_noisy_grid_words :
     lane, and the loop allocates nothing. Each word consumes
     [2 * (inputs * Prng.draws_per_word ~p:input_probability + 64 *
     noisy_count)] draws — 64 per noisy gate per noise segment, whatever
-    the epsilons and the lane set — so dropping lanes between calls
-    never shifts the stream, and every lane is bit-identical to a
+    the epsilons and the lane set — so every lane is bit-identical to a
     one-lane run at that lane's epsilon. *)

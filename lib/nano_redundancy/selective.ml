@@ -90,11 +90,11 @@ let size_overhead ~original ~hardened =
    whole sweep shares input draws and gate noise by common random
    numbers — differences between voter classes are measured with
    collapsed variance, and each lane still equals the corresponding
-   stand-alone [simulate_heterogeneous] run bit-for-bit (ε ≠ 1/2). *)
-let sweep_voter_epsilons ?seed ?vectors ?input_probability ?jobs ?block
-    hardened ~gate_epsilon ~voter_epsilons =
+   stand-alone [simulate_heterogeneous] run bit-for-bit. *)
+let sweep_voter_epsilons ?seed ?vectors ?input_probability ?jobs hardened
+    ~gate_epsilon ~voter_epsilons =
   Nano_faults.Noisy_sim.profile_grid_heterogeneous ?seed ?vectors
-    ?input_probability ?jobs ?block
+    ?input_probability ?jobs
     ~epsilon_of_lanes:
       (Array.map
          (fun voter_epsilon ->

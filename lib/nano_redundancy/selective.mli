@@ -63,7 +63,6 @@ val sweep_voter_epsilons :
   ?vectors:int ->
   ?input_probability:float ->
   ?jobs:int ->
-  ?block:int ->
   hardened ->
   gate_epsilon:float ->
   voter_epsilons:float array ->
@@ -76,5 +75,5 @@ val sweep_voter_epsilons :
     and noise randomness (common random numbers), so the sweep answers
     "how much does a better voter device buy?" with collapsed variance
     while each lane stays bit-identical to the stand-alone
-    [simulate_heterogeneous] run at the same seed (for ε ≠ 1/2).
+    [simulate_heterogeneous] run at the same seed.
     Returned array is parallel to [voter_epsilons]. *)

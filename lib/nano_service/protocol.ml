@@ -287,17 +287,20 @@ let request_of_json obj =
 (* Result encoders.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let opt_float = function Some v -> Json.Float v | None -> Json.Null
+(* Bounds may be +∞ (Theorem 2's size bound at ε = 1/2) and encode as
+   [null] then, like the infeasible ratios. *)
+let bound = Json.float_or_null
+let opt_float = function Some v -> bound v | None -> Json.Null
 
 let bounds_to_json (b : Metrics.bounds) =
   Json.Obj
     [
-      ("size_ratio", Json.Float b.Metrics.size_ratio);
-      ("activity_ratio", Json.Float b.Metrics.activity_ratio);
-      ("idle_ratio", Json.Float b.Metrics.idle_ratio);
-      ("switching_energy_ratio", Json.Float b.Metrics.switching_energy_ratio);
-      ("energy_ratio", Json.Float b.Metrics.energy_ratio);
-      ("leakage_ratio_change", Json.Float b.Metrics.leakage_ratio_change);
+      ("size_ratio", bound b.Metrics.size_ratio);
+      ("activity_ratio", bound b.Metrics.activity_ratio);
+      ("idle_ratio", bound b.Metrics.idle_ratio);
+      ("switching_energy_ratio", bound b.Metrics.switching_energy_ratio);
+      ("energy_ratio", bound b.Metrics.energy_ratio);
+      ("leakage_ratio_change", bound b.Metrics.leakage_ratio_change);
       ("delay_ratio", opt_float b.Metrics.delay_ratio);
       ("energy_delay_ratio", opt_float b.Metrics.energy_delay_ratio);
       ("average_power_ratio", opt_float b.Metrics.average_power_ratio);
@@ -323,11 +326,11 @@ let row_to_json (r : Benchmark_eval.row) =
       ("benchmark", Json.String r.Benchmark_eval.benchmark);
       ("epsilon", Json.Float r.Benchmark_eval.epsilon);
       ("delta", Json.Float r.Benchmark_eval.delta);
-      ("energy_ratio", Json.Float r.Benchmark_eval.energy_ratio);
+      ("energy_ratio", bound r.Benchmark_eval.energy_ratio);
       ("delay_ratio", opt_float r.Benchmark_eval.delay_ratio);
       ("average_power_ratio", opt_float r.Benchmark_eval.average_power_ratio);
       ("energy_delay_ratio", opt_float r.Benchmark_eval.energy_delay_ratio);
-      ("size_ratio", Json.Float r.Benchmark_eval.size_ratio);
+      ("size_ratio", bound r.Benchmark_eval.size_ratio);
     ]
 
 let measured_row_to_json (r : Benchmark_eval.measured_row) =

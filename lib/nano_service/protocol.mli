@@ -91,11 +91,15 @@ val request_of_json : Nano_util.Json.t -> (envelope, string) result
 (** {1 Result encoders} *)
 
 val bounds_to_json : Nano_bounds.Metrics.bounds -> Nano_util.Json.t
-(** All bound fields; infeasible ratios encode as [null]. *)
+(** All bound fields; infeasible ratios and non-finite bounds (the
+    size and energy bounds are +∞ at ε = 1/2) encode as [null]. Finite
+    values encode as numbers. *)
 
 val profile_to_json : Nano_bounds.Profile.t -> Nano_util.Json.t
 
 val row_to_json : Nano_bounds.Benchmark_eval.row -> Nano_util.Json.t
+(** A bound row, with [null] for infeasible or non-finite ratios as in
+    {!bounds_to_json}. *)
 
 val measured_row_to_json :
   Nano_bounds.Benchmark_eval.measured_row -> Nano_util.Json.t

@@ -309,11 +309,6 @@ let prepare t ~deadline (env : Protocol.envelope) =
                       ( "default_block_width",
                         Json.Int (Nano_netlist.Compiled.default_block_width ())
                       );
-                      ( "block_widths",
-                        Json.List
-                          (List.map
-                             (fun w -> Json.Int w)
-                             (Nano_netlist.Compiled.cached_block_widths ())) );
                       ( "simd_level",
                         Json.String (Nano_util.Prng.simd_level ()) );
                     ] );

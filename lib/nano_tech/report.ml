@@ -169,9 +169,9 @@ let bound_row_to_json r =
     [
       ("epsilon", Json.Float r.epsilon);
       ("effective_epsilon", Json.Float r.effective_epsilon);
-      ("energy_ratio", Json.Float r.energy_ratio);
-      ("bound_energy_j", Json.Float r.bound_energy_j);
-      ("leakage_ratio_change", Json.Float r.leakage_ratio_change);
+      ("energy_ratio", Json.float_or_null r.energy_ratio);
+      ("bound_energy_j", Json.float_or_null r.bound_energy_j);
+      ("leakage_ratio_change", Json.float_or_null r.leakage_ratio_change);
     ]
 
 let to_json t =

@@ -75,7 +75,9 @@ val analyze :
 val to_json : t -> Nano_util.Json.t
 (** Deterministic encoding shared by [--format json] and the service
     reply ([pack]/[gates]/[totals]/[bounds], plus [diagnostics] only
-    when non-empty). *)
+    when non-empty). A non-finite bound-row value encodes as [null]:
+    at ε = 1/2 [energy_ratio] and [bound_energy_j] are +∞, and
+    [bound_energy_j] is NaN when [total_j] is 0. *)
 
 val pp : Format.formatter -> t -> unit
 (** The human table: per-kind rows, totals with engineering-notation

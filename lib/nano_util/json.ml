@@ -33,6 +33,8 @@ let float_repr f =
       if float_of_string s = f then s else Printf.sprintf "%.17g" f
   end
 
+let float_or_null f = if Float.is_finite f then Float f else Null
+
 let escape_string buf s =
   Buffer.add_char buf '"';
   String.iter

@@ -51,6 +51,11 @@ val float_repr : float -> string
     writers can match the wire format. Raises [Invalid_argument] on
     non-finite input. *)
 
+val float_or_null : float -> t
+(** [Float f] when [f] is finite, [Null] for an infinity or NaN: the
+    spelling of a value that may legitimately be non-finite, such as a
+    bound that is +∞ at the edge of its domain. *)
+
 (** {1 Accessors}
 
     Small total helpers for decoding; they return [None] rather than

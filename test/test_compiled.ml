@@ -38,10 +38,10 @@ let test_structure () =
         (Printf.sprintf "noisy flag of node %d" id)
         noisy (Compiled.is_noisy c id))
 
-(* The evaluator that ships is pinned at two shapes: width 1 of a
-   block-1 program, and a ragged width 3 of a block-8 program whose
-   columns carry different words, so a column mix-up cannot pass. *)
-let blocked_shapes = [ (1, 1); (8, 3) ]
+(* The evaluator is pinned at two widths of the one program: a single
+   column, and a ragged width 3 whose columns carry different words, so
+   a column mix-up cannot pass. *)
+let blocked_widths = [ 1; 3 ]
 
 (* Store [columns.(j)] (one word per primary input) as word column [j],
    evaluate the first [Array.length columns] columns in place, and read
@@ -86,10 +86,10 @@ let test_each_opcode () =
           in
           Netlist.Builder.output b "y" (Netlist.Builder.add b kind xs);
           let n = Netlist.Builder.finish b in
+          let c = Compiled.of_netlist n in
+          let out = (Compiled.output_ids c).(0) in
           List.iter
-            (fun (block, width) ->
-              let c = Compiled.of_netlist ~block n in
-              let out = (Compiled.output_ids c).(0) in
+            (fun width ->
               for _ = 1 to 16 do
                 let columns =
                   Array.init width (fun _ ->
@@ -99,13 +99,13 @@ let test_each_opcode () =
                 Array.iteri
                   (fun j words ->
                     Alcotest.(check int64)
-                      (Printf.sprintf "%s/%d block %d column %d"
-                         (Gate.name kind) arity block j)
+                      (Printf.sprintf "%s/%d width %d column %d"
+                         (Gate.name kind) arity width j)
                       (Gate.eval_word kind words)
                       got.(j).(out))
                   columns
               done)
-            blocked_shapes)
+            blocked_widths)
         arities)
     (Gate.Buf :: Gate.all_logic_kinds)
 
@@ -126,9 +126,9 @@ let test_matches_scalar_on_random_circuits () =
     in
     let n = Random_circuit.generate ~config ~seed () in
     let n_in = Netlist.input_count n in
+    let c = Compiled.of_netlist n in
     List.iter
-      (fun (block, width) ->
-        let c = Compiled.of_netlist ~block n in
+      (fun width ->
         let columns =
           Array.init width (fun _ -> Array.init n_in (fun _ -> Prng.bits64 rng))
         in
@@ -143,13 +143,13 @@ let test_matches_scalar_on_random_circuits () =
               for id = 0 to Netlist.node_count n - 1 do
                 if Nano_util.Bits.get got.(j).(id) lane <> scalar.(id) then
                   Alcotest.failf
-                    "seed %d block %d column %d: node %d lane %d disagrees \
+                    "seed %d width %d column %d: node %d lane %d disagrees \
                      with eval_nodes"
-                    seed block j id lane
+                    seed width j id lane
               done
             done)
           columns)
-      blocked_shapes
+      blocked_widths
   done
 
 (* ------------------------------------------------------------------ *)
@@ -243,35 +243,32 @@ let test_engines_agree_heterogeneous () =
 (* Blocked engine.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [Interp] at [vectors] is the reference for every (block, jobs) run
-   of the blocked engine at the same point. *)
+(* [Interp] at [vectors] is the reference for every [jobs] run of the
+   blocked engine at the same point. *)
 let check_blocked_against_interp ?(input_probability = 0.5) ~vectors ~epsilon
-    ~blocks ~job_counts name n =
+    ~job_counts name n =
   let reference =
     Noisy_sim.simulate ~input_probability ~vectors ~engine:`Interp ~epsilon n
   in
   List.iter
-    (fun block ->
-      List.iter
-        (fun jobs ->
-          let blocked =
-            Noisy_sim.simulate ~input_probability ~vectors ~jobs
-              ~engine:`Compiled ~block ~epsilon n
-          in
-          check_results_equal
-            (Printf.sprintf "%s p=%g v=%d eps=%g block=%d jobs=%d" name
-               input_probability vectors epsilon block jobs)
-            reference blocked)
-        job_counts)
-    blocks
+    (fun jobs ->
+      let blocked =
+        Noisy_sim.simulate ~input_probability ~vectors ~jobs ~engine:`Compiled
+          ~epsilon n
+      in
+      check_results_equal
+        (Printf.sprintf "%s p=%g v=%d eps=%g jobs=%d" name input_probability
+           vectors epsilon jobs)
+        reference blocked)
+    job_counts
 
 (* The long-run kernel point on one circuit: [Interp] = blocked at
    4096 vectors, and jobs 4 = jobs 1 at 2^16 vectors, both at epsilon
-   0.01 and the default block width. *)
+   0.01. *)
 let check_kernel_point ?input_probability (name, n) =
   let epsilon = 0.01 in
   check_blocked_against_interp ?input_probability ~vectors:4096 ~epsilon
-    ~blocks:[ Compiled.default_block_width () ] ~job_counts:[ 1 ] name n;
+    ~job_counts:[ 1 ] name n;
   let run jobs =
     Noisy_sim.simulate ?input_probability ~vectors:(1 lsl 16) ~jobs
       ~engine:`Compiled ~epsilon n
@@ -288,11 +285,11 @@ let kernel_circuits () =
   ]
 
 (* The blocked engine must reproduce the interpretive engine bit for bit
-   at every block width — including width 1, ragged tails (word counts
-   not a multiple of the block) and every job count. 320 vectors = 5
-   words (ragged at widths 4 and 8); 1088 vectors = 17 words (two full
-   8-blocks plus a tail of one). The mapped suite circuits then run the
-   long-run kernel point. *)
+   across block boundaries — ragged tails (word counts not a multiple
+   of the 8-word block) and every job count included. 320 vectors = 5
+   words (one ragged block); 1088 vectors = 17 words (two full blocks
+   plus a tail of one). The mapped suite circuits then run the long-run
+   kernel point. *)
 let test_blocked_bit_identity () =
   let circuits =
     [
@@ -317,7 +314,7 @@ let test_blocked_bit_identity () =
           List.iter
             (fun epsilon ->
               check_blocked_against_interp ~vectors ~epsilon
-                ~blocks:[ 1; 4; 8 ] ~job_counts:[ 1; 4 ] name n)
+                ~job_counts:[ 1; 4 ] name n)
             [ 0.02; 0.5 ])
         [ 320; 1088 ])
     circuits;
@@ -356,31 +353,8 @@ let test_blocked_multi_segment () =
         }
       ~seed:0x50c4 ()
   in
-  check_blocked_against_interp ~vectors:1088 ~epsilon:0.01 ~blocks:[ 1; 4; 8 ]
-    ~job_counts:[ 1; 4 ] "rand50k" rand50k
-
-(* The memo is keyed by (netlist, block_width): mixed-width callers get
-   distinct cached programs, and the width registry reports every width
-   compiled so far. *)
-let test_memo_block_width_keyed () =
-  let n = Nano_circuits.Iscas_like.c17 () in
-  let default = Compiled.default_block_width () in
-  let cd = Compiled.of_netlist n in
-  let c4 = Compiled.of_netlist ~block:4 n in
-  Alcotest.(check bool) "distinct programs per width" false (cd == c4);
-  Alcotest.(check int) "default width" default (Compiled.block_width cd);
-  Alcotest.(check int) "explicit width" 4 (Compiled.block_width c4);
-  Alcotest.(check bool)
-    "width-4 entry cached" true
-    (c4 == Compiled.of_netlist ~block:4 n);
-  Alcotest.(check bool) "default entry cached" true (cd == Compiled.of_netlist n);
-  let widths = Compiled.cached_block_widths () in
-  List.iter
-    (fun w ->
-      Alcotest.(check bool)
-        (Printf.sprintf "width %d registered" w)
-        true (List.mem w widths))
-    [ 4; default ]
+  check_blocked_against_interp ~vectors:1088 ~epsilon:0.01 ~job_counts:[ 1; 4 ]
+    "rand50k" rand50k
 
 (* Every pack validator must name the offending lane or node. *)
 let test_pack_validation_messages () =
@@ -390,9 +364,6 @@ let test_pack_validation_messages () =
     Alcotest.check_raises name (Invalid_argument expected) (fun () ->
         ignore (f ()))
   in
-  check "pack_grid names the lane and value"
-    "Compiled.pack_grid: lane 1 (every gate): epsilon 0.9 must lie in [0, 1/2]"
-    (fun () -> Compiled.pack_grid c [| 0.1; 0.9 |]);
   let bad = (Compiled.output_ids c).(0) in
   check "pack_grid_heterogeneous rejects an empty lane set"
     "Compiled.pack_grid_heterogeneous: need at least one lane" (fun () ->
@@ -431,7 +402,10 @@ let test_blocked_zero_allocation () =
     let n = Nano_circuits.Adders.ripple_carry ~width:8 in
     let c = Compiled.of_netlist n in
     let rng = Prng.create ~seed:9 in
-    let grid = Compiled.pack_grid c [| 0.02 |] in
+    let grid =
+      Compiled.pack_grid_heterogeneous c
+        [| Array.make (Compiled.node_count c) 0.02 |]
+    in
     let golden_a = Compiled.create_values_blocked c in
     let golden_b = Compiled.create_values_blocked c in
     let na = [| Compiled.create_values_blocked c |] in
@@ -467,14 +441,12 @@ let suite =
     Alcotest.test_case "engines agree (homogeneous)" `Quick test_engines_agree;
     Alcotest.test_case "engines agree (heterogeneous)" `Quick
       test_engines_agree_heterogeneous;
-    Alcotest.test_case "blocked engine bit-identical at widths 1/4/8" `Quick
+    Alcotest.test_case "blocked engine bit-identical at jobs 1/4" `Quick
       test_blocked_bit_identity;
     Alcotest.test_case "biased stimulus: blocked = Interp" `Quick
       test_blocked_biased_stimulus;
     Alcotest.test_case "multi-segment rand50k: blocked = Interp" `Slow
       test_blocked_multi_segment;
-    Alcotest.test_case "memo keyed by (netlist, block width)" `Quick
-      test_memo_block_width_keyed;
     Alcotest.test_case "pack validation names lane/node" `Quick
       test_pack_validation_messages;
     Alcotest.test_case "blocked noisy loop allocates nothing" `Quick

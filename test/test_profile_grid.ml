@@ -104,21 +104,6 @@ let test_jobs_determinism () =
         g1)
     [ 2; 3; 4 ]
 
-let test_adaptive_jobs_determinism () =
-  let netlist = rca8 () in
-  let epsilons = [| 0.001; 0.01; 0.05 |] in
-  let run jobs =
-    Noisy_sim.profile_grid ~seed:7 ~vectors:16384 ~jobs
-      ~mode:(Noisy_sim.Adaptive { half_width = 0.02; z = 1.96 })
-      ~epsilons netlist
-  in
-  let g1 = run 1 in
-  let g4 = run 4 in
-  Array.iteri
-    (fun i r ->
-      check_result_equal (Printf.sprintf "adaptive lane %d" i) r g4.(i))
-    g1
-
 (* ------------------------------------------------------------------ *)
 (* Common-random-number coupling.                                       *)
 (* ------------------------------------------------------------------ *)
@@ -155,46 +140,6 @@ let test_crn_monotonicity () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive early stopping.                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_adaptive_budget () =
-  let netlist = rca8 () in
-  let epsilons = [| 0.001; 0.01; 0.05 |] in
-  let vectors = 32768 in
-  let grid =
-    Noisy_sim.profile_grid ~seed:5 ~vectors
-      ~mode:(Noisy_sim.Adaptive { half_width = 0.01; z = 1.96 })
-      ~epsilons netlist
-  in
-  Array.iter
-    (fun r ->
-      if r.Noisy_sim.vectors > vectors then
-        Alcotest.failf "lane ran past the budget: %d > %d" r.Noisy_sim.vectors
-          vectors;
-      if r.Noisy_sim.vectors mod 1024 <> 0 then
-        Alcotest.failf "lane froze off a block boundary: %d"
-          r.Noisy_sim.vectors)
-    grid;
-  (* A huge tolerance freezes everything after the first block. *)
-  let loose =
-    Noisy_sim.profile_grid ~seed:5 ~vectors
-      ~mode:(Noisy_sim.Adaptive { half_width = 0.49; z = 1.96 })
-      ~epsilons netlist
-  in
-  Array.iter
-    (fun r ->
-      Alcotest.(check int) "frozen after one block" 1024 r.Noisy_sim.vectors)
-    loose;
-  (* A frozen lane's counts equal a Fixed run truncated at its block. *)
-  let lane = grid.(1) in
-  let fixed =
-    Noisy_sim.profile_grid ~seed:5 ~vectors:lane.Noisy_sim.vectors ~epsilons
-      netlist
-  in
-  check_result_equal "frozen lane = truncated fixed run" fixed.(1) lane
-
-(* ------------------------------------------------------------------ *)
 (* Argument validation.                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -208,43 +153,72 @@ let test_validation () =
   invalid (fun () ->
       ignore (Noisy_sim.profile_grid ~epsilons:[| 0.7 |] netlist));
   invalid (fun () ->
-      ignore (Noisy_sim.profile_grid ~jobs:0 ~epsilons:[| 0.01 |] netlist));
-  invalid (fun () ->
-      ignore
-        (Noisy_sim.profile_grid
-           ~mode:(Noisy_sim.Adaptive { half_width = 0.; z = 1.96 })
-           ~epsilons:[| 0.01 |] netlist))
+      ignore (Noisy_sim.profile_grid ~jobs:0 ~epsilons:[| 0.01 |] netlist))
 
 (* ------------------------------------------------------------------ *)
-(* Block-width invariance.                                              *)
+(* Ragged tails.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The grid sweep must return the same bits at every block width — the
-   knob only moves throughput. 320 vectors = 5 words, a ragged tail for
-   both width 4 and width 8; jobs sharding composes with blocking. *)
-let test_block_width_invariance () =
+(* 320 vectors = 5 words, one ragged 8-word block that jobs 2, 3 and 4
+   cut into shards shorter still: sharding must not move a bit. *)
+let test_ragged_jobs_invariance () =
   let netlist = rca8 () in
   let epsilons = [| 0.; 0.01; 0.05 |] in
-  let vectors = 320 in
-  let reference =
-    Noisy_sim.profile_grid ~seed:5 ~vectors ~block:1 ~epsilons netlist
+  let run jobs =
+    Noisy_sim.profile_grid ~seed:5 ~vectors:320 ~jobs ~epsilons netlist
   in
+  let reference = run 1 in
   List.iter
-    (fun block ->
+    (fun jobs ->
+      Array.iteri
+        (fun i r ->
+          check_result_equal
+            (Printf.sprintf "jobs=%d lane=%d" jobs i)
+            reference.(i) r)
+        (run jobs))
+    [ 2; 3; 4 ]
+
+(* ------------------------------------------------------------------ *)
+(* Noise-free lanes.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A lane with no positive epsilon is never simulated by the compiled
+   engine: it takes the golden pair's statistics. [Interp] simulates it
+   in full, so every spelling of a noise-free run must equal the grid's
+   ε = 0 lane — on the mapped suite circuits, at two input densities
+   and two job counts. *)
+let test_zero_lane_shortcut () =
+  let mapped = Helpers.mapped_suite ~max_fanin:3 in
+  let vectors = 2048 in
+  List.iter
+    (fun name ->
+      let netlist = mapped name in
       List.iter
-        (fun jobs ->
-          let grid =
-            Noisy_sim.profile_grid ~seed:5 ~vectors ~block ~jobs ~epsilons
-              netlist
+        (fun (input_probability, jobs) ->
+          let msg what =
+            Printf.sprintf "%s p=%g jobs=%d: %s" name input_probability jobs
+              what
           in
-          Array.iteri
-            (fun i r ->
-              check_result_equal
-                (Printf.sprintf "block=%d jobs=%d lane=%d" block jobs i)
-                reference.(i) r)
-            grid)
-        [ 1; 2; 4 ])
-    [ 4; 8 ]
+          let reference =
+            (Noisy_sim.profile_grid ~vectors ~input_probability ~jobs
+               ~epsilons:[| 0.; 0.02 |] netlist).(0)
+          in
+          List.iter
+            (fun (engine, what) ->
+              check_result_equal (msg what) reference
+                (Noisy_sim.simulate ~vectors ~input_probability ~jobs ~engine
+                   ~epsilon:0. netlist))
+            [ (`Compiled, "compiled"); (`Interp, "interp") ];
+          check_result_equal (msg "heterogeneous") reference
+            (Noisy_sim.simulate_heterogeneous ~vectors ~input_probability
+               ~jobs ~epsilon_of:(fun _ -> 0.) netlist);
+          check_result_equal (msg "heterogeneous grid lane") reference
+            (Noisy_sim.profile_grid_heterogeneous ~vectors ~input_probability
+               ~jobs
+               ~epsilon_of_lanes:[| (fun _ -> 0.02); (fun _ -> 0.) |]
+               netlist).(1))
+        [ (0.5, 1); (0.5, 2); (0.3, 1); (0.3, 2) ])
+    [ "c17"; "rca8"; "alu8"; "mult8" ]
 
 (* ------------------------------------------------------------------ *)
 (* Heterogeneous (per-gate) grid sweep.                                 *)
@@ -320,28 +294,24 @@ let test_heterogeneous_matches_homogeneous () =
         het.(i))
     hom
 
-(* Jobs sharding and block width must not move a single bit, including
-   on a ragged tail (320 vectors = 5 words). *)
-let test_heterogeneous_jobs_block_invariance () =
+(* Jobs sharding must not move a single bit, including on a ragged tail
+   (320 vectors = 5 words). *)
+let test_heterogeneous_jobs_invariance () =
   let netlist = rca8 () in
-  let vectors = 320 in
-  let run ~block ~jobs =
-    Noisy_sim.profile_grid_heterogeneous ~seed:5 ~vectors ~block ~jobs
+  let run jobs =
+    Noisy_sim.profile_grid_heterogeneous ~seed:5 ~vectors:320 ~jobs
       ~input_probability:0.3 ~epsilon_of_lanes:(hetero_lanes ()) netlist
   in
-  let reference = run ~block:1 ~jobs:1 in
+  let reference = run 1 in
   List.iter
-    (fun block ->
-      List.iter
-        (fun jobs ->
-          Array.iteri
-            (fun i r ->
-              check_result_equal
-                (Printf.sprintf "block=%d jobs=%d lane=%d" block jobs i)
-                reference.(i) r)
-            (run ~block ~jobs))
-        [ 1; 2; 4 ])
-    [ 1; 4; 8 ]
+    (fun jobs ->
+      Array.iteri
+        (fun i r ->
+          check_result_equal
+            (Printf.sprintf "jobs=%d lane=%d" jobs i)
+            reference.(i) r)
+        (run jobs))
+    [ 2; 3; 4 ]
 
 let test_heterogeneous_edges () =
   let netlist = rca8 () in
@@ -407,8 +377,11 @@ let test_zero_allocation_batch () =
     let c = Compiled.of_netlist n in
     let rng = Prng.create ~seed:7 in
     let lanes = 4 in
-    let grid = Compiled.pack_grid c [| 0.001; 0.01; 0.05; 0.1 |] in
     let count = Compiled.node_count c in
+    let grid =
+      Compiled.pack_grid_heterogeneous c
+        (Array.map (Array.make count) [| 0.001; 0.01; 0.05; 0.1 |])
+    in
     let out_n = Array.length (Compiled.output_ids c) in
     let buffers () =
       Array.init lanes (fun _ -> Compiled.create_values_blocked c)
@@ -443,21 +416,19 @@ let suite =
     Alcotest.test_case "empty grid" `Quick test_empty_grid;
     Alcotest.test_case "bit-identical across jobs (fixed)" `Quick
       test_jobs_determinism;
-    Alcotest.test_case "bit-identical across jobs (adaptive)" `Quick
-      test_adaptive_jobs_determinism;
     Alcotest.test_case "CRN coupling: monotone along the grid" `Quick
       test_crn_monotonicity;
-    Alcotest.test_case "adaptive stops on block boundaries" `Quick
-      test_adaptive_budget;
     Alcotest.test_case "argument validation" `Quick test_validation;
-    Alcotest.test_case "bit-identical at block widths 1/4/8" `Quick
-      test_block_width_invariance;
+    Alcotest.test_case "ragged tail bit-identical across jobs" `Quick
+      test_ragged_jobs_invariance;
+    Alcotest.test_case "noise-free lanes = golden pair on every path" `Quick
+      test_zero_lane_shortcut;
     Alcotest.test_case "heterogeneous lanes bit-identical to per-point" `Quick
       test_heterogeneous_lane_identity;
     Alcotest.test_case "heterogeneous with uniform rows = homogeneous" `Quick
       test_heterogeneous_matches_homogeneous;
-    Alcotest.test_case "heterogeneous bit-identical across jobs/blocks" `Quick
-      test_heterogeneous_jobs_block_invariance;
+    Alcotest.test_case "heterogeneous bit-identical across jobs" `Quick
+      test_heterogeneous_jobs_invariance;
     Alcotest.test_case "heterogeneous edge cases" `Quick
       test_heterogeneous_edges;
     Alcotest.test_case "memo stats and clear_cache" `Quick test_memo_stats;

@@ -205,6 +205,34 @@ let test_bounds_matches_direct_evaluation () =
   in
   Alcotest.(check string) "service = Metrics.evaluate" expected reply
 
+(* ε = 1/2 lies in every verb's domain, and there the size and energy
+   bounds are +∞: the daemon answers with those fields null, as the
+   tables print them inf, instead of failing in the encoder. *)
+let test_coin_flip_bounds_are_null () =
+  let t = make_service () in
+  let result line =
+    let reply = Service.handle_line t line in
+    Alcotest.(check bool) (line ^ " is ok") true (reply_ok reply);
+    match Json.parse reply with
+    | Ok v -> Option.get (Json.member "result" v)
+    | Error _ -> Alcotest.fail "reply unparseable"
+  in
+  let member k v = Option.get (Json.member k v) in
+  let first v = List.hd (Option.get (Json.to_list v)) in
+  let check_null msg v = Alcotest.(check bool) msg true (v = Json.Null) in
+  check_null "bounds size_ratio"
+    (member "size_ratio" (result {|{"kind":"bounds","epsilon":0.5}|}));
+  let row line = first (member "rows" (result line)) in
+  check_null "analyze size_ratio"
+    (member "size_ratio"
+       (row {|{"kind":"analyze","circuit":"c17","epsilons":[0.5]}|}));
+  let priced =
+    result
+      {|{"kind":"analyze","circuit":"c17","epsilons":[0.5],"tech":"cmos55"}|}
+  in
+  check_null "tech bound_energy_j"
+    (member "bound_energy_j" (first (member "bounds" (member "tech" priced))))
+
 (* Each line misses once cold and hits once warm with the same bytes:
    the default-grid analyze on four suite circuits and rca8 priced by
    both built-in technology packs, whose digest keys the cache. *)
@@ -783,6 +811,8 @@ let suite =
       test_profile_core_shared_with_analyze;
     Alcotest.test_case "rename-only BLIF shares profile core" `Quick
       test_rename_only_blif_shares_profile_core;
+    Alcotest.test_case "bounds at eps = 1/2 encode as null" `Quick
+      test_coin_flip_bounds_are_null;
     Alcotest.test_case "structured errors" `Quick test_structured_errors;
     Alcotest.test_case "static request cached + exact" `Quick
       test_static_request;

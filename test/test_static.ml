@@ -4,13 +4,14 @@ module Noisy_sim = Nano_faults.Noisy_sim
 module Netlist = Nano_netlist.Netlist
 module B = Nano_netlist.Netlist.Builder
 
-(* Agresti–Coull half-width around an empirical error count, the same
-   adjusted form the adaptive simulator freezes on. The deterministic
-   fixed-seed tests use the 95% quantile; the QCheck properties draw
-   fresh random seeds every run and perform ~100 containment checks, so
-   they widen to z = 5 (~3e-7 one-sided) to keep the expected
-   false-alarm count over the suite's lifetime negligible — a genuine
-   soundness bug overshoots by far more than the interval width. *)
+(* Agresti–Coull half-width around an empirical error count: the
+   adjusted point estimate (errors + 2) / (n + 4) keeps the width honest
+   at zero observed errors. The deterministic fixed-seed tests use the
+   95% quantile; the QCheck properties draw fresh random seeds every run
+   and perform ~100 containment checks, so they widen to z = 5 (~3e-7
+   one-sided) to keep the expected false-alarm count over the suite's
+   lifetime negligible — a genuine soundness bug overshoots by far more
+   than the interval width. *)
 let ac_half_width ?(z = 1.96) ~vectors ~errors () =
   let n = float_of_int vectors in
   let pt = (float_of_int errors +. 2.) /. (n +. 4.) in
@@ -193,7 +194,7 @@ let test_zero_epsilon_zero_error () =
 (* ------------------------------------------------------------------ *)
 (* Containment: the sound interval must cover the Monte-Carlo point    *)
 (* (within its confidence half-width) on arbitrary reconvergent        *)
-(* circuits, at several epsilons, job counts and block widths.         *)
+(* circuits, at several epsilons and job counts.                       *)
 (* ------------------------------------------------------------------ *)
 
 let containment_property =
@@ -206,12 +207,10 @@ let containment_property =
       in
       let epsilon = [| 0.001; 0.01; 0.05 |].(seed mod 3) in
       let jobs = 1 + (seed mod 3) in
-      let block = [| 1; 4; 8 |].(seed mod 3) in
       let vectors = 4096 in
       let t = Static.analyze ~epsilon netlist in
       let results =
-        Noisy_sim.profile_grid ~vectors ~jobs ~block ~epsilons:[| epsilon |]
-          netlist
+        Noisy_sim.profile_grid ~vectors ~jobs ~epsilons:[| epsilon |] netlist
       in
       List.iter
         (fun (name, iv) ->
