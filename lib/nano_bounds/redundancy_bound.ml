@@ -16,15 +16,27 @@ let check p =
   if not (valid p) then
     invalid_arg "Redundancy_bound: parameters outside Theorem 2's domain"
 
+let stable_below = 1e-6
+
 let omega ?(model = Gate_lumped) ~fanin epsilon =
   if not (epsilon > 0. && epsilon <= 0.5) then
     invalid_arg "Redundancy_bound.omega: epsilon must lie in (0, 1/2]";
   if fanin < 1 then invalid_arg "Redundancy_bound.omega: fanin must be >= 1";
-  let x = 1. -. (2. *. epsilon) in
-  match model with
-  | Gate_lumped ->
-    (1. -. Nano_util.Math_ext.float_pow_int x fanin) /. 2.
-  | Wire_split -> (1. -. (x ** (1. /. float_of_int fanin))) /. 2.
+  let k = float_of_int fanin in
+  if epsilon < stable_below then
+    (* 1 - (1 - 2ε)^k cancels as ε -> 0 and reaches 0 below about
+       1e-17, where t_parameter would reject it; the expm1/log1p form
+       keeps every digit. Only below the cutoff, so every ε the goldens
+       use keeps the bytes of the direct form. *)
+    let l = Float.log1p (-2. *. epsilon) in
+    match model with
+    | Gate_lumped -> -.Float.expm1 (k *. l) /. 2.
+    | Wire_split -> -.Float.expm1 (l /. k) /. 2.
+  else
+    let x = 1. -. (2. *. epsilon) in
+    match model with
+    | Gate_lumped -> (1. -. Nano_util.Math_ext.float_pow_int x fanin) /. 2.
+    | Wire_split -> (1. -. (x ** (1. /. k))) /. 2.
 
 let t_parameter ~omega:w =
   if not (w > 0. && w <= 0.5) then

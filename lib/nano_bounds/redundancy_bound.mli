@@ -28,7 +28,11 @@ type omega_model = Gate_lumped | Wire_split
 
 val omega : ?model:omega_model -> fanin:int -> float -> float
 (** [omega ~fanin epsilon] is the effective wire-noise parameter, in
-    [(0, 1/2]]. *)
+    [(0, 1/2]]. Below [epsilon = 1e-6] it is computed as
+    [-expm1 (k log1p (-2ε)) / 2] ([-expm1 (log1p (-2ε) / k) / 2] for
+    {!Wire_split}), which does not cancel to 0: {!Gate_lumped} stays
+    positive down to the smallest subnormal ε, {!Wire_split} while
+    [ε / k] is a positive double. *)
 
 val t_parameter : omega:float -> float
 (** [t = (ω^3 + (1-ω)^3)/(ω(1-ω))]; decreases to 1 as ω → 1/2. Requires

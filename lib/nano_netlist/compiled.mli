@@ -168,7 +168,8 @@ val add_toggle_counts_blocked :
 type grid_pack
 (** A lane grid lowered for the fused multi-epsilon sweep: one row of
     [lanes + 1] integer thresholds per noisy schedule position, word 0
-    the row maximum (early-out). *)
+    the row maximum: a noise word none of whose 64 uniforms falls below
+    it flips nothing in any lane and is skipped. *)
 
 val pack_grid_heterogeneous : t -> float array array -> grid_pack
 (** [pack_grid_heterogeneous c eps] with [eps.(k).(id)] lane [k]'s
@@ -213,8 +214,11 @@ val run_noisy_grid_words :
     replicas — ONE shared 64-uniform draw per noisy gate thinned
     against all lane thresholds
     ({!Nano_util.Prng.xor_noise_lanes_blocked}), the common-random-numbers
-    coupling — plus the golden pair, whose statistics go to
-    [ones0]/[toggles0] when [need0] (pass empty arrays otherwise).
+    coupling: the uniforms are computed once per word for every lane,
+    and each lane's 64-bit flip mask is built from them in vector
+    registers and XORed in once — plus the golden pair, whose
+    statistics go to [ones0]/[toggles0] when [need0] (pass empty arrays
+    otherwise).
     Lane [k]'s first replica runs on the golden stimulus and its second
     on fresh stimulus; its counters land in [ones.(k)] and
     [toggles.(k)] (per node), [out_errors.(k)] (per output) and

@@ -3,36 +3,39 @@ module Compiled = Nano_netlist.Compiled
 module Par = Nano_util.Par
 module Prng = Nano_util.Prng
 
-(* Bit-parallel flip evaluation: within each 64-lane word, lane 0
-   carries the base assignment and lane j (1 <= j <= 63) the assignment
-   with one input flipped, so one word measures up to 63 single-input
-   flips — and the blocked kernel evaluates up to [block_width] such
-   chunk words per gate visit, so wide-input circuits settle all their
-   flip chunks in one sweep. [values] is a
-   {!Compiled.create_values_blocked} buffer owned by the caller, so the
-   per-assignment loops of {!exact} and {!sampled} reuse one buffer for
-   the whole shard instead of allocating per assignment. *)
-let at_assignment_in c ~values bits =
-  let n = Array.length bits in
+(* Bit-parallel flip evaluation. An (assignment, chunk) word carries
+   the assignment in lane 0 and, in lane j (1 <= j <= 63), the
+   assignment with the chunk's j-th input flipped, so one word measures
+   up to 63 single-input flips. The words of [count] assignments are
+   laid end to end, each assignment's chunks in order, across blocked
+   sweeps of at most [block_width] words: a circuit with at most 63
+   inputs settles [block_width] assignments per sweep, and an
+   assignment with more chunks than that spans sweeps. [fill k bits]
+   writes assignment [k]'s bits, called once per assignment in order.
+   The maximum over the assignments, stopping between sweeps once it
+   reaches [ceiling]; the assignments a sweep adds past that point
+   cannot exceed it. [values] is a {!Compiled.create_values_blocked}
+   buffer owned by the caller, so a shard reuses one buffer. *)
+let max_over c ~values ~ceiling ~count ~fill =
   let input_ids = Compiled.input_ids c in
-  if n <> Array.length input_ids then
-    invalid_arg "Sensitivity.at_assignment: wrong number of input bits";
+  let n = Array.length input_ids in
   let out_ids = Compiled.output_ids c in
-  let n_out = Array.length out_ids in
   let block = Compiled.block_width c in
   let nchunks = (n + 62) / 63 in
-  let changed = ref 0 in
-  let first_chunk = ref 0 in
-  while !first_chunk < nchunks do
-    let bw = min block (nchunks - !first_chunk) in
+  let total = count * nchunks in
+  let bits = Array.make n false in
+  let best = ref 0 and changed = ref 0 and laid = ref 0 in
+  while !laid < total && !best < ceiling do
+    let bw = min block (total - !laid) in
     for j = 0 to bw - 1 do
-      let chunk_start = (!first_chunk + j) * 63 in
-      let flips = min 63 (n - chunk_start) in
+      let chunk = (!laid + j) mod nchunks in
+      if chunk = 0 then fill ((!laid + j) / nchunks) bits;
+      let chunk_start = chunk * 63 in
       for i = 0 to n - 1 do
         let base = if bits.(i) then -1L else 0L in
         let local = i - chunk_start in
         let w =
-          if local >= 0 && local < flips then
+          if local >= 0 && local < 63 then
             (* Flip this input in its dedicated lane (local + 1). *)
             Int64.logxor base (Int64.shift_left 1L (local + 1))
           else base
@@ -42,30 +45,40 @@ let at_assignment_in c ~values bits =
     done;
     Compiled.exec_words_blocked c ~width:bw ~values;
     for j = 0 to bw - 1 do
-      let chunk_start = (!first_chunk + j) * 63 in
-      let flips = min 63 (n - chunk_start) in
+      let chunk = (!laid + j) mod nchunks in
+      let flips = min 63 (n - (chunk * 63)) in
       (* A lane differs from lane 0 when some output bit differs. *)
       let diff = ref 0L in
-      for i = 0 to n_out - 1 do
-        let w = Compiled.get_word_blocked c ~values ~id:out_ids.(i) ~word:j in
-        let base_bit = Int64.logand w 1L in
-        (* Spread lane 0's bit across all lanes and XOR. *)
-        let spread = Int64.neg base_bit (* 0 -> 0L, 1 -> all ones *) in
-        diff := Int64.logor !diff (Int64.logxor w spread)
-      done;
-      (* Each input lives in exactly one chunk, so counting here equals
-         counting distinct changed inputs. *)
-      for l = 0 to flips - 1 do
-        if Nano_util.Bits.get !diff (l + 1) then incr changed
-      done
+      Array.iter
+        (fun id ->
+          let w = Compiled.get_word_blocked c ~values ~id ~word:j in
+          (* Spread lane 0's bit across all lanes and XOR. *)
+          let spread = Int64.neg (Int64.logand w 1L) in
+          diff := Int64.logor !diff (Int64.logxor w spread))
+        out_ids;
+      (* Each input lives in exactly one chunk, so summing over an
+         assignment's chunks counts distinct changed inputs. *)
+      changed :=
+        !changed
+        + Nano_util.Bits.popcount64
+            (Int64.logand
+               (Int64.shift_right_logical !diff 1)
+               (Nano_util.Bits.ones_below flips));
+      if chunk = nchunks - 1 then begin
+        if !changed > !best then best := !changed;
+        changed := 0
+      end
     done;
-    first_chunk := !first_chunk + bw
+    laid := !laid + bw
   done;
-  !changed
+  !best
 
 let at_assignment netlist bits =
   let c = Compiled.of_netlist netlist in
-  at_assignment_in c ~values:(Compiled.create_values_blocked c) bits
+  if Array.length bits <> Array.length (Compiled.input_ids c) then
+    invalid_arg "Sensitivity.at_assignment: wrong number of input bits";
+  max_over c ~values:(Compiled.create_values_blocked c) ~ceiling:max_int
+    ~count:1 ~fill:(fun _ dst -> Array.blit bits 0 dst 0 (Array.length bits))
 
 (* The structural ceiling: inputs in the transitive fanin of some
    output. Flipping an input outside every output's cone changes no
@@ -82,24 +95,16 @@ let support netlist =
     (fun k id -> if in_cone id then k + 1 else k)
     0 (Netlist.input_ids netlist)
 
-(* Maximum of [at_assignment] over the assignments encoded by integers
-   [lo, hi), stopping at [ceiling]; each shard allocates its own
-   evaluation buffer, so shards share nothing but the read-only compiled
-   program. *)
+(* Maximum over the assignments encoded by integers [lo, hi); each
+   shard allocates its own evaluation buffer, so shards share nothing
+   but the read-only compiled program. *)
 let max_over_range c n ~ceiling (lo, hi) =
-  let bits = Array.make n false in
-  let values = Compiled.create_values_blocked c in
-  let best = ref 0 in
-  let a = ref lo in
-  while !a < hi && !best < ceiling do
-    for i = 0 to n - 1 do
-      bits.(i) <- (!a lsr i) land 1 = 1
-    done;
-    let s = at_assignment_in c ~values bits in
-    if s > !best then best := s;
-    incr a
-  done;
-  !best
+  max_over c ~values:(Compiled.create_values_blocked c) ~ceiling
+    ~count:(hi - lo) ~fill:(fun k bits ->
+      let a = lo + k in
+      for i = 0 to n - 1 do
+        bits.(i) <- (a lsr i) land 1 = 1
+      done)
 
 let exact ?(max_inputs = 12) ?(jobs = 1) netlist =
   let n = Netlist.input_count netlist in
@@ -131,19 +136,11 @@ let sampled ?(seed = 0x5e15) ?(samples = 2048) ?(jobs = 1) netlist =
   let shard (lo, hi) =
     let rng = Prng.create ~seed in
     Prng.jump rng ~draws:(lo * n);
-    let bits = Array.make n false in
-    let values = Compiled.create_values_blocked c in
-    let best = ref 0 in
-    let k = ref lo in
-    while !k < hi && !best < ceiling do
-      for i = 0 to n - 1 do
-        bits.(i) <- Prng.bool rng
-      done;
-      let s = at_assignment_in c ~values bits in
-      if s > !best then best := s;
-      incr k
-    done;
-    !best
+    max_over c ~values:(Compiled.create_values_blocked c) ~ceiling
+      ~count:(hi - lo) ~fill:(fun _ bits ->
+        for i = 0 to n - 1 do
+          bits.(i) <- Prng.bool rng
+        done)
   in
   Array.fold_left max 0 (Par.map ~jobs shard (Par.ranges ~jobs samples))
 

@@ -230,12 +230,25 @@ external xor_noise_lanes_blocked_stub :
 external simd_width : unit -> int = "nano_prng_simd_width" [@@noalloc]
 external simd_level_id : unit -> int = "nano_prng_simd_level" [@@noalloc]
 
-let simd_level () =
-  match simd_level_id () with
-  | 1 -> "avx2"
-  | 2 -> "avx512"
-  | 3 -> "neon"
-  | _ -> "scalar"
+let simd_level_names = [| "scalar"; "avx2"; "avx512"; "neon" |]
+
+let simd_level () = simd_level_names.(simd_level_id ())
+
+external xor_noise_lanes_blocked_level_stub :
+  int ->
+  Bytes.t ->
+  int ->
+  int ->
+  int ->
+  Bytes.t ->
+  int ->
+  int ->
+  Bytes.t array ->
+  int ->
+  bool
+  = "nano_prng_xor_noise_lanes_blocked_level_bytes"
+    "nano_prng_xor_noise_lanes_blocked_level"
+[@@noalloc]
 
 external store_density_blocked_stub :
   Bytes.t ->
@@ -263,15 +276,33 @@ let xor_noise_lanes_blocked t ~offset ~stride ~width ~thr ~thr_pos ~lanes
       "Nano_util.Prng.xor_noise_lanes_blocked: fewer destination buffers than \
        lanes";
   (* One lane flips exactly the bits the single-threshold mask stub
-     flips at lane 0's threshold, and that stub skips the candidate pass
-     and the per-bit lane loop: one-lane simulations of rca8 and mult16
-     ran 1.2-3.4x faster through it on a 2-vCPU x86-64 AVX-512 host. *)
+     flips at lane 0's threshold, and that stub skips the row-maximum
+     pass and the per-lane mask loop: at one lane it took 39-40 ns per
+     word against 48-68 ns through the lanes stub (epsilon 0.001-0.1,
+     8-word blocks, 2-vCPU x86-64 AVX-512 host). *)
   if lanes = 1 then
     xor_noise_blocked_stub t.buf offset stride width thr (thr_pos + 8) dst.(0)
       pos
   else
     xor_noise_lanes_blocked_stub t.buf offset stride width thr thr_pos lanes
       dst pos
+
+let xor_noise_lanes_blocked_at_level ~level t ~offset ~stride ~width ~thr
+    ~thr_pos ~lanes (dst : Bytes.t array) ~pos =
+  let id =
+    match Array.find_index (String.equal level) simd_level_names with
+    | Some id -> id
+    | None ->
+      invalid_arg
+        ("Nano_util.Prng.xor_noise_lanes_blocked_at_level: unknown level "
+       ^ level)
+  in
+  if lanes < 1 || Array.length dst < lanes then
+    invalid_arg
+      "Nano_util.Prng.xor_noise_lanes_blocked_at_level: need lanes >= 1 and \
+       a destination buffer per lane";
+  xor_noise_lanes_blocked_level_stub id t.buf offset stride width thr thr_pos
+    lanes dst pos
 
 let store_words_with_density_at_ref t ~offset ~stride ~width ~p dst ~pos
     ~pos_stride =

@@ -118,10 +118,16 @@ val xor_noise_lanes_blocked :
     nested in the threshold, and each lane flips exactly the bits
     {!xor_noise_blocked} would at that lane's threshold. Consumes 64
     draws per word whatever [lanes] is, so callers can change the lane
-    set without shifting the stream. One lane runs the
-    {!xor_noise_blocked} stub at lane 0's threshold. Requires
-    [lanes >= 1] and at least [lanes] buffers in [dst]. Does not mutate
-    [t]. *)
+    set without shifting the stream.
+
+    The C stub computes each word's 64 uniforms once, across all lanes.
+    A word with no uniform below word 0 writes nothing, and one with at
+    most three compares those with each lane; otherwise each lane's
+    64-bit flip mask is built with one compare per lane per vector
+    register of uniforms and XORed into the lane's word once.
+    One lane runs the {!xor_noise_blocked} stub at lane 0's threshold
+    instead, which is faster there. Requires [lanes >= 1] and at least
+    [lanes] buffers in [dst]. Does not mutate [t]. *)
 
 val xor_noise_blocked_ref :
   t ->
@@ -162,6 +168,26 @@ val simd_level : unit -> string
     ["scalar"], ["avx2"], ["avx512"] or ["neon"]. Recorded in BENCH
     files and the service stats so numbers can be traced to the kernel
     that produced them. *)
+
+val xor_noise_lanes_blocked_at_level :
+  level:string ->
+  t ->
+  offset:int ->
+  stride:int ->
+  width:int ->
+  thr:Bytes.t ->
+  thr_pos:int ->
+  lanes:int ->
+  Bytes.t array ->
+  pos:int ->
+  bool
+(** Test entry: the multi-lane stub of {!xor_noise_lanes_blocked} at the
+    named kernel family (a {!simd_level} name) rather than the resolved
+    one, one lane included, so differential tests can pin every family
+    the machine runs to {!xor_noise_lanes_blocked_ref}. Returns [false],
+    writing nothing, when this machine cannot run [level]; ["scalar"]
+    always runs. Raises [Invalid_argument] for an unknown name,
+    [lanes < 1] or fewer than [lanes] buffers in [dst]. *)
 
 val store_words_with_density_at :
   t ->

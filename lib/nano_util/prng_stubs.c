@@ -20,10 +20,15 @@
  * on ARMv8, so no runtime probe is needed. Other targets compile the
  * scalar path only.
  *
- * Three kernel families share the mask machinery:
+ * Three kernel families share the draw machinery:
  *   - xor_noise_blocked: XOR a 64-draw flip mask into each word;
  *   - xor_noise_lanes_blocked: one shared uniform per bit position
- *     thinned against per-lane thresholds (the CRN grid kernel);
+ *     thinned against per-lane thresholds (the CRN grid kernel). The
+ *     word's uniforms stay in vector registers: a compare against the
+ *     row maximum skips words no lane flips, at most three candidate
+ *     bits are compared with each lane one by one, and otherwise one
+ *     compare per lane per register builds each lane's 64-bit flip
+ *     mask, XORed into that lane's word once;
  *   - store_density_blocked: STORE the 64-draw mask — biased input
  *     stimulus, same draw order and threshold rule as the noise path.
  */
@@ -66,24 +71,64 @@ static uint64_t noise_mask_scalar(uint64_t base, uint64_t t) {
   return mask;
 }
 
-/* The 64 uniforms of one word, stored for the (rare) slow path of the
- * multi-lane kernel. */
-static void noise_uniforms_scalar(uint64_t base, uint64_t *u) {
-  uint64_t s = base;
-  for (int i = 0; i < 64; i++) {
-    s += GAMMA;
-    u[i] = mix64(s) >> 11;
+/* Multi-lane kernels: (base, gstride, width, thr, lanes, dst_array,
+ * pos), word j drawn from state base + j*gstride. thr holds the row
+ * maximum then the lanes' thresholds; lane k's flips land in Bytes k of
+ * dst_array at byte offset pos + 8*j. Every level flips bit i of lane k
+ * iff u_i < row maximum and u_i < t_k, the reference's rule. */
+typedef void lanes_fn(uint64_t, uint64_t, intnat, const unsigned char *,
+                      intnat, value, intnat);
+
+static inline void xor_lane(value vdst, intnat k, intnat off, uint64_t m) {
+  unsigned char *b = (unsigned char *)Bytes_val(Field(vdst, k)) + off;
+  store64(b, load64(b) ^ m);
+}
+
+/* Lane k's threshold clamped to the row maximum, so one compare decides
+ * both of the reference's conditions. */
+static inline uint64_t lane_threshold(const unsigned char *thr, intnat k,
+                                      uint64_t tmax) {
+  uint64_t t = load64(thr + 8 * (k + 1));
+  return t < tmax ? t : tmax;
+}
+
+/* True when cand has at most three bits set. */
+static inline int few_candidates(uint64_t cand) {
+  cand &= cand - 1;
+  cand &= cand - 1;
+  return (cand & (cand - 1)) == 0;
+}
+
+/* The sparse side of the vector kernels: with at most three candidate
+ * bits, rebuilding each one's uniform from its state and comparing it
+ * with every lane costs less than a lane-by-lane pass over all 64. */
+static inline void lanes_sparse(uint64_t base, uint64_t cand,
+                                const unsigned char *thr, intnat lanes,
+                                value vdst, intnat off) {
+  while (cand) {
+    int i = __builtin_ctzll(cand);
+    cand &= cand - 1;
+    uint64_t u = mix64(base + (uint64_t)(i + 1) * GAMMA) >> 11;
+    for (intnat k = 0; k < lanes; k++)
+      xor_lane(vdst, k, off, (uint64_t)(u < load64(thr + 8 * (k + 1))) << i);
   }
 }
 
-/* Bit mask of positions whose uniform is below tmax (the row maximum of
- * a lane pack): the early-out filter of the multi-lane kernel. */
-static uint64_t noise_candidates_scalar(uint64_t base, uint64_t tmax,
-                                        uint64_t *u) {
-  noise_uniforms_scalar(base, u);
-  uint64_t mask = 0;
-  for (int i = 0; i < 64; i++) mask |= (uint64_t)(u[i] < tmax) << i;
-  return mask;
+static void noise_lanes_scalar(uint64_t base, uint64_t gstride, intnat width,
+                               const unsigned char *thr, intnat lanes,
+                               value vdst, intnat pos) {
+  uint64_t tmax = load64(thr);
+  for (intnat j = 0; j < width; j++, base += gstride) {
+    uint64_t s = base;
+    for (int i = 0; i < 64; i++) {
+      s += GAMMA;
+      uint64_t u = mix64(s) >> 11;
+      if (u < tmax)
+        for (intnat k = 0; k < lanes; k++)
+          if (u < load64(thr + 8 * (k + 1)))
+            xor_lane(vdst, k, pos + 8 * j, UINT64_C(1) << i);
+    }
+  }
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -121,26 +166,43 @@ noise_mask_avx512(uint64_t base, uint64_t t) {
   return mask;
 }
 
-__attribute__((target("avx512f,avx512dq"))) static uint64_t
-noise_candidates_avx512(uint64_t base, uint64_t tmax, uint64_t *uout) {
-  __m512i s = _mm512_add_epi64(
-      _mm512_set1_epi64((int64_t)base),
-      _mm512_setr_epi64((int64_t)(1 * GAMMA), (int64_t)(2 * GAMMA),
-                        (int64_t)(3 * GAMMA), (int64_t)(4 * GAMMA),
-                        (int64_t)(5 * GAMMA), (int64_t)(6 * GAMMA),
-                        (int64_t)(7 * GAMMA), (int64_t)(8 * GAMMA)));
+/* Bit 8r + l set iff lane l of u[r] is below vt. */
+__attribute__((target("avx512f,avx512dq"))) static inline uint64_t
+below_avx512(const __m512i *u, __m512i vt) {
+  uint64_t m = 0;
+  for (int r = 0; r < 8; r++)
+    m |= (uint64_t)_mm512_cmplt_epu64_mask(u[r], vt) << (8 * r);
+  return m;
+}
+
+__attribute__((target("avx512f,avx512dq"))) static void
+noise_lanes_avx512(uint64_t base, uint64_t gstride, intnat width,
+                   const unsigned char *thr, intnat lanes, value vdst,
+                   intnat pos) {
+  const __m512i ramp = _mm512_setr_epi64(
+      (int64_t)(1 * GAMMA), (int64_t)(2 * GAMMA), (int64_t)(3 * GAMMA),
+      (int64_t)(4 * GAMMA), (int64_t)(5 * GAMMA), (int64_t)(6 * GAMMA),
+      (int64_t)(7 * GAMMA), (int64_t)(8 * GAMMA));
   const __m512i step = _mm512_set1_epi64((int64_t)(8 * GAMMA));
-  const __m512i vt = _mm512_set1_epi64((int64_t)tmax);
-  uint64_t mask = 0;
-  for (int k = 0; k < 8; k++) {
-    __m512i u = _mm512_srli_epi64(mix64_x8(s), 11);
-    uint64_t m8 = _mm512_cmplt_epu64_mask(u, vt);
-    mask |= m8 << (8 * k);
-    /* Uniforms are only read on the rare candidate path. */
-    if (m8) _mm512_storeu_si512((void *)(uout + 8 * k), u);
-    s = _mm512_add_epi64(s, step);
+  uint64_t tmax = load64(thr);
+  for (intnat j = 0; j < width; j++, base += gstride) {
+    __m512i s = _mm512_add_epi64(_mm512_set1_epi64((int64_t)base), ramp);
+    __m512i u[8];
+    for (int r = 0; r < 8; r++) {
+      u[r] = _mm512_srli_epi64(mix64_x8(s), 11);
+      s = _mm512_add_epi64(s, step);
+    }
+    uint64_t cand = below_avx512(u, _mm512_set1_epi64((int64_t)tmax));
+    if (!cand) continue;
+    if (few_candidates(cand)) {
+      lanes_sparse(base, cand, thr, lanes, vdst, pos + 8 * j);
+      continue;
+    }
+    for (intnat k = 0; k < lanes; k++)
+      xor_lane(vdst, k, pos + 8 * j,
+               below_avx512(u, _mm512_set1_epi64(
+                                   (int64_t)lane_threshold(thr, k, tmax))));
   }
-  return mask;
 }
 
 /* ---------------- AVX2 paths (emulated 64-bit multiply) ------------- */
@@ -181,40 +243,63 @@ __attribute__((target("avx2"))) static uint64_t noise_mask_avx2(uint64_t base,
   return mask;
 }
 
-__attribute__((target("avx2"))) static uint64_t
-noise_candidates_avx2(uint64_t base, uint64_t tmax, uint64_t *uout) {
-  __m256i s = _mm256_add_epi64(
-      _mm256_set1_epi64x((int64_t)base),
+/* Bit 4r + l set iff lane l of u[r] is below vt. Both operands are
+ * below 2^53, so the signed compare is the unsigned one. */
+__attribute__((target("avx2"))) static inline uint64_t
+below_avx2(const __m256i *u, __m256i vt) {
+  uint64_t m = 0;
+  for (int r = 0; r < 16; r++)
+    m |= (uint64_t)_mm256_movemask_pd(
+             _mm256_castsi256_pd(_mm256_cmpgt_epi64(vt, u[r])))
+         << (4 * r);
+  return m;
+}
+
+__attribute__((target("avx2"))) static void
+noise_lanes_avx2(uint64_t base, uint64_t gstride, intnat width,
+                 const unsigned char *thr, intnat lanes, value vdst,
+                 intnat pos) {
+  const __m256i ramp =
       _mm256_setr_epi64x((int64_t)(1 * GAMMA), (int64_t)(2 * GAMMA),
-                         (int64_t)(3 * GAMMA), (int64_t)(4 * GAMMA)));
+                         (int64_t)(3 * GAMMA), (int64_t)(4 * GAMMA));
   const __m256i step = _mm256_set1_epi64x((int64_t)(4 * GAMMA));
-  const __m256i vt = _mm256_set1_epi64x((int64_t)tmax);
-  uint64_t mask = 0;
-  for (int k = 0; k < 16; k++) {
-    __m256i u = _mm256_srli_epi64(mix64_x4(s), 11);
-    __m256i lt = _mm256_cmpgt_epi64(vt, u);
-    uint64_t m4 = (uint64_t)_mm256_movemask_pd(_mm256_castsi256_pd(lt));
-    mask |= m4 << (4 * k);
-    if (m4) _mm256_storeu_si256((__m256i *)(uout + 4 * k), u);
-    s = _mm256_add_epi64(s, step);
+  uint64_t tmax = load64(thr);
+  for (intnat j = 0; j < width; j++, base += gstride) {
+    __m256i s = _mm256_add_epi64(_mm256_set1_epi64x((int64_t)base), ramp);
+    __m256i u[16];
+    for (int r = 0; r < 16; r++) {
+      u[r] = _mm256_srli_epi64(mix64_x4(s), 11);
+      s = _mm256_add_epi64(s, step);
+    }
+    uint64_t cand = below_avx2(u, _mm256_set1_epi64x((int64_t)tmax));
+    if (!cand) continue;
+    if (few_candidates(cand)) {
+      lanes_sparse(base, cand, thr, lanes, vdst, pos + 8 * j);
+      continue;
+    }
+    for (intnat k = 0; k < lanes; k++)
+      xor_lane(vdst, k, pos + 8 * j,
+               below_avx2(u, _mm256_set1_epi64x(
+                                 (int64_t)lane_threshold(thr, k, tmax))));
   }
-  return mask;
 }
 
 /* ---------------- dispatch ---------------- */
 
 static uint64_t (*noise_mask_fn)(uint64_t, uint64_t) = noise_mask_scalar;
-static uint64_t (*noise_candidates_fn)(uint64_t, uint64_t, uint64_t *) =
-    noise_candidates_scalar;
+static lanes_fn *noise_lanes_fn = noise_lanes_scalar;
+/* Indexed by level: the lanes kernels this CPU can run. */
+static lanes_fn *lanes_by_level[4] = {noise_lanes_scalar};
 
 __attribute__((constructor)) static void nano_prng_init(void) {
+  if (__builtin_cpu_supports("avx2")) {
+    noise_mask_fn = noise_mask_avx2;
+    noise_lanes_fn = lanes_by_level[1] = noise_lanes_avx2;
+  }
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512dq")) {
     noise_mask_fn = noise_mask_avx512;
-    noise_candidates_fn = noise_candidates_avx512;
-  } else if (__builtin_cpu_supports("avx2")) {
-    noise_mask_fn = noise_mask_avx2;
-    noise_candidates_fn = noise_candidates_avx2;
+    noise_lanes_fn = lanes_by_level[2] = noise_lanes_avx512;
   }
 }
 
@@ -272,39 +357,60 @@ static uint64_t noise_mask_neon(uint64_t base, uint64_t t) {
   return mask;
 }
 
-static uint64_t noise_candidates_neon(uint64_t base, uint64_t tmax,
-                                      uint64_t *uout) {
-  uint64x2_t s = vcombine_u64(vcreate_u64(base + 1 * GAMMA),
-                              vcreate_u64(base + 2 * GAMMA));
-  const uint64x2_t step = vdupq_n_u64(2 * GAMMA);
-  const uint64x2_t vt = vdupq_n_u64(tmax);
-  uint64_t mask = 0;
-  for (int k = 0; k < 32; k++) {
-    uint64x2_t u = vshrq_n_u64(mix64_x2(s), 11);
-    uint64x2_t lt = vcltq_u64(u, vt);
-    uint64_t m0 = vgetq_lane_u64(lt, 0) & 1;
-    uint64_t m1 = vgetq_lane_u64(lt, 1) & 1;
-    mask |= (m0 << (2 * k)) | (m1 << (2 * k + 1));
-    /* Uniforms are only read on the rare candidate path. */
-    if (m0 | m1) vst1q_u64(uout + 2 * k, u);
-    s = vaddq_u64(s, step);
+/* Bit 2r + l set iff lane l of u[r] is below vt: each compare is
+ * masked onto its two bit positions, which move up two per pair. */
+static inline uint64_t below_neon(const uint64x2_t *u, uint64x2_t vt) {
+  uint64x2_t bit = vcombine_u64(vcreate_u64(1), vcreate_u64(2));
+  uint64x2_t acc = vdupq_n_u64(0);
+  for (int r = 0; r < 32; r++) {
+    acc = vorrq_u64(acc, vandq_u64(vcltq_u64(u[r], vt), bit));
+    bit = vshlq_n_u64(bit, 2);
   }
-  return mask;
+  return vgetq_lane_u64(acc, 0) | vgetq_lane_u64(acc, 1);
+}
+
+static void noise_lanes_neon(uint64_t base, uint64_t gstride, intnat width,
+                             const unsigned char *thr, intnat lanes,
+                             value vdst, intnat pos) {
+  const uint64x2_t ramp =
+      vcombine_u64(vcreate_u64(1 * GAMMA), vcreate_u64(2 * GAMMA));
+  const uint64x2_t step = vdupq_n_u64(2 * GAMMA);
+  uint64_t tmax = load64(thr);
+  for (intnat j = 0; j < width; j++, base += gstride) {
+    uint64x2_t s = vaddq_u64(vdupq_n_u64(base), ramp);
+    uint64x2_t u[32];
+    for (int r = 0; r < 32; r++) {
+      u[r] = vshrq_n_u64(mix64_x2(s), 11);
+      s = vaddq_u64(s, step);
+    }
+    uint64_t cand = below_neon(u, vdupq_n_u64(tmax));
+    if (!cand) continue;
+    if (few_candidates(cand)) {
+      lanes_sparse(base, cand, thr, lanes, vdst, pos + 8 * j);
+      continue;
+    }
+    for (intnat k = 0; k < lanes; k++)
+      xor_lane(vdst, k, pos + 8 * j,
+               below_neon(u, vdupq_n_u64(lane_threshold(thr, k, tmax))));
+  }
 }
 
 #define noise_mask_fn noise_mask_neon
-#define noise_candidates_fn noise_candidates_neon
+#define noise_lanes_fn noise_lanes_neon
 
 static int simd_width(void) { return 2; }
 static int simd_level(void) { return 3; }
+static lanes_fn *const lanes_by_level[4] = {noise_lanes_scalar, NULL, NULL,
+                                            noise_lanes_neon};
 
 #else /* neither x86_64 nor aarch64: scalar only */
 
 #define noise_mask_fn noise_mask_scalar
-#define noise_candidates_fn noise_candidates_scalar
+#define noise_lanes_fn noise_lanes_scalar
 
 static int simd_width(void) { return 1; }
 static int simd_level(void) { return 0; }
+static lanes_fn *const lanes_by_level[4] = {noise_lanes_scalar};
 
 #endif
 
@@ -389,40 +495,21 @@ CAMLprim value nano_prng_xor_noise_blocked_bytes(value *argv, int argn) {
  * pos): the multi-lane grid kernel. thr holds lanes+1 thresholds at
  * thr_pos, word 0 an upper bound on the rest; one shared uniform per
  * bit position per word; lane k's flips land in Bytes k of dst_array.
- * The fast path only computes the candidate mask against the row
- * maximum; per-lane compares run on the (rare) candidate bits. */
+ * A word whose uniforms all reach the row maximum writes nothing; one
+ * with at most three below it compares those with each lane
+ * (lanes_sparse); otherwise each lane's flip mask is built from the
+ * uniforms still in vector registers and XORed into its word once
+ * (noise_lanes_*). */
 CAMLprim value nano_prng_xor_noise_lanes_blocked(value vstate, value voffset,
                                                  value vstride, value vwidth,
                                                  value vthr, value vthrpos,
                                                  value vlanes, value vdst,
                                                  value vpos) {
   uint64_t s0 = load64((unsigned char *)Bytes_val(vstate));
-  uint64_t base = s0 + (uint64_t)Long_val(voffset) * GAMMA;
-  uint64_t gstride = (uint64_t)Long_val(vstride) * GAMMA;
-  intnat width = Long_val(vwidth);
-  intnat lanes = Long_val(vlanes);
-  const unsigned char *thr =
-      (unsigned char *)Bytes_val(vthr) + Long_val(vthrpos);
-  uint64_t tmax = load64(thr);
-  intnat pos = Long_val(vpos);
-  uint64_t u[64];
-  for (intnat j = 0; j < width; j++) {
-    uint64_t cand = noise_candidates_fn(base, tmax, u);
-    while (cand) {
-      int i = __builtin_ctzll(cand);
-      cand &= cand - 1;
-      uint64_t ui = u[i];
-      uint64_t bit = UINT64_C(1) << i;
-      for (intnat k = 0; k < lanes; k++) {
-        if (ui < load64(thr + 8 * (k + 1))) {
-          unsigned char *b =
-              (unsigned char *)Bytes_val(Field(vdst, k)) + pos + 8 * j;
-          store64(b, load64(b) ^ bit);
-        }
-      }
-    }
-    base += gstride;
-  }
+  noise_lanes_fn(s0 + (uint64_t)Long_val(voffset) * GAMMA,
+                 (uint64_t)Long_val(vstride) * GAMMA, Long_val(vwidth),
+                 (unsigned char *)Bytes_val(vthr) + Long_val(vthrpos),
+                 Long_val(vlanes), vdst, Long_val(vpos));
   return Val_unit;
 }
 
@@ -431,4 +518,29 @@ CAMLprim value nano_prng_xor_noise_lanes_blocked_bytes(value *argv, int argn) {
   return nano_prng_xor_noise_lanes_blocked(argv[0], argv[1], argv[2], argv[3],
                                            argv[4], argv[5], argv[6], argv[7],
                                            argv[8]);
+}
+
+/* The same kernel forced to one level (Prng.simd_level's numbering), so
+ * tests can pin every level the CPU runs to the OCaml reference. Returns
+ * false, drawing nothing, for a level this CPU cannot run. */
+CAMLprim value nano_prng_xor_noise_lanes_blocked_level(
+    value vlevel, value vstate, value voffset, value vstride, value vwidth,
+    value vthr, value vthrpos, value vlanes, value vdst, value vpos) {
+  int level = Int_val(vlevel);
+  lanes_fn *f = level >= 0 && level < 4 ? lanes_by_level[level] : NULL;
+  if (f == NULL) return Val_false;
+  uint64_t s0 = load64((unsigned char *)Bytes_val(vstate));
+  f(s0 + (uint64_t)Long_val(voffset) * GAMMA,
+    (uint64_t)Long_val(vstride) * GAMMA, Long_val(vwidth),
+    (unsigned char *)Bytes_val(vthr) + Long_val(vthrpos), Long_val(vlanes),
+    vdst, Long_val(vpos));
+  return Val_true;
+}
+
+CAMLprim value nano_prng_xor_noise_lanes_blocked_level_bytes(value *argv,
+                                                             int argn) {
+  (void)argn;
+  return nano_prng_xor_noise_lanes_blocked_level(
+      argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6], argv[7],
+      argv[8], argv[9]);
 }

@@ -180,9 +180,14 @@ let test_shuffle_permutes () =
 
 (* The SIMD C stubs behind [xor_noise_blocked] and
    [xor_noise_lanes_blocked] must reproduce the pure-OCaml reference
-   implementations bit for bit on every machine, whichever of the
-   scalar / AVX2 / AVX-512 paths the dispatcher picked — widths, ragged
-   offsets, strides, and thresholds from degenerate (0, 1/2) to tiny. *)
+   implementations bit for bit on every machine — widths, ragged
+   offsets, strides, and thresholds from degenerate (0, 1/2) to tiny.
+   The multi-lane stub is checked through the resolved dispatch and,
+   through [xor_noise_lanes_blocked_at_level], at every kernel family
+   this machine runs (scalar always), so a family the dispatcher does
+   not pick here is still pinned. *)
+let lane_levels = [ "scalar"; "avx2"; "avx512"; "neon" ]
+
 let test_blocked_noise_stub_matches_reference () =
   let rng = Prng.create ~seed:0x51d in
   let scraps = Prng.create ~seed:0xfee1 in
@@ -193,6 +198,50 @@ let test_blocked_noise_stub_matches_reference () =
       set64 b (i * 8) (Prng.bits64 scraps)
     done;
     b
+  in
+  let ran = Hashtbl.create 4 in
+  (* Lanes at [eps] behind a row bound [tmax] (default: the largest
+     lane), the row at byte [thr_pos] of a buffer whose other words are
+     random, flips landing at byte [pos] of random lane buffers. *)
+  let check_lanes ?tmax ?(thr_pos = 0) ?(pos = 0) ~offset ~stride ~width label
+      eps =
+    let lanes = Array.length eps in
+    let tb = Array.map (fun p -> Prng.threshold_bits ~p) eps in
+    let tmax =
+      match tmax with Some t -> t | None -> Array.fold_left Int64.max 0L tb
+    in
+    let lthr = random_bytes (thr_pos + ((lanes + 2) * 8)) in
+    set64 lthr thr_pos tmax;
+    Array.iteri (fun k t -> set64 lthr (thr_pos + ((k + 1) * 8)) t) tb;
+    let before =
+      Array.init lanes (fun _ -> random_bytes (pos + (width * 8) + 8))
+    in
+    let da = Array.map Bytes.copy before in
+    Prng.xor_noise_lanes_blocked_ref rng ~offset ~stride ~width ~thr:lthr
+      ~thr_pos ~lanes da ~pos;
+    let check_lane_bytes name db =
+      Array.iteri
+        (fun k a ->
+          Alcotest.(check bytes)
+            (Printf.sprintf "%s (%s) lane %d" label name k)
+            a db.(k))
+        da
+    in
+    let db = Array.map Bytes.copy before in
+    Prng.xor_noise_lanes_blocked rng ~offset ~stride ~width ~thr:lthr ~thr_pos
+      ~lanes db ~pos;
+    check_lane_bytes "dispatched" db;
+    List.iter
+      (fun level ->
+        let db = Array.map Bytes.copy before in
+        if
+          Prng.xor_noise_lanes_blocked_at_level ~level rng ~offset ~stride
+            ~width ~thr:lthr ~thr_pos ~lanes db ~pos
+        then begin
+          Hashtbl.replace ran level ();
+          check_lane_bytes level db
+        end)
+      lane_levels
   in
   let eps_choices = [| 0.; 1e-6; 0.01; 0.3; 0.5 |] in
   for trial = 0 to 19 do
@@ -212,28 +261,52 @@ let test_blocked_noise_stub_matches_reference () =
       a b;
     (* Multi-lane: lanes+1 thresholds, word 0 the row maximum. *)
     let lanes = 1 + (trial mod 4) in
-    let tb =
-      Array.init lanes (fun k ->
-          Prng.threshold_bits
-            ~p:eps_choices.((trial + k) mod Array.length eps_choices))
-    in
-    let tmax = Array.fold_left Int64.max 0L tb in
-    let lthr = Bytes.create ((lanes + 1) * 8) in
-    set64 lthr 0 tmax;
-    Array.iteri (fun k t -> set64 lthr ((k + 1) * 8) t) tb;
-    let da = Array.init lanes (fun _ -> random_bytes (width * 8)) in
-    let db = Array.map Bytes.copy da in
-    Prng.xor_noise_lanes_blocked_ref rng ~offset ~stride ~width ~thr:lthr
-      ~thr_pos:0 ~lanes da ~pos:0;
-    Prng.xor_noise_lanes_blocked rng ~offset ~stride ~width ~thr:lthr
-      ~thr_pos:0 ~lanes db ~pos:0;
-    for k = 0 to lanes - 1 do
-      Alcotest.(check bytes)
-        (Printf.sprintf "multi-lane trial %d lane %d" trial k)
-        da.(k)
-        db.(k)
-    done
+    check_lanes ~offset ~stride ~width
+      (Printf.sprintf "multi-lane trial %d" trial)
+      (Array.init lanes (fun k ->
+           eps_choices.((trial + k) mod Array.length eps_choices)))
   done;
+  (* The grid shapes the tools run, at every block width and with the
+     rows and flips off the buffers' starts: explore's five-point list
+     (row maximum 0.1, a few candidate bits per word), [sweep delta]'s
+     40 lanes up to 0.49 (most bits candidates), lanes at zero next to
+     live ones, a row maximum of 0.05 (words with one to three
+     candidates and words with more), and row bounds looser than the
+     largest lane, as word 0 may be. *)
+  let explore = [| 0.001; 0.005; 0.01; 0.05; 0.1 |] in
+  let delta = Array.init 40 (fun i -> 0.49 *. float_of_int (i + 1) /. 40.) in
+  for width = 1 to 8 do
+    let offset = Prng.int scraps ~bound:5000 in
+    let stride = 64 + Prng.int scraps ~bound:400 in
+    let at label = Printf.sprintf "%s width %d" label width in
+    check_lanes ~offset ~stride ~width (at "explore") explore;
+    check_lanes ~thr_pos:40 ~pos:24 ~offset ~stride ~width
+      (at "explore, row at 40, flips at 24")
+      explore;
+    check_lanes ~offset ~stride ~width (at "sweep delta") delta;
+    check_lanes ~thr_pos:8 ~pos:8 ~offset ~stride ~width
+      (at "sweep delta, row at 8, flips at 8")
+      delta;
+    check_lanes ~offset ~stride ~width (at "zero lanes")
+      [| 0.; 0.05; 0.; 0.3; 0. |];
+    check_lanes ~offset ~stride ~width (at "all lanes zero") [| 0.; 0.; 0. |];
+    check_lanes ~offset ~stride ~width (at "row maximum 0.05")
+      [| 0.05; 0.02; 0.01; 0.04 |];
+    check_lanes
+      ~tmax:(Prng.threshold_bits ~p:0.3)
+      ~thr_pos:16 ~pos:16 ~offset ~stride ~width
+      (at "row bound 0.3 over lanes to 0.1")
+      explore;
+    check_lanes
+      ~tmax:(Prng.threshold_bits ~p:0.5)
+      ~offset ~stride ~width (at "row bound 1/2 over small lanes")
+      [| 0.001; 0.01; 0. |];
+    check_lanes ~offset ~stride ~width (at "one lane") [| 0.01 |]
+  done;
+  List.iter
+    (fun level ->
+      Alcotest.(check bool) (level ^ " runs") true (Hashtbl.mem ran level))
+    [ "scalar"; Prng.simd_level () ];
   (* One lane runs the single-threshold stub, which must read lane 0's
      threshold rather than word 0, a row bound that may be looser; the
      row sits past a foreign word, as packed rows do. *)
@@ -250,7 +323,14 @@ let test_blocked_noise_stub_matches_reference () =
   (* The dispatcher picked SOME path; record that it answered sanely. *)
   Alcotest.(check bool)
     "simd width is 1, 2, 4 or 8" true
-    (List.mem (Prng.simd_width ()) [ 1; 2; 4; 8 ])
+    (List.mem (Prng.simd_width ()) [ 1; 2; 4; 8 ]);
+  Alcotest.check_raises "unknown level"
+    (Invalid_argument
+       "Nano_util.Prng.xor_noise_lanes_blocked_at_level: unknown level sse2")
+    (fun () ->
+      ignore
+        (Prng.xor_noise_lanes_blocked_at_level ~level:"sse2" rng ~offset:0
+           ~stride:64 ~width:1 ~thr:lthr ~thr_pos:0 ~lanes:1 da ~pos:0))
 
 (* The resolved dispatch level is what BENCH files and the service
    stats record; it must be one of the four known names and agree with

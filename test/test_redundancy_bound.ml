@@ -106,6 +106,47 @@ let test_omega_models_differ () =
   let wire = RB.omega ~model:RB.Wire_split ~fanin:3 0.05 in
   Alcotest.(check bool) "lumped noisier" true (gate > wire)
 
+(* At ε where 1 - (1 - 2ε)^k rounds to 0, ω must stay positive and
+   keep its leading term: kε for the lumped model, ε/k for the split one
+   (until ε/k falls below the smallest positive double). Theorem 2 then
+   prices every such ε without raising. At and above the 1e-6 cutoff
+   the direct formula's bytes are kept. *)
+let test_omega_at_tiny_epsilon () =
+  let tiny = [ 1e-17; 1e-300; Float.succ 0. ] in
+  List.iter
+    (fun fanin ->
+      let k = float_of_int fanin in
+      List.iter
+        (fun eps ->
+          let label model = Printf.sprintf "%s k=%d eps=%h" model fanin eps in
+          let lumped = RB.omega ~fanin eps in
+          Alcotest.(check bool) (label "lumped > 0") true (lumped > 0.);
+          Alcotest.(check bool)
+            (label "lumped ~ k eps") true
+            (Float.abs ((lumped /. (k *. eps)) -. 1.) < 1e-12);
+          let extra = RB.extra_gates { (parity10 eps) with RB.fanin } in
+          Alcotest.(check bool)
+            (label "extra gates finite, >= 0")
+            true
+            (Float.is_finite extra && extra >= 0.);
+          if eps /. k > 0. then begin
+            let split = RB.omega ~model:RB.Wire_split ~fanin eps in
+            Alcotest.(check bool) (label "split > 0") true (split > 0.);
+            Alcotest.(check bool)
+              (label "split ~ eps / k") true
+              (Float.abs ((split /. (eps /. k)) -. 1.) < 1e-12)
+          end)
+        tiny;
+      List.iter
+        (fun eps ->
+          let x = 1. -. (2. *. eps) in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "direct form k=%d eps=%g" fanin eps)
+            ((1. -. Nano_util.Math_ext.float_pow_int x fanin) /. 2.)
+            (RB.omega ~fanin eps))
+        [ 1e-6; 1e-4; 0.01; 0.3 ])
+    [ 2; 3; 4 ]
+
 let prop_monotone_in_epsilon =
   QCheck2.Test.make ~name:"extra gates grow with eps" ~count:200
     QCheck2.Gen.(pair (float_range 0.001 0.2) (float_range 1.1 2.))
@@ -145,6 +186,8 @@ let suite =
     Alcotest.test_case "upper bound consistency" `Quick
       test_upper_bound_consistency;
     Alcotest.test_case "omega models differ" `Quick test_omega_models_differ;
+    Alcotest.test_case "omega positive at tiny eps" `Quick
+      test_omega_at_tiny_epsilon;
     Helpers.qcheck prop_monotone_in_epsilon;
     Helpers.qcheck prop_monotone_in_sensitivity;
     Helpers.qcheck prop_tighter_delta_costs_more;

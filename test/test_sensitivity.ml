@@ -251,7 +251,64 @@ let prop_estimate_matches_reference =
       let expected = reference netlist in
       List.for_all
         (fun jobs -> Sensitivity.estimate ~jobs netlist = expected)
-        [ 1; 2; 4 ])
+        [ 1; 2; 3; 4 ])
+
+(* Sensitivity at one assignment by the definition: evaluate the
+   netlist once per single-input flip, with no compiled program. *)
+let brute_at netlist bits =
+  let outputs () =
+    let v = Netlist.eval_nodes netlist bits in
+    List.map (fun (_, node) -> v.(node)) (Netlist.outputs netlist)
+  in
+  let base = outputs () in
+  let count = ref 0 in
+  Array.iteri
+    (fun i b ->
+      bits.(i) <- not b;
+      if outputs () <> base then incr count;
+      bits.(i) <- b)
+    bits;
+  !count
+
+(* The sweep layout's edges: up to 62 inputs (one chunk, many
+   assignments a sweep), 64-130 (two or three chunks, so several
+   chunks share a sweep and an assignment may straddle two), and more
+   than 504 (over eight chunks, so one assignment spans sweeps); sample
+   counts that fill no whole sweep; and 1-4 jobs, whose shards are
+   ragged. [sampled] must equal the maximum of [brute_at] over the
+   samples it draws, [n] coin flips each in sample order, and
+   [at_assignment] must equal [brute_at] on the first sample. *)
+let prop_sampled_wide_matches_brute_force =
+  QCheck2.Test.make ~name:"sampled = brute force across sweep layouts"
+    ~count:18
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let used =
+        match seed mod 3 with
+        | 0 -> 1 + Prng.int rng ~bound:62
+        | 1 -> 64 + Prng.int rng ~bound:67
+        | _ -> 505 + Prng.int rng ~bound:26
+      in
+      let netlist =
+        netlist_with_unused ~seed ~used
+          ~unused:(Prng.int rng ~bound:4)
+          ~gates:(used / 2 + Prng.int rng ~bound:40)
+          ~constant:false
+      in
+      let samples = 1 + Prng.int rng ~bound:12 in
+      let n = Netlist.input_count netlist in
+      let draws = Prng.create ~seed:0x5e15 in
+      let first = Array.init n (fun _ -> Prng.bool draws) in
+      let expected = ref (brute_at netlist (Array.copy first)) in
+      for _ = 2 to samples do
+        let bits = Array.init n (fun _ -> Prng.bool draws) in
+        expected := max !expected (brute_at netlist bits)
+      done;
+      Sensitivity.at_assignment netlist first = brute_at netlist first
+      && List.for_all
+           (fun jobs -> Sensitivity.sampled ~samples ~jobs netlist = !expected)
+           [ 1; 2; 3; 4 ])
 
 let test_constant_outputs () =
   List.iter
@@ -284,4 +341,5 @@ let suite =
     Alcotest.test_case "pinned estimates" `Quick test_pinned_estimates;
     Alcotest.test_case "constant outputs" `Quick test_constant_outputs;
     Helpers.qcheck prop_estimate_matches_reference;
+    Helpers.qcheck prop_sampled_wide_matches_brute_force;
   ]

@@ -233,6 +233,39 @@ let test_coin_flip_bounds_are_null () =
   check_null "tech bound_energy_j"
     (member "bound_energy_j" (first (member "bounds" (member "tech" priced))))
 
+(* An ε far below any grid, down to the smallest subnormal, lies in
+   the (0, 1/2] domain the protocol accepts, so bounds and analyze
+   answer [ok] with a finite size ratio of at least 1. *)
+let test_tiny_epsilon_bounds_answer () =
+  let t = make_service () in
+  let result line =
+    let reply = Service.handle_line t line in
+    Alcotest.(check bool) (line ^ " is ok") true (reply_ok reply);
+    match Json.parse reply with
+    | Ok v -> Option.get (Json.member "result" v)
+    | Error _ -> Alcotest.fail "reply unparseable"
+  in
+  let member k v = Option.get (Json.member k v) in
+  let check_ratio msg v =
+    match Json.to_float v with
+    | Some r -> Alcotest.(check bool) msg true (Float.is_finite r && r >= 1.)
+    | None -> Alcotest.failf "%s: not a number" msg
+  in
+  List.iter
+    (fun eps ->
+      check_ratio ("bounds size_ratio at " ^ eps)
+        (member "size_ratio"
+           (result (Printf.sprintf {|{"kind":"bounds","epsilon":%s}|} eps)));
+      let rows =
+        member "rows"
+          (result
+             (Printf.sprintf
+                {|{"kind":"analyze","circuit":"c17","epsilons":[%s]}|} eps))
+      in
+      check_ratio ("analyze size_ratio at " ^ eps)
+        (member "size_ratio" (List.hd (Option.get (Json.to_list rows)))))
+    [ "1e-17"; "1e-300"; "5e-324" ]
+
 (* Each line misses once cold and hits once warm with the same bytes:
    the default-grid analyze on four suite circuits and rca8 priced by
    both built-in technology packs, whose digest keys the cache. *)
@@ -813,6 +846,8 @@ let suite =
       test_rename_only_blif_shares_profile_core;
     Alcotest.test_case "bounds at eps = 1/2 encode as null" `Quick
       test_coin_flip_bounds_are_null;
+    Alcotest.test_case "bounds at tiny eps answer ok" `Quick
+      test_tiny_epsilon_bounds_answer;
     Alcotest.test_case "structured errors" `Quick test_structured_errors;
     Alcotest.test_case "static request cached + exact" `Quick
       test_static_request;
