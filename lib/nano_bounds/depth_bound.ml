@@ -8,10 +8,26 @@ let xi ~epsilon =
     invalid_arg "Depth_bound.xi: epsilon must lie in [0, 1/2]";
   1. -. (2. *. epsilon)
 
+(* Below this distance u = 1/2 - δ, 1 - H(δ) cancels (relative error
+   about 1e-16 / u^2); it sits under every δ the goldens use. *)
+let series_below = 1e-3
+
 let delta_capacity ~delta =
   if not (delta >= 0. && delta < 0.5) then
     invalid_arg "Depth_bound.delta_capacity: delta must lie in [0, 1/2)";
-  1. -. Nano_util.Math_ext.binary_entropy delta
+  let u = 0.5 -. delta in
+  if u < series_below then begin
+    (* 1 - H(1/2 - u) = sum over n >= 1 of (2u)^(2n) / (2n (2n - 1) ln 2);
+       at u < 1e-3 each term is under 4e-6 times the one before. *)
+    let x = 4. *. u *. u in
+    let rec sum acc power n =
+      let term = power /. float_of_int (2 * n * ((2 * n) - 1)) in
+      if term <= acc *. epsilon_float then acc
+      else sum (acc +. term) (power *. x) (n + 1)
+    in
+    sum 0. x 1 /. log 2.
+  end
+  else 1. -. Nano_util.Math_ext.binary_entropy delta
 
 let check_common ~fanin ~inputs =
   if fanin < 2 then invalid_arg "Depth_bound: fanin must be >= 2";

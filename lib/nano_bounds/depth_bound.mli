@@ -31,7 +31,10 @@ val xi : epsilon:float -> float
 (** [1 - 2ε]. Requires a valid ε in [[0, 1/2]]. *)
 
 val delta_capacity : delta:float -> float
-(** [Δ = 1 - H(δ)], in [(0, 1]] for [δ ∈ [0, 1/2)]. *)
+(** [Δ = 1 - H(δ)], in [(0, 1]] for [δ ∈ [0, 1/2)]. Within 1e-3 of
+    1/2 it is summed from its series in [u = 1/2 - δ],
+    [Σ (2u)^(2n) / (2n(2n - 1) ln 2)], since the difference cancels
+    there (to 0 at [u = 1e-9]); further out, [1 - H(δ)] as written. *)
 
 val min_depth : epsilon:float -> delta:float -> fanin:int -> inputs:int -> verdict
 (** Theorem 4 proper. Requires [0 <= ε < 1/2] handled normally; at

@@ -95,9 +95,12 @@ let explain s =
   p "Theorem 2 (minimum redundancy):";
   let w = Redundancy_bound.omega ~fanin:s.fanin s.epsilon in
   let t = Redundancy_bound.t_parameter ~omega:w in
+  let log_t = Redundancy_bound.log2_t ~fanin:s.fanin s.epsilon in
   p "  omega = (1-(1-2eps)^k)/2 = %.6g" w;
-  p "  t = (w^3+(1-w)^3)/(w(1-w)) = %.6g   log2 t = %.6g" t
-    (Nano_util.Math_ext.log2 t);
+  p "  t = (w^3+(1-w)^3)/(w(1-w)) = %s   log2 t = %.6g"
+    (if Float.is_finite t then Printf.sprintf "%.6g" t
+     else Printf.sprintf "2^%.6g" log_t)
+    log_t;
   let extra =
     Redundancy_bound.extra_gates
       {

@@ -31,7 +31,10 @@ let omega ?(model = Gate_lumped) ~fanin epsilon =
     let l = Float.log1p (-2. *. epsilon) in
     match model with
     | Gate_lumped -> -.Float.expm1 (k *. l) /. 2.
-    | Wire_split -> -.Float.expm1 (l /. k) /. 2.
+    | Wire_split ->
+      (* About ε/k, which for the smallest subnormal ε lies below every
+         positive double: keep the smallest one rather than 0. *)
+      Float.max (Float.succ 0.) (-.Float.expm1 (l /. k) /. 2.)
   else
     let x = 1. -. (2. *. epsilon) in
     match model with
@@ -44,13 +47,31 @@ let t_parameter ~omega:w =
   let cube x = x *. x *. x in
   (cube w +. cube (1. -. w)) /. (w *. (1. -. w))
 
+let log2_t ?(model = Gate_lumped) ~fanin epsilon =
+  let w = omega ~model ~fanin epsilon in
+  if epsilon < stable_below then begin
+    (* log t = log(1 - 3ω(1 - ω)) - log ω - log(1 - ω), which stays
+       finite where t itself overflows (ω below about 1e-308). Under the
+       smallest normal double ω has lost digits or been clamped, but
+       there it is kε or ε/k to within a relative O(ε). *)
+    let log_w =
+      if w >= Float.min_float then log w
+      else
+        let log_k = log (float_of_int fanin) in
+        match model with
+        | Gate_lumped -> log epsilon +. log_k
+        | Wire_split -> log epsilon -. log_k
+    in
+    (Float.log1p (3. *. w *. (w -. 1.)) -. log_w -. Float.log1p (-.w))
+    /. log 2.
+  end
+  else Nano_util.Math_ext.log2 (t_parameter ~omega:w)
+
 let extra_gates ?(model = Gate_lumped) p =
   check p;
   let s = float_of_int p.sensitivity in
   let k = float_of_int p.fanin in
-  let w = omega ~model ~fanin:p.fanin p.epsilon in
-  let t = t_parameter ~omega:w in
-  let log_t = Nano_util.Math_ext.log2 t in
+  let log_t = log2_t ~model ~fanin:p.fanin p.epsilon in
   let numerator =
     (s *. Nano_util.Math_ext.log2 s)
     +. (2. *. s *. Nano_util.Math_ext.log2 (2. *. (1. -. (2. *. p.delta))))

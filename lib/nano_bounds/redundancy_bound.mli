@@ -31,12 +31,21 @@ val omega : ?model:omega_model -> fanin:int -> float -> float
     [(0, 1/2]]. Below [epsilon = 1e-6] it is computed as
     [-expm1 (k log1p (-2ε)) / 2] ([-expm1 (log1p (-2ε) / k) / 2] for
     {!Wire_split}), which does not cancel to 0: {!Gate_lumped} stays
-    positive down to the smallest subnormal ε, {!Wire_split} while
-    [ε / k] is a positive double. *)
+    positive down to the smallest subnormal ε; {!Wire_split}, whose
+    [ε / k] can lie below every positive double, is then the smallest
+    positive double rather than 0. *)
 
 val t_parameter : omega:float -> float
 (** [t = (ω^3 + (1-ω)^3)/(ω(1-ω))]; decreases to 1 as ω → 1/2. Requires
-    [0 < ω <= 1/2]. *)
+    [0 < ω <= 1/2]. Overflows to [infinity] for ω below about 1e-308;
+    {!log2_t} does not. *)
+
+val log2_t : ?model:omega_model -> fanin:int -> float -> float
+(** [log2 t] at [omega ?model ~fanin epsilon]: 0 at ε = 1/2, finite
+    everywhere in [(0, 1/2]]. Below [epsilon = 1e-6] it is taken in the
+    log domain from [log ω], so it stays finite (about 1073 at the
+    smallest subnormal ε, k = 2) where [t] overflows; at and above the
+    cutoff it is [log2 (t_parameter ~omega)], bit for bit. *)
 
 val extra_gates : ?model:omega_model -> params -> float
 (** Lower bound on the additional redundancy (in gates). [infinity] when

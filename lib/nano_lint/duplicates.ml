@@ -1,5 +1,6 @@
 module Netlist = Nano_netlist.Netlist
 module Gate = Nano_netlist.Gate
+module Hashcons = Nano_synth.Hashcons
 
 let pass = "dup"
 
@@ -9,128 +10,94 @@ let commutative = function
     true
   | Gate.Input | Gate.Const _ | Gate.Buf | Gate.Not -> false
 
-(* Copy the input cone of [root] into a standalone netlist (fresh
-   builder, cone support as primary inputs) so its strashed content
-   address can label the diagnostic. *)
-let extract_subcone netlist root =
-  let b = Netlist.Builder.create ~name:"subcone" () in
-  let map = Hashtbl.create 16 in
-  let rec go id =
-    match Hashtbl.find_opt map id with
-    | Some n -> n
-    | None ->
-      let info = Netlist.info netlist id in
-      let n =
-        match info.Netlist.kind with
-        | Gate.Input ->
-          let name =
-            match info.Netlist.name with
-            | Some s -> s
-            | None -> Printf.sprintf "n%d" id
-          in
-          Netlist.Builder.input b name
-        | Gate.Const c -> Netlist.Builder.const b c
-        | kind ->
-          Netlist.Builder.add b kind
-            (List.map go (Array.to_list info.Netlist.fanins))
-      in
-      Hashtbl.replace map id n;
-      n
-  in
-  let out = go root in
-  Netlist.Builder.output b "cone" out;
-  Netlist.Builder.finish b
-
 let run netlist ~reachable =
   let n = Netlist.node_count netlist in
-  let class_of = Array.make n (-1) in
-  let classes : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let next_class = ref 0 in
-  let class_for key =
-    match Hashtbl.find_opt classes key with
-    | Some c -> c
-    | None ->
-      let c = !next_class in
-      incr next_class;
-      Hashtbl.replace classes key c;
-      c
-  in
-  (* members.(class) = reachable logic-gate node ids, descending while
-     building (reversed to ascending at use). *)
-  let members : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  let operands = ref 0 and widest = ref 0 in
+  Netlist.iter netlist (fun _ info ->
+      let a = Array.length info.Netlist.fanins in
+      operands := !operands + a;
+      widest := max !widest a);
+  (* Structural classes, hash-consed on the kind code and the fanins'
+     classes (sorted for the symmetric kinds); every input is a class of
+     its own. *)
+  let classes = Hashcons.create () in
+  Hashcons.reset classes ~nodes:n ~operands:!operands;
+  let key = Array.make !widest 0 in
+  let class_of = Array.make n 0 in
   Netlist.iter netlist (fun id info ->
-      let key =
-        match info.Netlist.kind with
-        | Gate.Input -> Printf.sprintf "i%d" id (* every input is itself *)
-        | Gate.Const b -> if b then "c1" else "c0"
-        | kind ->
-          let child = Array.map (fun f -> class_of.(f)) info.Netlist.fanins in
-          if commutative kind then Array.sort Stdlib.compare child;
-          Gate.name kind ^ ":"
-          ^ String.concat ","
-              (Array.to_list (Array.map string_of_int child))
-      in
-      let c = class_for key in
-      class_of.(id) <- c;
-      if reachable.(id) && not (Gate.is_source info.Netlist.kind) then
-        Hashtbl.replace members c
-          (match Hashtbl.find_opt members c with
-          | Some l -> id :: l
-          | None -> [ id ]));
-  let duplicated c =
-    match Hashtbl.find_opt members c with
-    | Some (_ :: _ :: _) -> true
-    | _ -> false
+      let kind = info.Netlist.kind in
+      let f = info.Netlist.fanins in
+      let len = Array.length f in
+      for j = 0 to len - 1 do
+        key.(j) <- class_of.(f.(j))
+      done;
+      if commutative kind then Hashcons.sort key len;
+      class_of.(id) <-
+        (match kind with
+        | Gate.Input -> Hashcons.add classes (Gate.code kind) key 0
+        | _ -> Hashcons.share classes (Gate.code kind) key len));
+  (* members.(c): the reachable logic gates in class [c]. *)
+  let members = Array.make (Hashcons.count classes) 0 in
+  let member id =
+    reachable.(id) && not (Gate.is_source (Netlist.kind netlist id))
   in
-  (* Only the outermost duplication is worth a report: suppress a class
-     whose members every one sits strictly inside a duplicated parent
-     (all fanouts duplicated, no output pin). *)
-  let fanout_classes : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  for id = 0 to n - 1 do
+    if member id then members.(class_of.(id)) <- members.(class_of.(id)) + 1
+  done;
+  let duplicated c = members.(c) >= 2 in
+  (* Only the outermost duplication is worth a report: a class is
+     suppressed when every member sits strictly inside a duplicated
+     parent (all fanouts duplicated, no output pin). [free.(id)]: [id]
+     drives an output, nothing at all, or some unduplicated gate. *)
+  let free = Array.make n false and drives = Array.make n false in
+  Array.iter (fun id -> free.(id) <- true) (Netlist.output_ids netlist);
   Netlist.iter netlist (fun id info ->
+      let parent_free = not (duplicated class_of.(id)) in
       Array.iter
         (fun f ->
-          Hashtbl.replace fanout_classes f
-            (class_of.(id)
-            :: (match Hashtbl.find_opt fanout_classes f with
-               | Some l -> l
-               | None -> [])))
+          drives.(f) <- true;
+          if parent_free then free.(f) <- true)
         info.Netlist.fanins);
-  let is_output = Array.make n false in
-  Array.iter (fun id -> is_output.(id) <- true) (Netlist.output_ids netlist);
-  let maximal ids =
-    List.exists
-      (fun id ->
-        is_output.(id)
-        ||
-        match Hashtbl.find_opt fanout_classes id with
-        | None -> true (* no fanout at all: nothing subsumes it *)
-        | Some parents -> List.exists (fun p -> not (duplicated p)) parents)
-      ids
-  in
+  let nclasses = Hashcons.count classes in
+  let reported = Array.make nclasses false in
+  for id = 0 to n - 1 do
+    let c = class_of.(id) in
+    if member id && duplicated c && (free.(id) || not drives.(id)) then
+      reported.(c) <- true
+  done;
+  (* The members of each reported class, ascending, bucketed by class. *)
+  let offset = Array.make (nclasses + 1) 0 in
+  for c = 0 to nclasses - 1 do
+    offset.(c + 1) <- (offset.(c) + if reported.(c) then members.(c) else 0)
+  done;
+  let fill = Array.sub offset 0 nclasses in
+  let slots = Array.make offset.(nclasses) 0 in
+  for id = 0 to n - 1 do
+    let c = class_of.(id) in
+    if member id && reported.(c) then begin
+      slots.(fill.(c)) <- id;
+      fill.(c) <- fill.(c) + 1
+    end
+  done;
+  (* One warning per reported class, in ascending order of its lowest
+     member; the subcone digests share one engine scratch. *)
+  let scratch = Nano_synth.Strash.scratch () in
   let diags = ref [] in
-  (* Emit in ascending representative order for determinism. *)
-  let groups =
-    Hashtbl.fold
-      (fun _c ids acc ->
-        match List.rev ids with
-        | (_ :: _ :: _) as sorted when maximal sorted -> sorted :: acc
-        | _ -> acc)
-      members []
-    |> List.sort (fun a b -> Stdlib.compare (List.hd a) (List.hd b))
-  in
-  List.iter
-    (fun ids ->
-      let rep = List.hd ids in
-      let digest = Nano_synth.Strash.digest (extract_subcone netlist rep) in
-      let kind = Netlist.kind netlist rep in
+  for rep = 0 to n - 1 do
+    let c = class_of.(rep) in
+    if member rep && reported.(c) && slots.(offset.(c)) = rep then begin
+      let ids = Array.sub slots offset.(c) members.(c) in
       diags :=
         Diagnostic.make Diagnostic.Warning ~pass ~code:"duplicate-subcone"
           (Diagnostic.Node rep)
           (Printf.sprintf
              "gates %s root structurally identical %s subcones (strash \
               digest %s); the duplicates inflate S0 without adding function"
-             (String.concat ", " (List.map string_of_int ids))
-             (Gate.name kind) digest)
-        :: !diags)
-    groups;
+             (String.concat ", "
+                (Array.to_list (Array.map string_of_int ids)))
+             (Gate.name (Netlist.kind netlist rep))
+             (Nano_synth.Strash.cone_digest scratch netlist rep))
+        :: !diags
+    end
+  done;
   List.rev !diags

@@ -6,8 +6,9 @@
     subcones, exactly the redundancy {!Nano_synth.Strash.run} would
     share. Duplicated cones inflate S0 and the energy bounds without
     adding function; each maximal duplicated class is reported once,
-    tagged with the {!Nano_synth.Strash.digest} of the extracted
-    subcone so reports are content-addressable. *)
+    tagged with the strash digest of its lowest member's subcone
+    ({!Nano_synth.Strash.cone_digest}, read from the netlist itself) so
+    reports are content-addressable. *)
 
 val pass : string
 (** ["dup"]. *)

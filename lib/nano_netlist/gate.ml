@@ -99,3 +99,34 @@ let of_name = function
   | _ -> None
 
 let all_logic_kinds = [ Buf; Not; And; Or; Nand; Nor; Xor; Xnor; Majority ]
+
+let code = function
+  | Input -> 0
+  | Const false -> 1
+  | Const true -> 2
+  | Buf -> 3
+  | Not -> 4
+  | And -> 5
+  | Or -> 6
+  | Nand -> 7
+  | Nor -> 8
+  | Xor -> 9
+  | Xnor -> 10
+  | Majority -> 11
+
+let codes = 12
+
+let of_code = function
+  | 0 -> Input
+  | 1 -> Const false
+  | 2 -> Const true
+  | 3 -> Buf
+  | 4 -> Not
+  | 5 -> And
+  | 6 -> Or
+  | 7 -> Nand
+  | 8 -> Nor
+  | 9 -> Xor
+  | 10 -> Xnor
+  | 11 -> Majority
+  | c -> invalid_arg (Printf.sprintf "Gate.of_code: %d" c)

@@ -38,3 +38,13 @@ val of_name : string -> kind option
 
 val all_logic_kinds : kind list
 (** Every kind except [Input] and [Const _]; used by exhaustive tests. *)
+
+val code : kind -> int
+(** A dense integer code per kind, in [0, codes); [Const false] and
+    [Const true] get distinct codes. For flat tables keyed on kinds. *)
+
+val codes : int
+(** The number of codes. *)
+
+val of_code : int -> kind
+(** Inverse of {!code}; raises [Invalid_argument] outside [0, codes). *)

@@ -15,6 +15,26 @@ type t = {
   output_name_arr : string array;
 }
 
+let of_arrays_unchecked ~name nodes ~inputs ~output_names ~output_ids =
+  let input_index = Hashtbl.create (Array.length inputs) in
+  Array.iter
+    (fun id ->
+      match nodes.(id).name with
+      | Some n -> Hashtbl.replace input_index n id
+      | None -> ())
+    inputs;
+  {
+    net_name = name;
+    nodes;
+    inputs = Array.to_list inputs;
+    outputs =
+      List.combine (Array.to_list output_names) (Array.to_list output_ids);
+    input_index;
+    input_id_arr = inputs;
+    output_id_arr = output_ids;
+    output_name_arr = output_names;
+  }
+
 module Builder = struct
   type builder = {
     mutable b_name : string;
@@ -121,26 +141,12 @@ module Builder = struct
   let finish b =
     if b.b_outputs = [] then
       invalid_arg "Netlist.Builder.finish: netlist has no outputs";
-    let nodes = Array.of_list (List.rev b.rev_nodes) in
-    let inputs = List.rev b.b_inputs in
-    let input_index = Hashtbl.create (List.length inputs) in
-    List.iter
-      (fun id ->
-        match nodes.(id).name with
-        | Some n -> Hashtbl.replace input_index n id
-        | None -> ())
-      inputs;
-    let outputs = List.rev b.b_outputs in
-    {
-      net_name = b.b_name;
-      nodes;
-      inputs;
-      outputs;
-      input_index;
-      input_id_arr = Array.of_list inputs;
-      output_id_arr = Array.of_list (List.map snd outputs);
-      output_name_arr = Array.of_list (List.map fst outputs);
-    }
+    let outputs = Array.of_list (List.rev b.b_outputs) in
+    of_arrays_unchecked ~name:b.b_name
+      (Array.of_list (List.rev b.rev_nodes))
+      ~inputs:(Array.of_list (List.rev b.b_inputs))
+      ~output_names:(Array.map fst outputs)
+      ~output_ids:(Array.map snd outputs)
 end
 
 let name t = t.net_name

@@ -54,6 +54,20 @@ module Builder : sig
   (** Freeze. The builder must have at least one output. *)
 end
 
+val of_arrays_unchecked :
+  name:string ->
+  info array ->
+  inputs:node array ->
+  output_names:string array ->
+  output_ids:node array ->
+  t
+(** A netlist made directly from its arrays, which it takes ownership
+    of. Nothing is checked: the caller guarantees what {!Builder}
+    enforces — arities, fanins before their gate, every input id of
+    kind [Input], distinct output names, at least one output, and
+    [output_names] parallel to [output_ids]. For rebuilding passes that
+    already hold a valid DAG in flat form; {!validate} tests one. *)
+
 (** {1 Observation} *)
 
 val name : t -> string

@@ -126,12 +126,15 @@ let resolve_circuit = function
    actually runs (a response-cache miss). The spelling ([name:<suite
    name>] or [blif:<MD5 of the text>]) names the netlist exactly; the
    strash digest names only its structure up to strashing, which
-   spellings with different raw netlists can share. *)
+   spellings with different raw netlists can share. [strashed] is
+   [Strash.run] of the netlist: the digest's source and the mapping's
+   first step, computed once per request and never cached. *)
 type circuit = {
   name : string;
   spelling : string;
   digest : string;
   netlist : Netlist.t Lazy.t;
+  strashed : Netlist.t Lazy.t;
 }
 
 (* Spelling → identity memo. Suite builds, BLIF parsing and strash are
@@ -148,12 +151,26 @@ let identify t circuit =
   in
   match Cache.find t.circuits spelling with
   | Some (name, digest) ->
-    { name; spelling; digest; netlist = lazy (snd (resolve_circuit circuit)) }
+    let netlist = lazy (snd (resolve_circuit circuit)) in
+    {
+      name;
+      spelling;
+      digest;
+      netlist;
+      strashed = lazy (Nano_synth.Strash.run (Lazy.force netlist));
+    }
   | None ->
     let name, netlist = resolve_circuit circuit in
-    let digest = Nano_synth.Strash.digest netlist in
+    let strashed = Nano_synth.Strash.run netlist in
+    let digest = Netlist.digest strashed in
     Cache.add t.circuits spelling (name, digest);
-    { name; spelling; digest; netlist = Lazy.from_val netlist }
+    {
+      name;
+      spelling;
+      digest;
+      netlist = Lazy.from_val netlist;
+      strashed = Lazy.from_val strashed;
+    }
 
 (* Technology-pack resolution: a name looks up a built-in, an inline
    object goes through the JSON loader. Both failure shapes are error
@@ -200,7 +217,9 @@ let profile_for t ~deadline (c : circuit) ~no_map =
   in
   let map () =
     if no_map then netlist
-    else Nano_synth.Script.rugged_lite ~max_fanin:3 netlist
+    else
+      Nano_synth.Script.rugged_lite_strashed ~max_fanin:3
+        (Lazy.force c.strashed)
   in
   let profile, mapped =
     match Cache.find t.profiles core_key with

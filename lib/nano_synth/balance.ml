@@ -41,10 +41,18 @@ let run netlist =
     (Netlist.outputs netlist);
   let n = Netlist.node_count netlist in
   let map = Array.make n (-1) in
-  (* Logic level of each node in the NEW builder. *)
-  let levels : (Netlist.node, int) Hashtbl.t = Hashtbl.create 64 in
+  (* Logic level of each node in the NEW builder; inputs stay 0. *)
+  let levels = ref (Array.make (2 * n) 0) in
   let level_of node =
-    match Hashtbl.find_opt levels node with Some l -> l | None -> 0
+    if node < Array.length !levels then !levels.(node) else 0
+  in
+  let set_level node l =
+    if node >= Array.length !levels then begin
+      let grown = Array.make (2 * (node + 1)) 0 in
+      Array.blit !levels 0 grown 0 (Array.length !levels);
+      levels := grown
+    end;
+    !levels.(node) <- l
   in
   List.iter
     (fun id ->
@@ -82,7 +90,7 @@ let run netlist =
     let nodes = List.map fst !picked in
     let combined = B.add b kind nodes in
     let l = 1 + List.fold_left (fun acc (_, l) -> max acc l) 0 !picked in
-    Hashtbl.replace levels combined l;
+    set_level combined l;
     (combined, l) :: !rest
   in
   (* k-ary Huffman by arrival level; the first merge takes the padding
@@ -128,7 +136,7 @@ let run netlist =
         let l =
           1 + List.fold_left (fun acc f -> max acc (level_of f)) 0 fanins
         in
-        Hashtbl.replace levels node l;
+        set_level node l;
         map.(id) <- node);
   List.iter
     (fun (name, node) -> B.output b name map.(node))

@@ -1,13 +1,16 @@
 module Netlist = Nano_netlist.Netlist
 
-let map_only ?(max_fanin = 3) netlist =
-  let simplified = Strash.run netlist in
+(* Everything after the first strash. *)
+let map_strashed ~max_fanin simplified =
   let balanced = Balance.run simplified in
   let limited = Fanin_limit.run ~max_fanin balanced in
   Strash.run limited
 
-let rugged_lite ?(max_fanin = 3) ?(collapse_threshold = 10) netlist =
-  let simplified = Strash.run netlist in
+let map_only ?(max_fanin = 3) netlist =
+  map_strashed ~max_fanin (Strash.run netlist)
+
+let rugged_lite_strashed ?(max_fanin = 3) ?(collapse_threshold = 10)
+    simplified =
   let inputs = List.length (Netlist.inputs simplified) in
   let best =
     if inputs <= collapse_threshold then begin
@@ -34,6 +37,14 @@ let rugged_lite ?(max_fanin = 3) ?(collapse_threshold = 10) netlist =
     end
     else simplified
   in
-  map_only ~max_fanin best
+  (* [best] is a strash output, which [map_only] would strash again.
+     That second run changes at most where a constant node read by a
+     wide majority sits, and neither [Balance] nor [Fanin_limit] reads
+     those positions, so the closing strash, which places constants at
+     their first reader, gives the same netlist either way. *)
+  map_strashed ~max_fanin best
+
+let rugged_lite ?max_fanin ?collapse_threshold netlist =
+  rugged_lite_strashed ?max_fanin ?collapse_threshold (Strash.run netlist)
 
 let nand_flow netlist = Strash.run (Nand_map.run netlist)

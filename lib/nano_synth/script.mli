@@ -16,6 +16,14 @@ val rugged_lite :
     and profitable). The result always satisfies
     [Netlist.max_fanin <= max_fanin]. *)
 
+val rugged_lite_strashed :
+  ?max_fanin:int -> ?collapse_threshold:int ->
+  Nano_netlist.Netlist.t -> Nano_netlist.Netlist.t
+(** [rugged_lite] from its first step's result:
+    [rugged_lite_strashed (Strash.run n)] is [rugged_lite n], for a
+    caller that already holds the strashed netlist (the evaluation
+    service, which digests it too). *)
+
 val map_only : ?max_fanin:int -> Nano_netlist.Netlist.t -> Nano_netlist.Netlist.t
 (** Just strash + fanin decomposition + strash, no two-level step. *)
 

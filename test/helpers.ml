@@ -129,3 +129,88 @@ let eval_outputs netlist bindings = Netlist.eval netlist bindings
 
 let nat_of_bits bits =
   List.fold_left (fun acc (i, b) -> if b then acc lor (1 lsl i) else acc) 0 bits
+
+(* A random netlist that exercises every strash folding rule: several
+   constant nodes per value (the extra ones from [Builder.add]), buffers,
+   inputs declared between gates, majorities up to 7 wide over
+   constants, AND/OR/XOR families with repeated and complemented fanins,
+   and outputs driven by constants. Deterministic in [seed]. *)
+let folding_netlist ~seed ~gates () =
+  let module B = Netlist.Builder in
+  let rng = Nano_util.Prng.create ~seed in
+  let int bound = Nano_util.Prng.int rng ~bound in
+  let b = B.create ~name:(Printf.sprintf "fold%d" seed) () in
+  let pool = ref [||] in
+  let push x = pool := Array.append !pool [| x |] in
+  let pick () = !pool.(int (Array.length !pool)) in
+  for i = 0 to 1 + int 4 do
+    push (B.input b (Printf.sprintf "x%d" i))
+  done;
+  push (B.const b false);
+  push (B.const b true);
+  for g = 1 to gates do
+    match int 14 with
+    | 0 -> push (B.input b (Printf.sprintf "late%d" g))
+    | 1 -> push (B.add b (Gate.Const (int 2 = 0)) [])
+    | _ ->
+      let kind =
+        [| Gate.Not; Gate.Buf; Gate.And; Gate.Or; Gate.Nand; Gate.Nor;
+           Gate.Xor; Gate.Xnor; Gate.Majority |].(int 9)
+      in
+      let arity =
+        match kind with
+        | Gate.Not | Gate.Buf -> 1
+        | Gate.Majority -> 3 + (2 * int 3)
+        | _ -> 2 + int 5
+      in
+      let fanins = Array.init arity (fun _ -> pick ()) in
+      if arity > 1 then begin
+        match int 3 with
+        | 0 -> fanins.(1) <- fanins.(0)
+        | 1 ->
+          let inverted = B.not_ b fanins.(0) in
+          push inverted;
+          fanins.(1) <- inverted
+        | _ -> ()
+      end;
+      push (B.add b kind (Array.to_list fanins))
+  done;
+  let newest = !pool.(Array.length !pool - 1) in
+  B.output b "f0" newest;
+  for k = 1 to int 4 do
+    B.output b (Printf.sprintf "f%d" k)
+      (if int 4 = 0 then B.const b (int 2 = 0) else pick ())
+  done;
+  B.finish b
+
+(* Random netlists of every shape the strash oracles cover, by seed:
+   [random_netlist]s, [Random_circuit]s of varied configs, BLIF round
+   trips of both (covers become shared NOTs and AND/OR trees), and
+   [folding_netlist]s. *)
+let strash_shapes seed =
+  let rng = Nano_util.Prng.create ~seed in
+  let int bound = Nano_util.Prng.int rng ~bound in
+  let random_circuit () =
+    Nano_circuits.Random_circuit.generate
+      ~config:
+        {
+          Nano_circuits.Random_circuit.inputs = 1 + int 12;
+          gates = int 150;
+          outputs = 1 + int 5;
+          allow_majority = int 2 = 0;
+          max_fanin = 2 + int 4;
+        }
+      ~seed ()
+  in
+  let round_trip n =
+    match Nano_blif.Blif.parse_string (Nano_blif.Blif.to_string n) with
+    | Ok n -> n
+    | Error _ -> Alcotest.failf "BLIF round trip of %s failed" (Netlist.name n)
+  in
+  match seed mod 5 with
+  | 0 -> random_netlist ~seed ~inputs:(2 + int 7) ~gates:(int 60) ()
+  | 1 -> random_circuit ()
+  | 2 ->
+    round_trip (random_netlist ~seed ~inputs:(2 + int 7) ~gates:(int 40) ())
+  | 3 -> round_trip (random_circuit ())
+  | _ -> folding_netlist ~seed ~gates:(int 80) ()

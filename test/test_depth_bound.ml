@@ -99,9 +99,27 @@ let prop_depth_grows_with_inputs =
       | DB.Bounded d1, DB.Bounded d2 -> d2 >= d1 -. 1e-9
       | _ -> false)
 
+(* Near δ = 1/2, 1 - H(δ) cancels (to 0 at u = 1e-9); Δ must follow
+   its series in u = 1/2 - δ, whose first three terms are exact to a
+   relative 1e-18 at these u. *)
+let test_delta_capacity_near_half () =
+  List.iter
+    (fun target ->
+      let delta = 0.5 -. target in
+      let u = 0.5 -. delta in
+      let x = 4. *. u *. u in
+      let series =
+        (x /. 2. +. (x *. x /. 12.) +. (x *. x *. x /. 30.)) /. log 2.
+      in
+      let got = DB.delta_capacity ~delta in
+      if Float.abs ((got /. series) -. 1.) > 1e-12 then
+        Alcotest.failf "Delta at u = %g: %.17g, series %.17g" u got series)
+    [ 1e-6; 1e-8; 1e-9 ]
+
 let suite =
   [
     Alcotest.test_case "xi/Delta" `Quick test_xi_delta;
+    Alcotest.test_case "Delta near 1/2" `Quick test_delta_capacity_near_half;
     Alcotest.test_case "noiseless depth" `Quick test_noiseless_depth;
     Alcotest.test_case "feasibility threshold" `Quick
       test_feasibility_threshold;

@@ -109,6 +109,51 @@ let test_pinned_suite_digests () =
         Alcotest.(check string) ("digest of " ^ name) expected actual)
     Nano_circuits.Suite.all
 
+(* [Netlist.digest] of each suite circuit as [rugged_lite] maps it: the
+   netlist every mapped profile, Monte-Carlo grid and tech report is
+   measured on, node order included (the noise draws follow it). *)
+let pinned_mapped =
+  [
+    ("c17", "e8c225f23aaf9df4a5c981490e636579");
+    ("intctl27", "ae3ed1c0e298e307d3fafdeb04948f0c");
+    ("sec32", "e5777a01bc305cb3085fc30db904f4bc");
+    ("alu8", "5da03c2f0008fe7050837a8353503d0f");
+    ("secded16", "81d038b8e29372c05c714a64d1bb96e6");
+    ("datapath12", "16edd29c2163539598db48131c60b990");
+    ("sec32_nand", "9c2b39d824c4823d70645e1061f48a5f");
+    ("bcdadd8", "293018400397d33bdfdd8f7e08a5241f");
+    ("alu9", "93b33d19f062b5a3a6a17c5f44b97886");
+    ("datapath32", "f4d2d1f75cbdcb26eb418f08ffc3175c");
+    ("mult16", "8ed48b1c7999abb083b077e07c227d15");
+    ("parity16", "1622ded321ad9ae20d7c632592ce6fd7");
+    ("rca8", "ed09368b15365f00b09d5e3dd1e54354");
+    ("rca16", "d591abbcd90d371f980d6daa8895c6a7");
+    ("rca32", "226d33f29fb8a4c437cb25b07e587416");
+    ("cla16", "e0288402405ba50c65bfbc4a72b2fc26");
+    ("csel16", "ffb27f407f5a5874576cc2b9590b7295");
+    ("cskip16", "f490592ea26228d71a0affc3cba8496b");
+    ("booth8", "f414698e2f1a7dba7b26f569cd4a3ad9");
+    ("mult4", "90a38233f30186c891e6a7c770a32a5a");
+    ("mult8", "188eccc480d4a2dce9bf77f1e1f66fb7");
+    ("csmult8", "79f1b2751663967d539dd7704938662a");
+  ]
+
+let test_pinned_mapped_digests () =
+  Alcotest.(check int) "pin count matches the suite"
+    (List.length Nano_circuits.Suite.all)
+    (List.length pinned_mapped);
+  List.iter
+    (fun entry ->
+      let name = entry.Nano_circuits.Suite.name in
+      match List.assoc_opt name pinned_mapped with
+      | None -> Alcotest.failf "no pinned mapped digest for %s" name
+      | Some expected ->
+        Alcotest.(check string) ("mapped digest of " ^ name) expected
+          (Netlist.digest
+             (Nano_synth.Script.rugged_lite ~max_fanin:3
+                (entry.Nano_circuits.Suite.build ()))))
+    Nano_circuits.Suite.all
+
 let suite =
   [
     Alcotest.test_case "deterministic" `Quick test_deterministic;
@@ -119,4 +164,6 @@ let suite =
       test_strash_digest_redundancy_invariant;
     Alcotest.test_case "pinned suite digests" `Quick
       test_pinned_suite_digests;
+    Alcotest.test_case "pinned mapped digests" `Quick
+      test_pinned_mapped_digests;
   ]

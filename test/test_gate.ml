@@ -55,12 +55,20 @@ let test_eval_word_matches_eval () =
     kinds_arities
 
 let test_names () =
+  let kinds =
+    Gate.Input :: Gate.Const true :: Gate.Const false :: Gate.all_logic_kinds
+  in
   List.iter
     (fun kind ->
-      match Gate.of_name (Gate.name kind) with
+      (match Gate.of_name (Gate.name kind) with
       | Some k -> Alcotest.(check bool) "roundtrip" true (k = kind)
-      | None -> Alcotest.failf "no roundtrip for %s" (Gate.name kind))
-    (Gate.Input :: Gate.Const true :: Gate.Const false :: Gate.all_logic_kinds);
+      | None -> Alcotest.failf "no roundtrip for %s" (Gate.name kind));
+      Alcotest.(check bool) "code roundtrip" true
+        (Gate.of_code (Gate.code kind) = kind))
+    kinds;
+  Alcotest.(check (list int)) "codes dense"
+    (List.init Gate.codes Fun.id)
+    (List.sort compare (List.map Gate.code kinds));
   Alcotest.(check bool) "unknown" true (Gate.of_name "zzz" = None)
 
 let test_is_source () =

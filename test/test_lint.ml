@@ -287,6 +287,96 @@ let prop_clean_netlists_simulate =
         && (Lint.errors report = 0 || report.Lint.diagnostics <> [])
       | exception Invalid_argument _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* The duplicate-subcone pass against its reference, and pinned.       *)
+(* ------------------------------------------------------------------ *)
+
+let reachable netlist = fst (Nano_lint.Cone.run netlist)
+
+let same_dup_diagnostics netlist =
+  let reachable = reachable netlist in
+  Nano_lint.Duplicates.run netlist ~reachable
+  = Duplicates_ref.run netlist ~reachable
+
+let blif_spelling netlist =
+  match Nano_blif.Blif.parse_string (Nano_blif.Blif.to_string netlist) with
+  | Ok n -> n
+  | Error _ -> Alcotest.failf "BLIF round trip of %s" (Netlist.name netlist)
+
+let test_duplicates_match_reference_on_suite () =
+  List.iter
+    (fun entry ->
+      let netlist = entry.Nano_circuits.Suite.build () in
+      List.iter
+        (fun (spelling, n) ->
+          if not (same_dup_diagnostics n) then
+            Alcotest.failf "%s (%s): dup diagnostics differ"
+              entry.Nano_circuits.Suite.name spelling)
+        [ ("built", netlist); ("BLIF", blif_spelling netlist) ])
+    Nano_circuits.Suite.all
+
+let seeds = QCheck2.Gen.(int_range 0 1_000_000)
+
+let prop_duplicates_match_reference =
+  QCheck2.Test.make ~name:"dup pass equals the reference" ~count:300 seeds
+    (fun seed -> same_dup_diagnostics (Helpers.strash_shapes seed))
+
+(* Every node's subcone, not only the reported ones, through one shared
+   scratch, so stale state from an earlier cone would show. *)
+let prop_cone_digests_match_reference =
+  QCheck2.Test.make ~name:"every subcone digest equals the reference"
+    ~count:200 seeds (fun seed ->
+      let netlist = Helpers.strash_shapes seed in
+      let scratch = Nano_synth.Strash.scratch () in
+      List.for_all
+        (fun id ->
+          Nano_synth.Strash.cone_digest scratch netlist id
+          = Strash_ref.digest (Duplicates_ref.extract_subcone netlist id))
+        (List.init (Netlist.node_count netlist) Fun.id))
+
+(* The full report bytes of the BLIF spellings of alu8 and of a
+   3,000-gate random netlist, duplicate-subcone digests included. *)
+let test_pinned_dup_reports () =
+  let random =
+    Nano_circuits.Random_circuit.generate
+      ~config:
+        {
+          Nano_circuits.Random_circuit.default_config with
+          inputs = 24;
+          gates = 3000;
+          outputs = 16;
+        }
+      ~seed:2005 ()
+  in
+  List.iter
+    (fun (name, netlist, groups, diagnostics, md5) ->
+      let report = Lint.run_blif_string (Nano_blif.Blif.to_string netlist) in
+      Alcotest.(check int) (name ^ " groups") groups
+        (List.length (find_code report "duplicate-subcone"));
+      Alcotest.(check int) (name ^ " diagnostics") diagnostics
+        (List.length report.Lint.diagnostics);
+      Alcotest.(check string) (name ^ " report bytes") md5
+        (Digest.to_hex
+           (Digest.string (Format.asprintf "%a" Lint.pp_report report))))
+    [
+      ( "alu8", Helpers.suite_circuit "alu8", 36, 37,
+        "ed4304416e017b00a1a7b78f55d1b0c6" );
+      ("r3000", random, 49, 2535, "b090e79799dfd9106834a62569e01c37");
+    ];
+  match
+    find_code
+      (Lint.run_blif_string
+         (Nano_blif.Blif.to_string (Helpers.suite_circuit "alu8")))
+      "duplicate-subcone"
+  with
+  | d :: _ ->
+    Alcotest.(check string) "alu8's first group"
+      "gates 22, 57 root structurally identical and subcones (strash digest \
+       eb941183ecb368417887211dae84df58); the duplicates inflate S0 without \
+       adding function"
+      d.Diagnostic.message
+  | [] -> Alcotest.fail "alu8 has duplicate subcones"
+
 let suite =
   [
     Alcotest.test_case "cycle with witness" `Quick test_cycle_detected;
@@ -303,4 +393,9 @@ let suite =
     Alcotest.test_case "preflight only when noisy" `Quick
       test_preflight_only_when_noisy;
     Helpers.qcheck prop_clean_netlists_simulate;
+    Alcotest.test_case "dup pass = reference on the suite" `Quick
+      test_duplicates_match_reference_on_suite;
+    Helpers.qcheck prop_duplicates_match_reference;
+    Helpers.qcheck prop_cone_digests_match_reference;
+    Alcotest.test_case "pinned dup reports" `Quick test_pinned_dup_reports;
   ]

@@ -147,6 +147,40 @@ let test_omega_at_tiny_epsilon () =
         [ 1e-6; 1e-4; 0.01; 0.3 ])
     [ 2; 3; 4 ]
 
+(* At the smallest subnormal ε, t = 2^1073 overflows and Wire_split's
+   ε/k lies below every positive double; Theorem 2 must still price
+   both models, from log2 t. *)
+let test_smallest_subnormal_epsilon () =
+  let eps = Float.succ 0. in
+  let log_t = RB.log2_t ~fanin:2 eps in
+  Helpers.check_in_range "lumped log2 t" ~lo:1072.99 ~hi:1073.01 log_t;
+  Helpers.check_in_range "lumped extra gates" ~lo:0.0245 ~hi:0.0246
+    (RB.extra_gates (parity10 eps));
+  List.iter
+    (fun fanin ->
+      let p = { (parity10 eps) with RB.fanin } in
+      let factor =
+        RB.redundancy_factor ~model:RB.Wire_split p ~error_free_size:21
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "split factor at k=%d finite and >= 1" fanin)
+        true
+        (Float.is_finite factor && factor >= 1.);
+      Alcotest.(check bool)
+        (Printf.sprintf "split omega at k=%d positive" fanin)
+        true
+        (RB.omega ~model:RB.Wire_split ~fanin eps > 0.))
+    [ 2; 3; 4 ];
+  (* At and above the cutoff log2_t is the direct form, bit for bit. *)
+  List.iter
+    (fun eps ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "direct log2 t at eps=%g" eps)
+        (Nano_util.Math_ext.log2
+           (RB.t_parameter ~omega:(RB.omega ~fanin:2 eps)))
+        (RB.log2_t ~fanin:2 eps))
+    [ 1e-6; 0.01; 0.3; 0.5 ]
+
 let prop_monotone_in_epsilon =
   QCheck2.Test.make ~name:"extra gates grow with eps" ~count:200
     QCheck2.Gen.(pair (float_range 0.001 0.2) (float_range 1.1 2.))
@@ -188,6 +222,8 @@ let suite =
     Alcotest.test_case "omega models differ" `Quick test_omega_models_differ;
     Alcotest.test_case "omega positive at tiny eps" `Quick
       test_omega_at_tiny_epsilon;
+    Alcotest.test_case "smallest subnormal eps" `Quick
+      test_smallest_subnormal_epsilon;
     Helpers.qcheck prop_monotone_in_epsilon;
     Helpers.qcheck prop_monotone_in_sensitivity;
     Helpers.qcheck prop_tighter_delta_costs_more;
