@@ -112,6 +112,10 @@ let load_circuit spec =
       match Nano_blif.Blif.parse_file spec with
       | Ok netlist -> Ok netlist
       | Error e -> Error (Format.asprintf "%s: %a" spec Nano_blif.Blif.pp_error e)
+      | exception Sys_error msg ->
+        (* Opening names the path in its message; reading does not. *)
+        if String.starts_with ~prefix:(spec ^ ": ") msg then Error msg
+        else Error (spec ^ ": " ^ msg)
     end
     else
       Error

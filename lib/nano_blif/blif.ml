@@ -10,150 +10,340 @@ exception Parse_error of error
 let fail line fmt =
   Printf.ksprintf (fun message -> raise (Parse_error { line; message })) fmt
 
-(* ------------------------------------------------------------------ *)
-(* Lexing: comments, continuations, whitespace tokenization.           *)
-(* ------------------------------------------------------------------ *)
+(* Growable int arrays: the scan's only containers. *)
+module Ivec = struct
+  type t = { mutable a : int array; mutable n : int }
 
-type raw_line = { lineno : int; tokens : string list }
+  let create k = { a = Array.make (max k 1) 0; n = 0 }
 
-let tokenize_lines text =
-  let lines = String.split_on_char '\n' text in
-  (* Fold continuation backslashes into single logical lines, keeping the
-     number of the first physical line. *)
-  let rec logical acc pending pending_no lineno = function
-    | [] ->
-      let acc =
-        match pending with
-        | Some s -> { lineno = pending_no; tokens = s } :: acc
-        | None -> acc
-      in
-      List.rev acc
-    | raw :: rest ->
-      let raw =
-        match String.index_opt raw '#' with
-        | Some i -> String.sub raw 0 i
-        | None -> raw
-      in
-      (* Trim trailing blanks (and the CR of CRLF files) before looking
-         for the continuation backslash. Otherwise a '\' followed by
-         invisible whitespace silently fails to continue, the
-         construct splits into several logical lines, and every
-         diagnostic for it lands on a *later* physical line than the
-         one the author wrote the directive on. *)
-      let raw =
-        let len = ref (String.length raw) in
-        while
-          !len > 0
-          &&
-          match raw.[!len - 1] with ' ' | '\t' | '\r' -> true | _ -> false
-        do
-          decr len
-        done;
-        if !len = String.length raw then raw else String.sub raw 0 !len
-      in
-      let continued = String.length raw > 0 && raw.[String.length raw - 1] = '\\' in
-      let body = if continued then String.sub raw 0 (String.length raw - 1) else raw in
-      let toks =
-        String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) body)
-        |> List.filter (fun s -> s <> "")
-      in
-      let merged, merged_no =
-        match pending with
-        | Some p -> (p @ toks, pending_no)
-        | None -> (toks, lineno)
-      in
-      if continued then logical acc (Some merged) merged_no (lineno + 1) rest
-      else begin
-        let acc =
-          if merged = [] then acc
-          else { lineno = merged_no; tokens = merged } :: acc
-        in
-        logical acc None 0 (lineno + 1) rest
-      end
-  in
-  logical [] None 0 1 lines
+  let grow v =
+    let a = Array.make (2 * v.n) 0 in
+    Array.blit v.a 0 a 0 v.n;
+    v.a <- a
+
+  let[@inline] push v x =
+    if v.n = Array.length v.a then grow v;
+    Array.unsafe_set v.a v.n x;
+    v.n <- v.n + 1
+
+  let contents v = Array.sub v.a 0 v.n
+end
 
 (* ------------------------------------------------------------------ *)
-(* Parsing into a raw model.                                           *)
+(* The scan: one pass over the physical lines.                          *)
 (* ------------------------------------------------------------------ *)
 
-type names_block = {
-  n_line : int;
-  signals : string list; (* fanin names @ [output name] *)
-  rows : (string * char) list; (* input plane, output bit *)
-}
-
+(* A signal is a dense id; its first spelling stays an (offset, length)
+   pair into the text until someone asks for its name. The arrays are
+   the scan's own, longer than their contents: [signals] and [blocks]
+   say how much of them is used. *)
 type model = {
+  text : string;
   m_name : string;
-  m_line : int;  (* line of .model (or 1 when implicit) *)
-  m_inputs : (string * int) list;  (* name, declaration line *)
-  m_outputs : (string * int) list;
-  m_names : names_block list;
+  m_line : int;  (* line of the last .model (1 when implicit) *)
+  signals : int;
+  spell : int array;  (* signal s: offset spell.(2s), length spell.(2s+1) *)
+  inputs : int array;  (* signal ids, declaration order *)
+  input_lines : int array;
+  outputs : int array;
+  output_lines : int array;
+  blocks : int;  (* .names blocks *)
+  blk_line : int array;
+  blk_sigs : int array;
+      (* block b reads sigs.(blk_sigs.(b)) .. sigs.(blk_sigs.(b+1) - 2)
+         and drives sigs.(blk_sigs.(b+1) - 1); a sentinel follows the
+         last block *)
+  blk_rows : int array;  (* block b owns rows blk_rows.(b) .. blk_rows.(b+1) - 1 *)
+  sigs : int array;
+  rows : int array;
+      (* row r: its input plane's offset rows.(2r) in the text, and
+         rows.(2r+1) = width lsl 8 lor the output bit's char code *)
 }
 
-let parse_model lines =
-  let name = ref "model" in
-  let model_line = ref 1 in
-  let inputs = ref [] in
-  let outputs = ref [] in
-  let names = ref [] in
-  let current : names_block option ref = ref None in
-  let close_current () =
-    match !current with
-    | Some blk -> begin
-      names := { blk with rows = List.rev blk.rows } :: !names;
-      current := None
+let signal_name m id = String.sub m.text m.spell.(2 * id) m.spell.((2 * id) + 1)
+
+(* Signals interned to ids in an open-addressing table keyed on the
+   bytes of the text. A hit allocates nothing. *)
+type interner = {
+  keys : string;  (* the text the names are spelled in *)
+  mutable slots : int array;
+      (* pairs (id + 1, hash), id + 1 = 0 when empty; a power of 2 pairs *)
+  spelling : Ivec.t;  (* pairs (offset, length) per id *)
+}
+
+let hash_sub s off len =
+  let h = ref len in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
+  !h lxor (!h lsr 31)
+
+(* [len] bytes of [a] from [ai] equal those of [b] from [bi]; both in
+   bounds. *)
+let same_bytes a ai b bi len =
+  let i = ref 0 in
+  while
+    !i < len && String.unsafe_get a (ai + !i) = String.unsafe_get b (bi + !i)
+  do
+    incr i
+  done;
+  !i = len
+
+let grow_slots t =
+  let old = t.slots in
+  let slots = Array.make (2 * Array.length old) 0 in
+  let mask = (Array.length slots / 2) - 1 in
+  for j = 0 to (Array.length old / 2) - 1 do
+    let id1 = old.(2 * j) and h = old.((2 * j) + 1) in
+    if id1 <> 0 then begin
+      let k = ref (h land mask) in
+      while slots.(2 * !k) <> 0 do
+        k := (!k + 1) land mask
+      done;
+      slots.(2 * !k) <- id1;
+      slots.((2 * !k) + 1) <- h
     end
-    | None -> ()
+  done;
+  t.slots <- slots
+
+let intern t off len =
+  let h = hash_sub t.keys off len in
+  let slots = t.slots in
+  let mask = (Array.length slots / 2) - 1 in
+  let j = ref (h land mask) in
+  let found = ref (-1) in
+  while !found < 0 do
+    let id1 = Array.unsafe_get slots (2 * !j) in
+    if id1 = 0 then begin
+      let id = t.spelling.Ivec.n / 2 in
+      Ivec.push t.spelling off;
+      Ivec.push t.spelling len;
+      slots.(2 * !j) <- id + 1;
+      slots.((2 * !j) + 1) <- h;
+      if 4 * (id + 1) > Array.length slots then grow_slots t;
+      found := id
+    end
+    else if
+      Array.unsafe_get slots ((2 * !j) + 1) = h
+      &&
+      let sp = t.spelling.Ivec.a and id = id1 - 1 in
+      sp.((2 * id) + 1) = len && same_bytes t.keys sp.(2 * id) t.keys off len
+    then found := id1 - 1
+    else j := (!j + 1) land mask
+  done;
+  !found
+
+let sub_is text off len lit =
+  len = String.length lit && same_bytes text off lit 0 len
+
+(* The scan's state: the model being collected, and the tokens of the
+   logical line being read. *)
+type scan = {
+  src : string;
+  names : interner;
+  mutable name : string;
+  mutable name_line : int;
+  ins : Ivec.t;
+  in_lines : Ivec.t;
+  outs : Ivec.t;
+  out_lines : Ivec.t;
+  blocks : Ivec.t;  (* .names lines *)
+  block_sigs : Ivec.t;
+  block_rows : Ivec.t;
+  sig_ids : Ivec.t;
+  row_data : Ivec.t;
+  mutable in_block : bool;
+  toks : Ivec.t;
+  tlens : Ivec.t;
+}
+
+let declare st ids lines lineno =
+  for k = 1 to st.toks.Ivec.n - 1 do
+    Ivec.push ids (intern st.names st.toks.Ivec.a.(k) st.tlens.Ivec.a.(k));
+    Ivec.push lines lineno
+  done
+
+let add_row st plane width bit =
+  Ivec.push st.row_data plane;
+  Ivec.push st.row_data ((width lsl 8) lor Char.code bit)
+
+let logical_line st lineno =
+  let text = st.src and ntok = st.toks.Ivec.n in
+  let off = st.toks.Ivec.a and tl = st.tlens.Ivec.a in
+  let o = off.(0) and l = tl.(0) in
+  if text.[o] = '.' then begin
+    st.in_block <- false;
+    if sub_is text o l ".names" then begin
+      if ntok = 1 then fail lineno ".names expects at least an output";
+      Ivec.push st.blocks lineno;
+      Ivec.push st.block_sigs st.sig_ids.Ivec.n;
+      Ivec.push st.block_rows (st.row_data.Ivec.n / 2);
+      for k = 1 to ntok - 1 do
+        Ivec.push st.sig_ids (intern st.names off.(k) tl.(k))
+      done;
+      st.in_block <- true
+    end
+    else if sub_is text o l ".inputs" then declare st st.ins st.in_lines lineno
+    else if sub_is text o l ".outputs" then
+      declare st st.outs st.out_lines lineno
+    else if sub_is text o l ".model" then begin
+      if ntok <> 2 then fail lineno ".model expects one name";
+      st.name <- String.sub text off.(1) tl.(1);
+      st.name_line <- lineno
+    end
+    else if sub_is text o l ".end" then ()
+    else if sub_is text o l ".exdc" then fail lineno ".exdc is not supported"
+    else if sub_is text o l ".latch" then
+      fail lineno ".latch is not supported (combinational subset only)"
+    else if sub_is text o l ".subckt" || sub_is text o l ".search" then
+      fail lineno "hierarchical BLIF is not supported"
+    else fail lineno "unknown directive %s" (String.sub text o l)
+  end
+  else if st.in_block && ntok = 2 then begin
+    if tl.(1) <> 1 then fail lineno "bad cube row";
+    add_row st o l text.[off.(1)]
+  end
+  else if st.in_block && ntok = 1 then begin
+    (* Constant cover for a zero-input .names. *)
+    if l <> 1 then fail lineno "bad constant row";
+    add_row st o 0 text.[o]
+  end
+  else fail lineno "unexpected tokens"
+
+(* Physical lines are cut at the first '#' and stripped of trailing
+   blanks and CRs; a final backslash then continues the logical line
+   onto the next one, and a logical line is numbered by its first
+   physical line. Tokens are maximal runs of anything but ' ' and '\t',
+   kept as (offset, length) pairs. *)
+let read_exn text =
+  let len = String.length text in
+  let slots = ref 64 in
+  while !slots < len / 32 do
+    slots := 2 * !slots
+  done;
+  let st =
+    {
+      src = text;
+      names =
+        { keys = text; slots = Array.make (2 * !slots) 0; spelling = Ivec.create 128 };
+      name = "model";
+      name_line = 1;
+      ins = Ivec.create 16;
+      in_lines = Ivec.create 16;
+      outs = Ivec.create 16;
+      out_lines = Ivec.create 16;
+      blocks = Ivec.create 64;
+      block_sigs = Ivec.create 64;
+      block_rows = Ivec.create 64;
+      sig_ids = Ivec.create 256;
+      row_data = Ivec.create 512;
+      in_block = false;
+      toks = Ivec.create 32;
+      tlens = Ivec.create 32;
+    }
   in
-  let add_row lineno plane bit =
-    match !current with
-    | None -> fail lineno "cube row outside of .names"
-    | Some blk -> current := Some { blk with rows = (plane, bit) :: blk.rows }
-  in
-  List.iter
-    (fun { lineno; tokens } ->
-      match tokens with
-      | [] -> ()
-      | dot :: rest when String.length dot > 0 && dot.[0] = '.' -> begin
-        close_current ();
-        match dot, rest with
-        | ".model", [ n ] ->
-          name := n;
-          model_line := lineno
-        | ".model", _ -> fail lineno ".model expects one name"
-        | ".inputs", ins ->
-          inputs := !inputs @ List.map (fun i -> (i, lineno)) ins
-        | ".outputs", outs ->
-          outputs := !outputs @ List.map (fun o -> (o, lineno)) outs
-        | ".names", [] -> fail lineno ".names expects at least an output"
-        | ".names", signals ->
-          current := Some { n_line = lineno; signals; rows = [] }
-        | ".end", _ -> ()
-        | ".exdc", _ -> fail lineno ".exdc is not supported"
-        | ".latch", _ ->
-          fail lineno ".latch is not supported (combinational subset only)"
-        | ".subckt", _ | ".search", _ ->
-          fail lineno "hierarchical BLIF is not supported"
-        | directive, _ -> fail lineno "unknown directive %s" directive
+  let toks = st.toks and tlens = st.tlens in
+  let pos = ref 0 and lineno = ref 1 in
+  let group = ref 0 in (* first line of a continued logical line, or 0 *)
+  while !pos <= len do
+    let first_tok = toks.Ivec.n in
+    let i = ref !pos in
+    while
+      !i < len
+      &&
+      match String.unsafe_get text !i with '\n' | '#' -> false | _ -> true
+    do
+      if String.unsafe_get text !i = ' ' || String.unsafe_get text !i = '\t'
+      then incr i
+      else begin
+        let start = !i in
+        incr i;
+        while
+          !i < len
+          &&
+          match String.unsafe_get text !i with
+          | ' ' | '\t' | '\n' | '#' -> false
+          | _ -> true
+        do
+          incr i
+        done;
+        Ivec.push toks start;
+        Ivec.push tlens (!i - start)
       end
-      | [ plane; bit ] when !current <> None ->
-        if String.length bit <> 1 then fail lineno "bad cube row";
-        add_row lineno plane bit.[0]
-      | [ bit ] when !current <> None ->
-        (* Constant cover for a zero-input .names. *)
-        if String.length bit <> 1 then fail lineno "bad constant row";
-        add_row lineno "" bit.[0]
-      | _ -> fail lineno "unexpected tokens")
-    lines;
-  close_current ();
+    done;
+    while !i < len && String.unsafe_get text !i <> '\n' do
+      incr i
+    done;
+    (* Trailing CRs come off the line's last tokens (blanks are never in
+       a token), then a final backslash marks a continuation. *)
+    let trimming = ref true in
+    while !trimming && toks.Ivec.n > first_tok do
+      let k = toks.Ivec.n - 1 in
+      let o = toks.Ivec.a.(k) and l = ref tlens.Ivec.a.(k) in
+      while !l > 0 && String.unsafe_get text (o + !l - 1) = '\r' do
+        decr l
+      done;
+      tlens.Ivec.a.(k) <- !l;
+      if !l = 0 then begin
+        toks.Ivec.n <- k;
+        tlens.Ivec.n <- k
+      end
+      else trimming := false
+    done;
+    let continued =
+      toks.Ivec.n > first_tok
+      &&
+      let k = toks.Ivec.n - 1 in
+      let l = tlens.Ivec.a.(k) in
+      text.[toks.Ivec.a.(k) + l - 1] = '\\'
+      && begin
+        tlens.Ivec.a.(k) <- l - 1;
+        if l = 1 then begin
+          toks.Ivec.n <- k;
+          tlens.Ivec.n <- k
+        end;
+        true
+      end
+    in
+    if continued then begin
+      if !group = 0 then group := !lineno
+    end
+    else begin
+      if toks.Ivec.n > 0 then
+        logical_line st (if !group = 0 then !lineno else !group);
+      toks.Ivec.n <- 0;
+      tlens.Ivec.n <- 0;
+      group := 0
+    end;
+    pos := !i + 1;
+    incr lineno
+  done;
+  if toks.Ivec.n > 0 then logical_line st !group;
+  let blocks = st.blocks.Ivec.n in
+  Ivec.push st.block_sigs st.sig_ids.Ivec.n;
+  Ivec.push st.block_rows (st.row_data.Ivec.n / 2);
   {
-    m_name = !name;
-    m_line = !model_line;
-    m_inputs = !inputs;
-    m_outputs = !outputs;
-    m_names = List.rev !names;
+    text;
+    m_name = st.name;
+    m_line = st.name_line;
+    signals = st.names.spelling.Ivec.n / 2;
+    spell = st.names.spelling.Ivec.a;
+    inputs = Ivec.contents st.ins;
+    input_lines = Ivec.contents st.in_lines;
+    outputs = Ivec.contents st.outs;
+    output_lines = Ivec.contents st.out_lines;
+    blocks;
+    blk_line = st.blocks.Ivec.a;
+    blk_sigs = st.block_sigs.Ivec.a;
+    blk_rows = st.block_rows.Ivec.a;
+    sigs = st.sig_ids.Ivec.a;
+    rows = st.row_data.Ivec.a;
   }
+
+let read text =
+  match read_exn text with
+  | m -> Ok m
+  | exception Parse_error e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Raw structural view, for static analysis before elaboration.        *)
@@ -170,172 +360,255 @@ module Raw = struct
   }
 end
 
-let raw_of_model m =
-  let defs =
-    List.map
-      (fun blk ->
-        match List.rev blk.signals with
-        | out :: rev_ins ->
-          { Raw.line = blk.n_line; output = out; inputs = List.rev rev_ins }
-        | [] -> fail blk.n_line "empty .names")
-      m.m_names
+let raw m =
+  let names = Array.init m.signals (signal_name m) in
+  let declared ids lines =
+    List.init (Array.length ids) (fun k -> (names.(ids.(k)), lines.(k)))
+  in
+  let def b =
+    let first = m.blk_sigs.(b) and out = m.blk_sigs.(b + 1) - 1 in
+    {
+      Raw.line = m.blk_line.(b);
+      output = names.(m.sigs.(out));
+      inputs = List.init (out - first) (fun k -> names.(m.sigs.(first + k)));
+    }
   in
   {
     Raw.model = m.m_name;
-    inputs = m.m_inputs;
-    outputs = m.m_outputs;
-    defs;
+    inputs = declared m.inputs m.input_lines;
+    outputs = declared m.outputs m.output_lines;
+    defs = List.init m.blocks def;
   }
 
-let parse_raw text =
-  match raw_of_model (parse_model (tokenize_lines text)) with
-  | raw -> Ok raw
-  | exception Parse_error e -> Error e
+let parse_raw text = Result.map raw (read text)
 
 (* ------------------------------------------------------------------ *)
 (* Elaboration: signal -> node, with two-level expansion of covers.    *)
 (* ------------------------------------------------------------------ *)
 
-let elaborate model =
-  let b = Netlist.Builder.create ~name:model.m_name () in
-  let env : (string, Netlist.node) Hashtbl.t = Hashtbl.create 64 in
-  let defs : (string, names_block) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun blk ->
-      match List.rev blk.signals with
-      | out :: _ -> begin
-        match Hashtbl.find_opt defs out with
-        | Some first ->
-          (* Reject the second driver outright: silently keeping either
-             cover would change the function behind the user's back. *)
-          fail blk.n_line
-            "signal %s driven by more than one .names (first driver at line \
-             %d)"
-            out first.n_line
-        | None -> Hashtbl.replace defs out blk
-      end
-      | [] -> fail blk.n_line "empty .names")
-    model.m_names;
-  List.iter
-    (fun (input, line) ->
-      if Hashtbl.mem env input then fail line "duplicate input %s" input;
-      if Hashtbl.mem defs input then
-        fail line "input %s is also driven by a .names block" input;
-      Hashtbl.replace env input (Netlist.Builder.input b input))
-    model.m_inputs;
-  let negations : (Netlist.node, Netlist.node) Hashtbl.t = Hashtbl.create 64 in
-  let negate n =
-    match Hashtbl.find_opt negations n with
-    | Some v -> v
-    | None ->
-      let v = Netlist.Builder.not_ b n in
-      Hashtbl.replace negations n v;
-      v
+(* Nodes are appended to a growable [info] array in the order
+   [Netlist.Builder] would number them (see the node-order contract in
+   blif.mli), and frozen without re-checking: every fanin is an earlier
+   node and every arity is right by construction. *)
+type nodes = {
+  mutable info : Netlist.info array;
+  mutable neg : int array;  (* node -> its NOT, or -1 *)
+  mutable count : int;
+  mutable const0 : int;
+  mutable const1 : int;
+}
+
+let no_info = { Netlist.kind = Gate.Const false; fanins = [||]; name = None }
+
+let reserve ns k =
+  let cap = Array.length ns.info in
+  if ns.count + k > cap then begin
+    let cap' = max (2 * cap) (ns.count + k) in
+    let info = Array.make cap' no_info and neg = Array.make cap' (-1) in
+    Array.blit ns.info 0 info 0 ns.count;
+    Array.blit ns.neg 0 neg 0 ns.count;
+    ns.info <- info;
+    ns.neg <- neg
+  end
+
+let push ns kind fanins name =
+  reserve ns 1;
+  let id = ns.count in
+  ns.info.(id) <- { Netlist.kind; fanins; name };
+  ns.count <- id + 1;
+  id
+
+let negate ns n =
+  let v = ns.neg.(n) in
+  if v >= 0 then v
+  else begin
+    let v = push ns Gate.Not [| n |] None in
+    ns.neg.(n) <- v;
+    v
+  end
+
+let const ns value =
+  if value then begin
+    if ns.const1 < 0 then ns.const1 <- push ns (Gate.Const true) [||] None;
+    ns.const1
+  end
+  else begin
+    if ns.const0 < 0 then ns.const0 <- push ns (Gate.Const false) [||] None;
+    ns.const0
+  end
+
+(* Balanced tree of two-input [kind] gates over buf.(0) .. buf.(k-1), in
+   place. Each round pairs neighbours left to right but numbers the
+   pairs right to left, as [Netlist.Builder.reduce] does. *)
+let reduce ns kind buf k =
+  let m = ref k in
+  while !m > 1 do
+    let pairs = !m / 2 in
+    reserve ns pairs;
+    let base = ns.count in
+    for i = 0 to pairs - 1 do
+      let id = base + pairs - 1 - i in
+      ns.info.(id) <-
+        { Netlist.kind; fanins = [| buf.(2 * i); buf.((2 * i) + 1) |]; name = None };
+      buf.(i) <- id
+    done;
+    ns.count <- base + pairs;
+    if !m land 1 = 1 then buf.(pairs) <- buf.(!m - 1);
+    m := pairs + (!m land 1)
+  done;
+  buf.(0)
+
+let elaborate_exn m =
+  let text = m.text in
+  let nsig = m.signals and nblk = m.blocks in
+  let name = signal_name m in
+  let driver = Array.make nsig (-1) in
+  let widest = ref 0 and longest = ref 0 in
+  for b = 0 to nblk - 1 do
+    let out = m.sigs.(m.blk_sigs.(b + 1) - 1) in
+    let first = driver.(out) in
+    if first >= 0 then
+      (* Reject the second driver outright: silently keeping either
+         cover would change the function behind the user's back. *)
+      fail m.blk_line.(b)
+        "signal %s driven by more than one .names (first driver at line %d)"
+        (name out) m.blk_line.(first);
+    driver.(out) <- b;
+    widest := max !widest (m.blk_sigs.(b + 1) - 1 - m.blk_sigs.(b));
+    longest := max !longest (m.blk_rows.(b + 1) - m.blk_rows.(b))
+  done;
+  let ns =
+    let cap = Array.length m.inputs + m.blk_rows.(nblk) + 16 in
+    {
+      info = Array.make cap no_info;
+      neg = Array.make cap (-1);
+      count = 0;
+      const0 = -1;
+      const1 = -1;
+    }
   in
-  let in_progress : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* Most-recent-first stack of signals being elaborated, kept alongside
-     [in_progress] so a detected cycle can be reported with its witness
-     path rather than just the signal it closed on. *)
-  let progress_stack : string list ref = ref [] in
-  let rec resolve ~line signal =
-    match Hashtbl.find_opt env signal with
-    | Some n -> n
-    | None -> begin
-      match Hashtbl.find_opt defs signal with
-      | None -> fail line "signal %s is never defined" signal
-      | Some blk ->
-        if Hashtbl.mem in_progress signal then begin
-          let rec take acc = function
-            | [] -> acc
-            | s :: rest -> if s = signal then s :: acc else take (s :: acc) rest
-          in
-          let witness = take [ signal ] !progress_stack in
-          fail blk.n_line "combinational cycle: %s"
-            (String.concat " -> " witness)
-        end;
-        Hashtbl.replace in_progress signal ();
-        progress_stack := signal :: !progress_stack;
-        let n = build_cover blk in
-        Hashtbl.remove in_progress signal;
-        progress_stack := List.tl !progress_stack;
-        Hashtbl.replace env signal n;
-        n
+  let node_of = Array.make nsig (-1) in
+  let input_ids =
+    Array.mapi
+      (fun k s ->
+        let line = m.input_lines.(k) in
+        if node_of.(s) >= 0 then fail line "duplicate input %s" (name s);
+        if driver.(s) >= 0 then
+          fail line "input %s is also driven by a .names block" (name s);
+        let id = push ns Gate.Input [||] (Some (name s)) in
+        node_of.(s) <- id;
+        id)
+      m.inputs
+  in
+  let lits = Array.make (max 1 !widest) 0 and terms = Array.make (max 1 !longest) 0 in
+  let in_progress = Bytes.make nsig '\000' in
+  (* Signals being elaborated, oldest first, so a detected cycle can be
+     reported with its witness path rather than just the signal it
+     closed on. *)
+  let stack = Ivec.create 16 in
+  let rec resolve line s =
+    let n = node_of.(s) in
+    if n >= 0 then n
+    else begin
+      let b = driver.(s) in
+      if b < 0 then fail line "signal %s is never defined" (name s);
+      if Bytes.get in_progress s <> '\000' then begin
+        let j = ref (stack.Ivec.n - 1) in
+        while stack.Ivec.a.(!j) <> s do
+          decr j
+        done;
+        let witness =
+          List.init (stack.Ivec.n - !j) (fun k -> name stack.Ivec.a.(!j + k))
+        in
+        fail m.blk_line.(b) "combinational cycle: %s"
+          (String.concat " -> " (witness @ [ name s ]))
+      end;
+      Bytes.set in_progress s '\001';
+      Ivec.push stack s;
+      let n = build_cover b in
+      Bytes.set in_progress s '\000';
+      stack.Ivec.n <- stack.Ivec.n - 1;
+      node_of.(s) <- n;
+      n
     end
-  and build_cover blk =
-    let rev = List.rev blk.signals in
-    let out_name, fanin_names =
-      match rev with
-      | out :: fs -> (out, List.rev fs)
-      | [] -> assert false
-    in
-    ignore out_name;
-    let fanins = List.map (resolve ~line:blk.n_line) fanin_names in
-    let fanin_arr = Array.of_list fanins in
-    let width = Array.length fanin_arr in
-    match blk.rows with
-    | [] -> Netlist.Builder.const b false
-    | (_, bit0) :: _ as rows ->
+  and build_cover b =
+    let line = m.blk_line.(b) in
+    let first = m.blk_sigs.(b) and out = m.blk_sigs.(b + 1) - 1 in
+    for k = first to out - 1 do
+      ignore (resolve line m.sigs.(k))
+    done;
+    let width = out - first in
+    let r0 = m.blk_rows.(b) and r1 = m.blk_rows.(b + 1) in
+    if r0 = r1 then const ns false
+    else begin
       let polarity =
-        match bit0 with
+        match Char.chr (m.rows.((2 * r0) + 1) land 0xff) with
         | '1' -> true
         | '0' -> false
-        | c -> fail blk.n_line "bad output bit %c" c
+        | c -> fail line "bad output bit %c" c
       in
-      List.iter
-        (fun (plane, bit) ->
-          if String.length plane <> width then
-            fail blk.n_line "cube width mismatch";
-          let row_pol =
-            match bit with
-            | '1' -> true
-            | '0' -> false
-            | c -> fail blk.n_line "bad output bit %c" c
-          in
-          if row_pol <> polarity then
-            fail blk.n_line "mixed ON/OFF-set covers are not supported")
-        rows;
-      let product plane =
-        let literals = ref [] in
-        String.iteri
-          (fun i c ->
-            match c with
-            | '1' -> literals := fanin_arr.(i) :: !literals
-            | '0' -> literals := negate fanin_arr.(i) :: !literals
-            | '-' -> ()
-            | c -> fail blk.n_line "bad cube character %c" c)
-          plane;
-        match !literals with
-        | [] -> Netlist.Builder.const b true
-        | [ single ] -> single
-        | many -> Netlist.Builder.reduce b Gate.And (List.rev many)
-      in
-      let terms = List.map (fun (plane, _) -> product plane) rows in
-      let sum =
-        match terms with
-        | [ single ] -> single
-        | many -> Netlist.Builder.reduce b Gate.Or many
-      in
-      if polarity then sum else negate sum
+      for r = r0 to r1 - 1 do
+        let shape = m.rows.((2 * r) + 1) in
+        if shape lsr 8 <> width then fail line "cube width mismatch";
+        let row_pol =
+          match Char.chr (shape land 0xff) with
+          | '1' -> true
+          | '0' -> false
+          | c -> fail line "bad output bit %c" c
+        in
+        if row_pol <> polarity then
+          fail line "mixed ON/OFF-set covers are not supported"
+      done;
+      for r = r0 to r1 - 1 do
+        let plane = m.rows.(2 * r) in
+        let k = ref 0 in
+        for i = 0 to width - 1 do
+          match String.unsafe_get text (plane + i) with
+          | '1' ->
+            lits.(!k) <- node_of.(m.sigs.(first + i));
+            incr k
+          | '0' ->
+            lits.(!k) <- negate ns node_of.(m.sigs.(first + i));
+            incr k
+          | '-' -> ()
+          | c -> fail line "bad cube character %c" c
+        done;
+        terms.(r - r0) <-
+          (if !k = 0 then const ns true else reduce ns Gate.And lits !k)
+      done;
+      let sum = reduce ns Gate.Or terms (r1 - r0) in
+      if polarity then sum else negate ns sum
+    end
   in
-  if model.m_outputs = [] then fail model.m_line "model has no outputs";
-  List.iter
-    (fun (out, line) ->
-      let n = resolve ~line out in
-      Netlist.Builder.output b out n)
-    model.m_outputs;
-  Netlist.Builder.finish b
+  let nout = Array.length m.outputs in
+  if nout = 0 then fail m.m_line "model has no outputs";
+  let declared = Bytes.make nsig '\000' in
+  let output_ids =
+    Array.mapi
+      (fun k s ->
+        let line = m.output_lines.(k) in
+        let n = resolve line s in
+        if Bytes.get declared s <> '\000' then
+          fail line "duplicate output %s" (name s);
+        Bytes.set declared s '\001';
+        n)
+      m.outputs
+  in
+  Netlist.of_arrays_unchecked ~name:m.m_name
+    (Array.sub ns.info 0 ns.count)
+    ~inputs:input_ids
+    ~output_names:(Array.map name m.outputs)
+    ~output_ids
 
-let parse_string text =
-  match elaborate (parse_model (tokenize_lines text)) with
+let elaborate m =
+  match elaborate_exn m with
   | netlist -> Ok netlist
   | exception Parse_error e -> Error e
 
+let parse_string text = Result.bind (read text) elaborate
+
 let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+  parse_string (In_channel.with_open_text path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Writing.                                                            *)

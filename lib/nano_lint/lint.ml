@@ -66,7 +66,7 @@ let run_netlist ?(options = default_options) ?digest netlist =
     }
 
 let run_blif_string ?(options = default_options) text =
-  match Blif.parse_raw text with
+  match Blif.read text with
   | Error e ->
     {
       model = "";
@@ -78,7 +78,8 @@ let run_blif_string ?(options = default_options) text =
             e.Blif.message;
         ];
     }
-  | Ok raw ->
+  | Ok model ->
+    let raw = Blif.raw model in
     let front = Blif_front.run raw in
     let fatal =
       List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) front
@@ -90,7 +91,7 @@ let run_blif_string ?(options = default_options) text =
         diagnostics = List.sort Diagnostic.compare front;
       }
     else begin
-      match Blif.parse_string text with
+      match Blif.elaborate model with
       | Error e ->
         (* Front-end lints passed yet elaboration failed: surface the
            elaboration error rather than hiding it. *)

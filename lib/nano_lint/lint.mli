@@ -46,10 +46,11 @@ val run_netlist :
     recomputing the strash digest when the caller already has it. *)
 
 val run_blif_string : ?options:options -> string -> report
-(** Lint BLIF text: raw parse → front-end lints → (if no front-end
-    errors) elaboration → netlist passes. A raw parse failure yields a
-    single [parse-error] diagnostic; front-end errors suppress
-    elaboration (it would fail on the same defects, less precisely). *)
+(** Lint BLIF text: one scan ({!Nano_blif.Blif.read}) → front-end
+    lints on its raw view → (if no front-end errors) elaboration of the
+    same scanned model → netlist passes. A scan failure yields a single
+    [parse-error] diagnostic; front-end errors suppress elaboration (it
+    would fail on the same defects, less precisely). *)
 
 val run_blif_file : ?options:options -> string -> (report, string) result
 (** [Error msg] only for I/O failures; parse failures are reports. *)

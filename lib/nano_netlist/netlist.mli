@@ -65,8 +65,9 @@ val of_arrays_unchecked :
     of. Nothing is checked: the caller guarantees what {!Builder}
     enforces — arities, fanins before their gate, every input id of
     kind [Input], distinct output names, at least one output, and
-    [output_names] parallel to [output_ids]. For rebuilding passes that
-    already hold a valid DAG in flat form; {!validate} tests one. *)
+    [output_names] parallel to [output_ids]. For passes that build a
+    valid DAG in flat form (strashing, BLIF elaboration); {!validate}
+    tests one. *)
 
 (** {1 Observation} *)
 

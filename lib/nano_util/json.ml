@@ -35,11 +35,17 @@ let float_repr f =
 
 let float_or_null f = if Float.is_finite f then Float f else Null
 
+(* Plain runs are blitted whole; only quotes, backslashes and control
+   characters are escaped, one by one. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -47,10 +53,14 @@ let escape_string buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+        Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]);
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
 let to_string v =
@@ -93,50 +103,60 @@ let fail pos message = raise (Fail { pos; message })
 
 type state = { input : string; mutable pos : int }
 
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
+(* The parser looks at [st.input.[st.pos]] only after checking
+   [at_end]: no [char option] is built per character read. *)
+let at_end st = st.pos >= String.length st.input
+let current st = String.unsafe_get st.input st.pos
+let looking_at st c = st.pos < String.length st.input && current st = c
 
 let advance st = st.pos <- st.pos + 1
 
 let skip_ws st =
+  let s = st.input in
+  let n = String.length s in
+  let i = ref st.pos in
   while
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      true
-    | _ -> false
+    !i < n
+    && match String.unsafe_get s !i with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
   do
-    ()
-  done
+    incr i
+  done;
+  st.pos <- !i
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> fail st.pos (Printf.sprintf "expected %C, found %C" c c')
-  | None -> fail st.pos (Printf.sprintf "expected %C, found end of input" c)
+  if at_end st then
+    fail st.pos (Printf.sprintf "expected %C, found end of input" c)
+  else if current st = c then advance st
+  else fail st.pos (Printf.sprintf "expected %C, found %C" c (current st))
 
 let expect_keyword st kw value =
   let n = String.length kw in
-  if
-    st.pos + n <= String.length st.input
-    && String.sub st.input st.pos n = kw
-  then begin
+  let matches = ref (st.pos + n <= String.length st.input) in
+  for i = 0 to n - 1 do
+    if !matches && String.unsafe_get st.input (st.pos + i) <> kw.[i] then
+      matches := false
+  done;
+  if !matches then begin
     st.pos <- st.pos + n;
     value
   end
   else fail st.pos (Printf.sprintf "expected %s" kw)
 
 let hex_digit st =
-  match peek st with
-  | Some ('0' .. '9' as c) ->
-    advance st;
-    Char.code c - Char.code '0'
-  | Some ('a' .. 'f' as c) ->
-    advance st;
-    Char.code c - Char.code 'a' + 10
-  | Some ('A' .. 'F' as c) ->
-    advance st;
-    Char.code c - Char.code 'A' + 10
-  | _ -> fail st.pos "invalid \\u escape: expected a hex digit"
+  let digit =
+    if at_end st then -1
+    else
+      match current st with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> -1
+  in
+  if digit < 0 then fail st.pos "invalid \\u escape: expected a hex digit";
+  advance st;
+  digit
 
 let hex4 st =
   let a = hex_digit st in
@@ -163,84 +183,122 @@ let add_utf8 buf cp =
     Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
   end
 
+(* The end of the plain run starting at [i]: the first quote,
+   backslash or control character, or the end of the input. *)
+let plain_run s i =
+  let n = String.length s in
+  let i = ref i in
+  while
+    !i < n
+    &&
+    let c = String.unsafe_get s !i in
+    c <> '"' && c <> '\\' && Char.code c >= 0x20
+  do
+    incr i
+  done;
+  !i
+
+(* A plain run ends at a quote or an escape; anything else there is an
+   error. *)
+let check_run_end s i =
+  if i >= String.length s then fail i "unterminated string"
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' -> ()
+    | _ -> fail i "unescaped control character in string"
+
+(* One escape, [st.pos] on its backslash, decoded into [buf]. *)
+let decode_escape st buf =
+  advance st;
+  let escape_pos = st.pos - 1 in
+  if at_end st then fail st.pos "unterminated escape";
+  let c = current st in
+  advance st;
+  match c with
+  | '"' -> Buffer.add_char buf '"'
+  | '\\' -> Buffer.add_char buf '\\'
+  | '/' -> Buffer.add_char buf '/'
+  | 'b' -> Buffer.add_char buf '\b'
+  | 'f' -> Buffer.add_char buf '\012'
+  | 'n' -> Buffer.add_char buf '\n'
+  | 'r' -> Buffer.add_char buf '\r'
+  | 't' -> Buffer.add_char buf '\t'
+  | 'u' ->
+    let cp = hex4 st in
+    if cp >= 0xD800 && cp <= 0xDBFF then begin
+      (* High surrogate: require a following low surrogate. *)
+      if looking_at st '\\' then advance st
+      else fail st.pos "lone high surrogate";
+      if looking_at st 'u' then advance st
+      else fail st.pos "lone high surrogate";
+      let lo = hex4 st in
+      if lo < 0xDC00 || lo > 0xDFFF then
+        fail escape_pos "invalid low surrogate";
+      add_utf8 buf (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
+    end
+    else if cp >= 0xDC00 && cp <= 0xDFFF then
+      fail escape_pos "lone low surrogate"
+    else add_utf8 buf cp
+  | c -> fail escape_pos (Printf.sprintf "invalid escape \\%c" c)
+
+(* A string without escapes is one [String.sub]. Otherwise plain runs
+   are blitted into a buffer, between escapes decoded one at a time; it
+   starts at twice the first run, within what is left of the input, and
+   doubles as needed, which costs less than a pre-scan for the closing
+   quote would. *)
 let parse_string_body st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> fail st.pos "unterminated string"
-    | Some '"' ->
-      advance st;
-      Buffer.contents buf
-    | Some '\\' ->
-      advance st;
-      let escape_pos = st.pos - 1 in
-      (match peek st with
-      | None -> fail st.pos "unterminated escape"
-      | Some c ->
-        advance st;
-        (match c with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          let cp = hex4 st in
-          if cp >= 0xD800 && cp <= 0xDBFF then begin
-            (* High surrogate: require a following low surrogate. *)
-            if peek st = Some '\\' then advance st
-            else fail st.pos "lone high surrogate";
-            (match peek st with
-            | Some 'u' -> advance st
-            | _ -> fail st.pos "lone high surrogate");
-            let lo = hex4 st in
-            if lo < 0xDC00 || lo > 0xDFFF then
-              fail escape_pos "invalid low surrogate";
-            add_utf8 buf
-              (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
-          end
-          else if cp >= 0xDC00 && cp <= 0xDFFF then
-            fail escape_pos "lone low surrogate"
-          else add_utf8 buf cp
-        | c -> fail escape_pos (Printf.sprintf "invalid escape \\%c" c)));
-      loop ()
-    | Some c when Char.code c < 0x20 ->
-      fail st.pos "unescaped control character in string"
-    | Some c ->
-      advance st;
-      Buffer.add_char buf c;
-      loop ()
-  in
-  loop ()
+  let s = st.input in
+  let start = st.pos in
+  let stop = plain_run s start in
+  check_run_end s stop;
+  if String.unsafe_get s stop = '"' then begin
+    st.pos <- stop + 1;
+    String.sub s start (stop - start)
+  end
+  else begin
+    let buf =
+      Buffer.create (min (String.length s - start) (64 + (2 * (stop - start))))
+    in
+    Buffer.add_substring buf s start (stop - start);
+    st.pos <- stop;
+    while current st <> '"' do
+      decode_escape st buf;
+      let stop = plain_run s st.pos in
+      check_run_end s stop;
+      Buffer.add_substring buf s st.pos (stop - st.pos);
+      st.pos <- stop
+    done;
+    advance st;
+    Buffer.contents buf
+  end
+
+let digits st =
+  let s = st.input in
+  let n = String.length s in
+  let i = ref st.pos in
+  while !i < n && match String.unsafe_get s !i with '0' .. '9' -> true | _ -> false do
+    incr i
+  done;
+  if !i = st.pos then fail st.pos "expected a digit";
+  st.pos <- !i
 
 let parse_number st =
   let start = st.pos in
   let is_float = ref false in
-  if peek st = Some '-' then advance st;
-  let digits () =
-    let n0 = st.pos in
-    while match peek st with Some '0' .. '9' -> advance st; true | _ -> false do
-      ()
-    done;
-    if st.pos = n0 then fail st.pos "expected a digit"
-  in
-  digits ();
-  if peek st = Some '.' then begin
+  if looking_at st '-' then advance st;
+  digits st;
+  if looking_at st '.' then begin
     is_float := true;
     advance st;
-    digits ()
+    digits st
   end;
-  (match peek st with
-  | Some ('e' | 'E') ->
+  if looking_at st 'e' || looking_at st 'E' then begin
     is_float := true;
     advance st;
-    (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-    digits ()
-  | _ -> ());
+    if looking_at st '+' || looking_at st '-' then advance st;
+    digits st
+  end;
   let text = String.sub st.input start (st.pos - start) in
   if !is_float then Float (float_of_string text)
   else
@@ -251,17 +309,17 @@ let parse_number st =
 let rec parse_value st ~depth =
   if depth > max_depth then fail st.pos "nesting too deep";
   skip_ws st;
-  match peek st with
-  | None -> fail st.pos "unexpected end of input"
-  | Some '"' -> String (parse_string_body st)
-  | Some 'n' -> expect_keyword st "null" Null
-  | Some 't' -> expect_keyword st "true" (Bool true)
-  | Some 'f' -> expect_keyword st "false" (Bool false)
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some '[' ->
+  if at_end st then fail st.pos "unexpected end of input";
+  match current st with
+  | '"' -> String (parse_string_body st)
+  | 'n' -> expect_keyword st "null" Null
+  | 't' -> expect_keyword st "true" (Bool true)
+  | 'f' -> expect_keyword st "false" (Bool false)
+  | '-' | '0' .. '9' -> parse_number st
+  | '[' ->
     advance st;
     skip_ws st;
-    if peek st = Some ']' then begin
+    if looking_at st ']' then begin
       advance st;
       List []
     end
@@ -269,21 +327,22 @@ let rec parse_value st ~depth =
       let rec items acc =
         let v = parse_value st ~depth:(depth + 1) in
         skip_ws st;
-        match peek st with
-        | Some ',' ->
+        if looking_at st ',' then begin
           advance st;
           items (v :: acc)
-        | Some ']' ->
+        end
+        else if looking_at st ']' then begin
           advance st;
           List (List.rev (v :: acc))
-        | _ -> fail st.pos "expected ',' or ']'"
+        end
+        else fail st.pos "expected ',' or ']'"
       in
       items []
     end
-  | Some '{' ->
+  | '{' ->
     advance st;
     skip_ws st;
-    if peek st = Some '}' then begin
+    if looking_at st '}' then begin
       advance st;
       Obj []
     end
@@ -298,18 +357,19 @@ let rec parse_value st ~depth =
         expect st ':';
         let v = parse_value st ~depth:(depth + 1) in
         skip_ws st;
-        match peek st with
-        | Some ',' ->
+        if looking_at st ',' then begin
           advance st;
           members ((k, v) :: acc)
-        | Some '}' ->
+        end
+        else if looking_at st '}' then begin
           advance st;
           Obj (List.rev ((k, v) :: acc))
-        | _ -> fail st.pos "expected ',' or '}'"
+        end
+        else fail st.pos "expected ',' or '}'"
       in
       members []
     end
-  | Some c -> fail st.pos (Printf.sprintf "unexpected character %C" c)
+  | c -> fail st.pos (Printf.sprintf "unexpected character %C" c)
 
 let parse input =
   let st = { input; pos = 0 } in

@@ -214,3 +214,16 @@ let strash_shapes seed =
     round_trip (random_netlist ~seed ~inputs:(2 + int 7) ~gates:(int 40) ())
   | 3 -> round_trip (random_circuit ())
   | _ -> folding_netlist ~seed ~gates:(int 80) ()
+
+(* A BLIF text with one extra, unused primary input [pad<k>] declared
+   just before [.outputs], the way the explore benchmark makes every
+   visit to a suite circuit a new circuit. *)
+let padded_blif text k =
+  let marker = "\n.outputs" in
+  let rec find i =
+    if String.sub text i (String.length marker) = marker then i
+    else find (i + 1)
+  in
+  let at = find 0 in
+  String.sub text 0 at ^ Printf.sprintf " pad%d" k
+  ^ String.sub text at (String.length text - at)

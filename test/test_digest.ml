@@ -154,6 +154,64 @@ let test_pinned_mapped_digests () =
                 (entry.Nano_circuits.Suite.build ()))))
     Nano_circuits.Suite.all
 
+(* [Netlist.digest] of each suite circuit read back from its BLIF
+   spelling: the netlist the BLIF reader elaborates, node order
+   included. The Monte-Carlo draws follow node order through strash
+   and mapping, so every BLIF request's measured figures rest on it. *)
+let pinned_blif =
+  [
+    ("c17", "c28f379aa770b39df50286830fd87ac3");
+    ("intctl27", "bfaba9be865cebfa4a32ab480276b2b9");
+    ("sec32", "ea66ae55e8bad02cecb870082ffc1ed7");
+    ("alu8", "edaf47f495eab0f5ca5620b98a4caa91");
+    ("secded16", "99e5c1c6a1d922ac56574eeda4f237c7");
+    ("datapath12", "371e5b4e8d89a17fea06dba358ffd2d5");
+    ("sec32_nand", "df33a08b6af6dfc52eb717bae198ee0b");
+    ("bcdadd8", "b991ced2771c6ae23556d65865b41632");
+    ("alu9", "0482c75c882a02304a04d1ab7017d2f4");
+    ("datapath32", "ffac9b4e8b107f3269d5549251384757");
+    ("mult16", "d5ee0f874ddcb6aff7c5c56dd753fe24");
+    ("parity16", "d8d45e695ef6186c14d76517e4a6f9f3");
+    ("rca8", "371e37bf0d48d0f4da10898f1b4fe628");
+    ("rca16", "b73e2538cda627151854d87b280a927b");
+    ("rca32", "2da43ad539dcf0114a2938875cb52ee3");
+    ("cla16", "0efdab84bd615c526b61ae1e6018b5dc");
+    ("csel16", "f3119c7914b0aea5ed95e849ede956a3");
+    ("cskip16", "1de787774d597e721e0c05f25c76f720");
+    ("booth8", "8febde705c25ebe2991d7f658d8e0d18");
+    ("mult4", "e6fa96f37a733b26b1e4d6589d06cba5");
+    ("mult8", "70bf2c97b31642195a4bd65da18b15f1");
+    ("csmult8", "26517db5137fcdf585af49f9cb09b1a8");
+  ]
+
+let elaborated text =
+  match Nano_blif.Blif.parse_string text with
+  | Ok n -> Netlist.digest n
+  | Error e -> Alcotest.failf "parse failed: %a" Nano_blif.Blif.pp_error e
+
+let test_pinned_blif_digests () =
+  Alcotest.(check int) "pin count matches the suite"
+    (List.length Nano_circuits.Suite.all)
+    (List.length pinned_blif);
+  List.iter
+    (fun entry ->
+      let name = entry.Nano_circuits.Suite.name in
+      match List.assoc_opt name pinned_blif with
+      | None -> Alcotest.failf "no pinned BLIF digest for %s" name
+      | Some expected ->
+        Alcotest.(check string) ("elaborated digest of " ^ name) expected
+          (elaborated
+             (Nano_blif.Blif.to_string (entry.Nano_circuits.Suite.build ()))))
+    Nano_circuits.Suite.all;
+  (* alu8 with one unused input added before [.outputs], the spelling
+     the explore benchmark sends for a new circuit. *)
+  Alcotest.(check string) "elaborated digest of padded alu8"
+    "971586d698c907a307bbe5089380716e"
+    (elaborated
+       (Helpers.padded_blif
+          (Nano_blif.Blif.to_string (Helpers.suite_circuit "alu8"))
+          123456789))
+
 let suite =
   [
     Alcotest.test_case "deterministic" `Quick test_deterministic;
@@ -166,4 +224,5 @@ let suite =
       test_pinned_suite_digests;
     Alcotest.test_case "pinned mapped digests" `Quick
       test_pinned_mapped_digests;
+    Alcotest.test_case "pinned BLIF digests" `Quick test_pinned_blif_digests;
   ]

@@ -162,6 +162,110 @@ let prop_float_roundtrip =
       let f = if Float.is_finite f then f else 1.25 in
       Json.parse (Json.to_string (Json.Float f)) = Ok (Json.Float f))
 
+(* ------------------------------------------------------------------ *)
+(* The string codec against the pre-rewrite one (Json_ref).             *)
+(* ------------------------------------------------------------------ *)
+
+(* Bytes that matter to a string codec: quotes, backslashes, control
+   characters, DEL and UTF-8 bytes, among plain letters. *)
+let nasty_char =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, char_range 'a' 'z');
+        ( 2,
+          oneofl
+            [ '"'; '\\'; '\n'; '\r'; '\t'; '\b'; '\012'; '\000'; '\x1f';
+              '\x7f'; ' '; '/'; 'u' ] );
+        (1, char_range '\000' '\x1f');
+        (1, char_range '\x80' '\xff');
+        (1, char);
+      ])
+
+let nasty_string = QCheck2.Gen.(string_size ~gen:nasty_char (int_range 0 40))
+
+let rec with_nasty_strings rng = function
+  | Json.String _ ->
+    Json.String (QCheck2.Gen.generate1 ~rand:rng nasty_string)
+  | Json.List l -> Json.List (List.map (with_nasty_strings rng) l)
+  | Json.Obj kvs ->
+    Json.Obj (List.map (fun (k, v) -> (k, with_nasty_strings rng v)) kvs)
+  | v -> v
+
+let prop_encode_reference =
+  QCheck2.Test.make ~name:"to_string = reference on nasty strings" ~count:2000
+    QCheck2.Gen.(pair gen_json (int_range 0 1_000_000))
+    (fun (v, seed) ->
+      let v = with_nasty_strings (Random.State.make [| seed |]) v in
+      Json.to_string v = Json_ref.to_string v)
+
+(* The body of a string literal built from fragments: plain runs, every
+   escape, \u escapes in and around the surrogate ranges or with bad
+   hex digits, raw control characters, and an optional closing quote. *)
+let string_literal =
+  let open QCheck2.Gen in
+  let hex4 =
+    oneof
+      [
+        map (Printf.sprintf "%04x") (int_range 0 0xffff);
+        map (Printf.sprintf "%04X") (int_range 0xd7f0 0xe010);
+        oneofl [ "d83d"; "de00"; "DBFF"; "DC00"; "12g4"; "00"; "zzzz" ];
+      ]
+  in
+  let fragment =
+    frequency
+      [
+        (4, string_size ~gen:(char_range 'a' 'z') (int_range 0 8));
+        ( 3,
+          oneofl
+            [ "\\\""; "\\\\"; "\\/"; "\\b"; "\\f"; "\\n"; "\\r"; "\\t"; "\\q";
+              "\\"; "\\ "; "\x01"; "\n"; "\x7f"; "\xc3\xa9" ] );
+        (3, map (fun h -> "\\u" ^ h) hex4);
+        (1, map2 (fun a b -> "\\u" ^ a ^ "\\u" ^ b) hex4 hex4);
+      ]
+  in
+  map2
+    (fun parts close -> "\"" ^ String.concat "" parts ^ if close then "\"" else "")
+    (list_size (int_range 0 8) fragment)
+    (frequency [ (5, return true); (1, return false) ])
+
+let same_parse text = Json.parse text = Json_ref.parse text
+
+let prop_decode_literals =
+  QCheck2.Test.make ~name:"parse = reference on string literals" ~count:3000
+    QCheck2.Gen.(pair string_literal (int_range 0 2))
+    (fun (lit, ctx) ->
+      let text =
+        match ctx with
+        | 0 -> lit
+        | 1 -> "[" ^ lit ^ ",1]"
+        | _ -> "{" ^ lit ^ ":" ^ lit ^ "}"
+      in
+      same_parse text)
+
+(* Byte edits of encoded documents: every error path of the parser,
+   offsets included. *)
+let prop_decode_mutated =
+  QCheck2.Test.make ~name:"parse = reference on mutated documents" ~count:3000
+    QCheck2.Gen.(pair gen_json (int_range 0 1_000_000))
+    (fun (v, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let text = ref (Json.to_string (with_nasty_strings rng v)) in
+      let bytes = "\"\\u{}[],: \n\tntf-1.eED8\x01\x7f\xff0" in
+      for _ = 0 to Random.State.int rng 3 do
+        let s = !text in
+        let n = String.length s in
+        let at = Random.State.int rng (n + 1) in
+        let b = String.make 1 bytes.[Random.State.int rng (String.length bytes)] in
+        text :=
+          match Random.State.int rng 3 with
+          | 0 -> String.sub s 0 at ^ b ^ String.sub s at (n - at)
+          | 1 when at < n -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+          | _ when at < n -> String.sub s 0 at ^ b ^ String.sub s (at + 1) (n - at - 1)
+          | _ -> String.sub s 0 at
+      done;
+      same_parse !text)
+
 let suite =
   [
     Alcotest.test_case "basic values" `Quick test_basic_values;
@@ -174,4 +278,7 @@ let suite =
     Alcotest.test_case "accessors" `Quick test_accessors;
     Helpers.qcheck prop_roundtrip;
     Helpers.qcheck prop_float_roundtrip;
+    Helpers.qcheck prop_encode_reference;
+    Helpers.qcheck prop_decode_literals;
+    Helpers.qcheck prop_decode_mutated;
   ]

@@ -354,6 +354,26 @@ let test_structured_errors () =
     {|{"kind":"profile","circuit":"nosuch"}|};
   check "bad blif" "blif_parse_error"
     {|{"kind":"profile","blif":".model m\n.latch a b\n.end\n"}|};
+  (* A repeated output name is a BLIF error like any other. *)
+  List.iter
+    (fun kind ->
+      let line =
+        Printf.sprintf
+          {|{"kind":"%s","blif":".model d\n.inputs a b\n.outputs f f\n.names a b f\n11 1\n"}|}
+          kind
+      in
+      check ("repeated output, " ^ kind) "blif_parse_error" line;
+      let message =
+        match Json.parse (Service.handle_line t line) with
+        | Ok v ->
+          Option.bind (Json.member "error" v) (fun e ->
+              Option.bind (Json.member "message" e) Json.to_string_opt)
+        | Error _ -> None
+      in
+      Alcotest.(check (option string))
+        ("repeated output message, " ^ kind)
+        (Some "line 3: duplicate output f") message)
+    [ "profile"; "analyze"; "static" ];
   check "invalid scenario" "invalid_scenario"
     {|{"kind":"bounds","epsilon":0.9}|};
   check "unknown figure" "unknown_figure"
