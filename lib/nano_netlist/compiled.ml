@@ -10,21 +10,20 @@
    words amortizes that arithmetic further.
 
    Node values live in packed [Bytes.t] buffers (8 bytes per word,
-   native endianness) rather than [int64 array]s: storing a computed
-   [int64] into an ordinary array forces a heap box per store under
-   classic (non-flambda) ocamlopt, whereas the raw load/store primitives
-   below combine with the compiler's unboxed-let optimization to keep
-   the fused simulation loops allocation-free. *)
+   native endianness) rather than [int64 array]s, so the C evaluator
+   reads and writes them in place and an OCaml caller stores a word
+   without a heap box. *)
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 (* Opcode table. 2-input gates (the overwhelming majority after
    fanin-limited mapping) and 3-input majority get dedicated opcodes so
    the common cases are branch-predictable straight-line code; the [_n]
-   fallbacks loop over the CSR slice. *)
+   fallbacks loop over the CSR slice. The C evaluator (prng_stubs.c)
+   numbers them the same way; test_compiled pins the two tables to each
+   other through [kernel_opcode]. *)
 let op_input = 0
 let op_const0 = 1
 let op_const1 = 2
@@ -45,35 +44,47 @@ let op_xor_n = 16
 let op_xnor_n = 17
 let op_maj_n = 18
 
+let opcode_names =
+  [| "input"; "const0"; "const1"; "buf"; "not"; "and2"; "or2"; "nand2";
+     "nor2"; "xor2"; "xnor2"; "maj3"; "and_n"; "or_n"; "nand_n"; "nor_n";
+     "xor_n"; "xnor_n"; "maj_n" |]
+
+(* The program: the DAG re-sequenced by topological LEVEL (sources
+   first, then every gate whose fanins are all in earlier levels), with
+   node values living at the node's schedule POSITION rather than its
+   id. Level order makes a gate's fanin reads land in the few most
+   recently written levels — the cache-blocking that keeps the hot
+   window resident however large the netlist — and the position-indexed
+   layout turns the value stores of one pass into a single sequential
+   stream. The C kernels read these arrays by field position (the PROG_*
+   constants of prng_stubs.c), so the field order is fixed. *)
+type prog = {
+  ops : int array;  (** opcode per schedule position *)
+  offs : int array;  (** CSR row starts into [fan], length n+1 *)
+  fan : int array;  (** fanin SCHEDULE POSITIONS *)
+  rank : int array;
+      (** schedule position -> rank of the gate among noisy gates in
+          ascending ID order (the canonical draw order), or -1 where the
+          error channel injects no noise *)
+  sid : int array;  (** schedule position -> node id *)
+}
+
 type t = {
   node_count : int;
   input_ids : int array;
   output_ids : int array;
   output_names : string array;
   noisy_count : int;
-  (* The program: the DAG re-sequenced by topological LEVEL (sources
-     first, then every gate whose fanins are all in earlier levels), with
-     node values living at the node's schedule POSITION rather than its
-     id. Level order makes a gate's fanin reads land in the few most
-     recently written levels — the cache-blocking that keeps the hot
-     window resident however large the netlist — and the
-     position-indexed layout turns the value stores of one pass into a
-     single sequential stream. *)
-  sched_id : int array;  (** schedule position -> node id *)
+  prog : prog;
   slot_of : int array;  (** node id -> schedule position *)
-  sched_ops : int array;  (** opcode per schedule position *)
-  sched_offs : int array;  (** CSR row starts into [sched_fan], length n+1 *)
-  sched_fan : int array;  (** fanin SCHEDULE POSITIONS *)
-  sched_noisy : Bytes.t;
-      (** ['\001'] at the schedule positions where the error channel
-          injects noise *)
-  sched_noise_rank : int array;
-      (** schedule position -> rank of the gate among noisy gates in
-          ascending ID order (the canonical draw order), or -1 *)
+  out_pos : int array;  (** schedule position of each primary output *)
   seg_starts : int array;
       (** level-aligned cache-segment boundaries over schedule positions;
           first entry 0, last entry [node_count] *)
 }
+
+external kernel_opcode : string -> int = "nano_kernel_opcode" [@@noalloc]
+external kernel_block : unit -> int = "nano_kernel_block" [@@noalloc]
 
 let node_count c = c.node_count
 let input_ids c = c.input_ids
@@ -83,42 +94,20 @@ let noisy_count c = c.noisy_count
 
 (* Value words interleaved per gate visit: 8 words = 512 effective
    vector lanes, amortizing dispatch while one level's blocked rows stay
-   cache-resident. Every program shares it. *)
-let block = 8
+   cache-resident. Every program shares it; the C evaluator defines it. *)
+let block = kernel_block ()
 let block_width _ = block
 let default_block_width () = block
 
 let is_noisy c id =
   if id < 0 || id >= c.node_count then
     invalid_arg "Compiled.is_noisy: node id out of range";
-  Bytes.get c.sched_noisy c.slot_of.(id) <> '\000'
-
-let opcode_name = function
-  | 0 -> "input"
-  | 1 -> "const0"
-  | 2 -> "const1"
-  | 3 -> "buf"
-  | 4 -> "not"
-  | 5 -> "and2"
-  | 6 -> "or2"
-  | 7 -> "nand2"
-  | 8 -> "nor2"
-  | 9 -> "xor2"
-  | 10 -> "xnor2"
-  | 11 -> "maj3"
-  | 12 -> "and_n"
-  | 13 -> "or_n"
-  | 14 -> "nand_n"
-  | 15 -> "nor_n"
-  | 16 -> "xor_n"
-  | 17 -> "xnor_n"
-  | 18 -> "maj_n"
-  | _ -> "?"
+  c.prog.rank.(c.slot_of.(id)) >= 0
 
 let opcode c id =
   if id < 0 || id >= c.node_count then
     invalid_arg "Compiled.opcode: node id out of range";
-  opcode_name c.sched_ops.(c.slot_of.(id))
+  opcode_names.(c.prog.ops.(c.slot_of.(id)))
 
 (* ------------------------------------------------------------------ *)
 (* Lowering.                                                            *)
@@ -201,7 +190,6 @@ let compile netlist =
   let sched_ops = Array.make (max 1 n) op_input in
   let sched_offs = Array.make (n + 1) 0 in
   let sched_fan = Array.make (max 1 !total) 0 in
-  let sched_noisy = Bytes.make (max 1 n) '\000' in
   let sched_noise_rank = Array.make (max 1 n) (-1) in
   let spos = ref 0 in
   for p = 0 to n - 1 do
@@ -211,8 +199,7 @@ let compile netlist =
     for k = fanin_offsets.(id) to fanin_offsets.(id + 1) - 1 do
       sched_fan.(!spos) <- slot_of.(fanin_ids.(k));
       incr spos
-    done;
-    Bytes.set sched_noisy p (Bytes.get noisy id)
+    done
   done;
   sched_offs.(n) <- !spos;
   let rank = ref 0 in
@@ -244,13 +231,16 @@ let compile netlist =
     output_ids;
     output_names = Array.copy (Netlist.output_names netlist);
     noisy_count = !noisy_count;
-    sched_id;
+    prog =
+      {
+        ops = sched_ops;
+        offs = sched_offs;
+        fan = sched_fan;
+        rank = sched_noise_rank;
+        sid = sched_id;
+      };
     slot_of;
-    sched_ops;
-    sched_offs;
-    sched_fan;
-    sched_noisy;
-    sched_noise_rank;
+    out_pos = Array.map (fun id -> slot_of.(id)) output_ids;
     seg_starts;
   }
 
@@ -309,25 +299,6 @@ let of_netlist netlist =
     c
 
 (* ------------------------------------------------------------------ *)
-(* Counting kernels.                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Private copy of [Nano_util.Bits.popcount64]: dev-profile builds pass
-   [-opaque], which disables cross-library inlining, so calling the
-   shared one from the per-word counter loops would box every word at
-   the call boundary. Keeping the kernel in this compilation unit is
-   what makes the loops allocation-free. *)
-let[@inline] popcount64 w =
-  let open Int64 in
-  let w = sub w (logand (shift_right_logical w 1) 0x5555555555555555L) in
-  let w =
-    add (logand w 0x3333333333333333L)
-      (logand (shift_right_logical w 2) 0x3333333333333333L)
-  in
-  let w = logand (add w (shift_right_logical w 4)) 0x0F0F0F0F0F0F0F0FL in
-  to_int (shift_right_logical (mul w 0x0101010101010101L) 56)
-
-(* ------------------------------------------------------------------ *)
 (* Blocked wide-word kernel.                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -377,7 +348,7 @@ let blit_values_blocked c ~values ~word ~into =
     invalid_arg "Compiled.blit_values_blocked: wrong destination length";
   if word < 0 || word >= block then
     invalid_arg "Compiled.blit_values_blocked: word index out of range";
-  let sid = c.sched_id in
+  let sid = c.prog.sid in
   for p = 0 to c.node_count - 1 do
     Array.unsafe_set into
       (Array.unsafe_get sid p)
@@ -410,283 +381,60 @@ let draw_input_words_blocked c rng ~offset ~stride ~width ~input_probability
       ~pos_stride:8
   done
 
-(* Evaluate the node at schedule position [p] over [width] words,
-   reading fanin words from [src] and writing to [dst]. The fast paths
-   are 2-way unrolled: two independent word computations per iteration
-   give the out-of-order core two dependency chains to overlap, and the
-   loop overhead halves. Not inlined — the call is paid once per
-   [width] words, which is exactly the amortization the blocked layout
-   exists to buy. *)
-let eval_pos_blocked ops offs fan ~width ~src ~dst p =
-  let d = (p * block) lsl 3 in
-  match Array.unsafe_get ops p with
-  | 0 (* input *) ->
-    if src != dst then Bytes.blit src d dst d (width lsl 3)
-  | 1 (* const0 *) ->
-    for j = 0 to width - 1 do
-      set64u dst (d + (j lsl 3)) 0L
-    done
-  | 2 (* const1 *) ->
-    for j = 0 to width - 1 do
-      set64u dst (d + (j lsl 3)) (-1L)
-    done
-  | 3 (* buf *) ->
-    let a = (Array.unsafe_get fan (Array.unsafe_get offs p) * block) lsl 3 in
-    for j = 0 to width - 1 do
-      let q = j lsl 3 in
-      set64u dst (d + q) (get64u src (a + q))
-    done
-  | 4 (* not *) ->
-    let a = (Array.unsafe_get fan (Array.unsafe_get offs p) * block) lsl 3 in
-    for j = 0 to width - 1 do
-      let q = j lsl 3 in
-      set64u dst (d + q) (Int64.lognot (get64u src (a + q)))
-    done
-  | 5 (* and2 *) ->
-    let o = Array.unsafe_get offs p in
-    let a = (Array.unsafe_get fan o * block) lsl 3 in
-    let b = (Array.unsafe_get fan (o + 1) * block) lsl 3 in
-    for h = 0 to (width lsr 1) - 1 do
-      let q = h lsl 4 in
-      set64u dst (d + q)
-        (Int64.logand (get64u src (a + q)) (get64u src (b + q)));
-      set64u dst (d + q + 8)
-        (Int64.logand (get64u src (a + q + 8)) (get64u src (b + q + 8)))
-    done;
-    if width land 1 <> 0 then begin
-      let q = (width - 1) lsl 3 in
-      set64u dst (d + q)
-        (Int64.logand (get64u src (a + q)) (get64u src (b + q)))
-    end
-  | 6 (* or2 *) ->
-    let o = Array.unsafe_get offs p in
-    let a = (Array.unsafe_get fan o * block) lsl 3 in
-    let b = (Array.unsafe_get fan (o + 1) * block) lsl 3 in
-    for h = 0 to (width lsr 1) - 1 do
-      let q = h lsl 4 in
-      set64u dst (d + q)
-        (Int64.logor (get64u src (a + q)) (get64u src (b + q)));
-      set64u dst (d + q + 8)
-        (Int64.logor (get64u src (a + q + 8)) (get64u src (b + q + 8)))
-    done;
-    if width land 1 <> 0 then begin
-      let q = (width - 1) lsl 3 in
-      set64u dst (d + q)
-        (Int64.logor (get64u src (a + q)) (get64u src (b + q)))
-    end
-  | 7 (* nand2 *) ->
-    let o = Array.unsafe_get offs p in
-    let a = (Array.unsafe_get fan o * block) lsl 3 in
-    let b = (Array.unsafe_get fan (o + 1) * block) lsl 3 in
-    for h = 0 to (width lsr 1) - 1 do
-      let q = h lsl 4 in
-      set64u dst (d + q)
-        (Int64.lognot
-           (Int64.logand (get64u src (a + q)) (get64u src (b + q))));
-      set64u dst (d + q + 8)
-        (Int64.lognot
-           (Int64.logand (get64u src (a + q + 8)) (get64u src (b + q + 8))))
-    done;
-    if width land 1 <> 0 then begin
-      let q = (width - 1) lsl 3 in
-      set64u dst (d + q)
-        (Int64.lognot (Int64.logand (get64u src (a + q)) (get64u src (b + q))))
-    end
-  | 8 (* nor2 *) ->
-    let o = Array.unsafe_get offs p in
-    let a = (Array.unsafe_get fan o * block) lsl 3 in
-    let b = (Array.unsafe_get fan (o + 1) * block) lsl 3 in
-    for h = 0 to (width lsr 1) - 1 do
-      let q = h lsl 4 in
-      set64u dst (d + q)
-        (Int64.lognot (Int64.logor (get64u src (a + q)) (get64u src (b + q))));
-      set64u dst (d + q + 8)
-        (Int64.lognot
-           (Int64.logor (get64u src (a + q + 8)) (get64u src (b + q + 8))))
-    done;
-    if width land 1 <> 0 then begin
-      let q = (width - 1) lsl 3 in
-      set64u dst (d + q)
-        (Int64.lognot (Int64.logor (get64u src (a + q)) (get64u src (b + q))))
-    end
-  | 9 (* xor2 *) ->
-    let o = Array.unsafe_get offs p in
-    let a = (Array.unsafe_get fan o * block) lsl 3 in
-    let b = (Array.unsafe_get fan (o + 1) * block) lsl 3 in
-    for h = 0 to (width lsr 1) - 1 do
-      let q = h lsl 4 in
-      set64u dst (d + q)
-        (Int64.logxor (get64u src (a + q)) (get64u src (b + q)));
-      set64u dst (d + q + 8)
-        (Int64.logxor (get64u src (a + q + 8)) (get64u src (b + q + 8)))
-    done;
-    if width land 1 <> 0 then begin
-      let q = (width - 1) lsl 3 in
-      set64u dst (d + q)
-        (Int64.logxor (get64u src (a + q)) (get64u src (b + q)))
-    end
-  | 10 (* xnor2 *) ->
-    let o = Array.unsafe_get offs p in
-    let a = (Array.unsafe_get fan o * block) lsl 3 in
-    let b = (Array.unsafe_get fan (o + 1) * block) lsl 3 in
-    for h = 0 to (width lsr 1) - 1 do
-      let q = h lsl 4 in
-      set64u dst (d + q)
-        (Int64.lognot
-           (Int64.logxor (get64u src (a + q)) (get64u src (b + q))));
-      set64u dst (d + q + 8)
-        (Int64.lognot
-           (Int64.logxor (get64u src (a + q + 8)) (get64u src (b + q + 8))))
-    done;
-    if width land 1 <> 0 then begin
-      let q = (width - 1) lsl 3 in
-      set64u dst (d + q)
-        (Int64.lognot (Int64.logxor (get64u src (a + q)) (get64u src (b + q))))
-    end
-  | 11 (* maj3 *) ->
-    let o = Array.unsafe_get offs p in
-    let a = (Array.unsafe_get fan o * block) lsl 3 in
-    let b = (Array.unsafe_get fan (o + 1) * block) lsl 3 in
-    let cc = (Array.unsafe_get fan (o + 2) * block) lsl 3 in
-    for h = 0 to (width lsr 1) - 1 do
-      let q = h lsl 4 in
-      let x = get64u src (a + q)
-      and y = get64u src (b + q)
-      and z = get64u src (cc + q) in
-      set64u dst (d + q)
-        (Int64.logor (Int64.logand x y)
-           (Int64.logor (Int64.logand x z) (Int64.logand y z)));
-      let x = get64u src (a + q + 8)
-      and y = get64u src (b + q + 8)
-      and z = get64u src (cc + q + 8) in
-      set64u dst (d + q + 8)
-        (Int64.logor (Int64.logand x y)
-           (Int64.logor (Int64.logand x z) (Int64.logand y z)))
-    done;
-    if width land 1 <> 0 then begin
-      let q = (width - 1) lsl 3 in
-      let x = get64u src (a + q)
-      and y = get64u src (b + q)
-      and z = get64u src (cc + q) in
-      set64u dst (d + q)
-        (Int64.logor (Int64.logand x y)
-           (Int64.logor (Int64.logand x z) (Int64.logand y z)))
-    end
-  | 12 (* and_n *) ->
-    let o = Array.unsafe_get offs p and e = Array.unsafe_get offs (p + 1) in
-    for j = 0 to width - 1 do
-      let q = j lsl 3 in
-      let acc =
-        ref (get64u src (((Array.unsafe_get fan o * block) lsl 3) + q))
-      in
-      for k = o + 1 to e - 1 do
-        acc :=
-          Int64.logand !acc
-            (get64u src (((Array.unsafe_get fan k * block) lsl 3) + q))
-      done;
-      set64u dst (d + q) !acc
-    done
-  | 13 (* or_n *) ->
-    let o = Array.unsafe_get offs p and e = Array.unsafe_get offs (p + 1) in
-    for j = 0 to width - 1 do
-      let q = j lsl 3 in
-      let acc =
-        ref (get64u src (((Array.unsafe_get fan o * block) lsl 3) + q))
-      in
-      for k = o + 1 to e - 1 do
-        acc :=
-          Int64.logor !acc
-            (get64u src (((Array.unsafe_get fan k * block) lsl 3) + q))
-      done;
-      set64u dst (d + q) !acc
-    done
-  | 14 (* nand_n *) ->
-    let o = Array.unsafe_get offs p and e = Array.unsafe_get offs (p + 1) in
-    for j = 0 to width - 1 do
-      let q = j lsl 3 in
-      let acc =
-        ref (get64u src (((Array.unsafe_get fan o * block) lsl 3) + q))
-      in
-      for k = o + 1 to e - 1 do
-        acc :=
-          Int64.logand !acc
-            (get64u src (((Array.unsafe_get fan k * block) lsl 3) + q))
-      done;
-      set64u dst (d + q) (Int64.lognot !acc)
-    done
-  | 15 (* nor_n *) ->
-    let o = Array.unsafe_get offs p and e = Array.unsafe_get offs (p + 1) in
-    for j = 0 to width - 1 do
-      let q = j lsl 3 in
-      let acc =
-        ref (get64u src (((Array.unsafe_get fan o * block) lsl 3) + q))
-      in
-      for k = o + 1 to e - 1 do
-        acc :=
-          Int64.logor !acc
-            (get64u src (((Array.unsafe_get fan k * block) lsl 3) + q))
-      done;
-      set64u dst (d + q) (Int64.lognot !acc)
-    done
-  | 16 (* xor_n *) ->
-    let o = Array.unsafe_get offs p and e = Array.unsafe_get offs (p + 1) in
-    for j = 0 to width - 1 do
-      let q = j lsl 3 in
-      let acc =
-        ref (get64u src (((Array.unsafe_get fan o * block) lsl 3) + q))
-      in
-      for k = o + 1 to e - 1 do
-        acc :=
-          Int64.logxor !acc
-            (get64u src (((Array.unsafe_get fan k * block) lsl 3) + q))
-      done;
-      set64u dst (d + q) !acc
-    done
-  | 17 (* xnor_n *) ->
-    let o = Array.unsafe_get offs p and e = Array.unsafe_get offs (p + 1) in
-    for j = 0 to width - 1 do
-      let q = j lsl 3 in
-      let acc =
-        ref (get64u src (((Array.unsafe_get fan o * block) lsl 3) + q))
-      in
-      for k = o + 1 to e - 1 do
-        acc :=
-          Int64.logxor !acc
-            (get64u src (((Array.unsafe_get fan k * block) lsl 3) + q))
-      done;
-      set64u dst (d + q) (Int64.lognot !acc)
-    done
-  | _ (* maj_n *) ->
-    let o = Array.unsafe_get offs p and e = Array.unsafe_get offs (p + 1) in
-    let arity = e - o in
-    for j = 0 to width - 1 do
-      let q = j lsl 3 in
-      let w = ref 0L in
-      for lane = 0 to 63 do
-        let count = ref 0 in
-        for k = o to e - 1 do
-          count :=
-            !count
-            + Int64.to_int
-                (Int64.logand
-                   (Int64.shift_right_logical
-                      (get64u src (((Array.unsafe_get fan k * block) lsl 3) + q))
-                      lane)
-                   1L)
-        done;
-        if !count > arity / 2 then
-          w := Int64.logor !w (Int64.shift_left 1L lane)
-      done;
-      set64u dst (d + q) !w
-    done
+(* The evaluator and the counters are C (prng_stubs.c, the unit that
+   owns the noise kernels, so the grid pass calls those directly): one
+   opcode interpreter over blocked buffers with [Gate.eval_word]'s
+   semantics per position, popcount on the hardware instruction where
+   the CPU has it, and the grid pass of one replica over one segment.
+   The stubs trust their arguments; the wrappers check them. *)
+external kernel_exec : prog -> int -> int -> int -> Bytes.t -> Bytes.t -> unit
+  = "nano_kernel_exec_bytes" "nano_kernel_exec"
+[@@noalloc]
+
+external kernel_counts :
+  prog ->
+  int ->
+  int ->
+  int ->
+  Bytes.t ->
+  Bytes.t ->
+  int array ->
+  int array ->
+  unit = "nano_kernel_counts_bytes" "nano_kernel_counts"
+[@@noalloc]
+
+external kernel_grid_pass :
+  prog ->
+  int ->
+  int ->
+  int ->
+  Bytes.t ->
+  int ->
+  int ->
+  Bytes.t ->
+  int ->
+  Bytes.t ->
+  Bytes.t array ->
+  Bytes.t array ->
+  int array array ->
+  int array array ->
+  unit = "nano_kernel_grid_pass_bytes" "nano_kernel_grid_pass"
+[@@noalloc]
+
+external kernel_out_errors :
+  int array ->
+  int ->
+  Bytes.t ->
+  Bytes.t array ->
+  int array array ->
+  int array ->
+  unit = "nano_kernel_out_errors_bytes" "nano_kernel_out_errors"
+[@@noalloc]
 
 let exec_words_blocked c ~width ~values =
   check_values_blocked c values "Compiled.exec_words_blocked";
   check_width width "Compiled.exec_words_blocked";
-  let ops = c.sched_ops and offs = c.sched_offs and fan = c.sched_fan in
-  for p = 0 to c.node_count - 1 do
-    eval_pos_blocked ops offs fan ~width ~src:values ~dst:values p
-  done
+  kernel_exec c.prog 0 c.node_count width values values
 
 let exec_step_blocked c ~width ~src ~dst =
   check_values_blocked c src "Compiled.exec_step_blocked";
@@ -694,26 +442,15 @@ let exec_step_blocked c ~width ~src ~dst =
   check_width width "Compiled.exec_step_blocked";
   if src == dst then
     invalid_arg "Compiled.exec_step_blocked: src and dst must be distinct";
-  let ops = c.sched_ops and offs = c.sched_offs and fan = c.sched_fan in
-  for p = 0 to c.node_count - 1 do
-    eval_pos_blocked ops offs fan ~width ~src ~dst p
-  done
+  kernel_exec c.prog 0 c.node_count width src dst
 
 let add_ones_counts_blocked c ~width ~values ~into =
   check_values_blocked c values "Compiled.add_ones_counts_blocked";
   check_width width "Compiled.add_ones_counts_blocked";
   if Array.length into <> c.node_count then
     invalid_arg "Compiled.add_ones_counts_blocked: wrong counter length";
-  let sid = c.sched_id in
-  for p = 0 to c.node_count - 1 do
-    let base = (p * block) lsl 3 in
-    let s = ref 0 in
-    for j = 0 to width - 1 do
-      s := !s + popcount64 (get64u values (base + (j lsl 3)))
-    done;
-    let id = Array.unsafe_get sid p in
-    Array.unsafe_set into id (Array.unsafe_get into id + !s)
-  done
+  if c.node_count > 0 then
+    kernel_counts c.prog 0 c.node_count width values values into [||]
 
 let add_toggle_counts_blocked c ~width ~a ~b ~into =
   check_values_blocked c a "Compiled.add_toggle_counts_blocked";
@@ -721,17 +458,8 @@ let add_toggle_counts_blocked c ~width ~a ~b ~into =
   check_width width "Compiled.add_toggle_counts_blocked";
   if Array.length into <> c.node_count then
     invalid_arg "Compiled.add_toggle_counts_blocked: wrong counter length";
-  let sid = c.sched_id in
-  for p = 0 to c.node_count - 1 do
-    let base = (p * block) lsl 3 in
-    let s = ref 0 in
-    for j = 0 to width - 1 do
-      let q = base + (j lsl 3) in
-      s := !s + popcount64 (Int64.logxor (get64u a q) (get64u b q))
-    done;
-    let id = Array.unsafe_get sid p in
-    Array.unsafe_set into id (Array.unsafe_get into id + !s)
-  done
+  if c.node_count > 0 then
+    kernel_counts c.prog 0 c.node_count width a b [||] into
 
 (* ------------------------------------------------------------------ *)
 (* Fused noisy sweeps.                                                  *)
@@ -781,7 +509,7 @@ let pack_grid_heterogeneous c eps =
   let thr = Bytes.make (max 8 (n * stride)) '\000' in
   for id = 0 to n - 1 do
     let p = c.slot_of.(id) in
-    if Bytes.get c.sched_noisy p <> '\000' then begin
+    if c.prog.rank.(p) >= 0 then begin
       let base = p * stride in
       let tmax = ref 0L in
       for k = 0 to lanes - 1 do
@@ -811,7 +539,10 @@ let pack_grid_heterogeneous c eps =
    generator, and one jump per block advances it, so results are
    bit-identical to that walk at any ragged tail and any sharding. With
    [grid = empty_grid_pack] only the golden statistics are computed,
-   yet the jump accounting still covers the noise segments. *)
+   yet the jump accounting still covers the noise segments. Each
+   segment is one C pass per replica ([kernel_grid_pass]): evaluation,
+   noise and, in the second replica's pass, the lane counters, with no
+   return to OCaml between positions. *)
 let run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
     ~golden_a ~golden_b ~na ~nb ~ones0 ~toggles0 ~ones ~toggles ~out_errors
     ~any =
@@ -854,13 +585,10 @@ let run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
       invalid_arg
         "Compiled.run_noisy_grid_words: wrong lane output counter length"
   done;
-  let ops = c.sched_ops and offs = c.sched_offs and fan = c.sched_fan in
-  let noisy = c.sched_noisy and rank = c.sched_noise_rank in
+  let prog = c.prog and state = Nano_util.Prng.state_buffer rng in
   let thr = grid.gp_thr in
-  let thr_stride = (lanes + 1) lsl 3 in
   let segs = c.seg_starts in
   let nseg = Array.length segs - 1 in
-  let out = c.output_ids and slot = c.slot_of and sid = c.sched_id in
   let ipw = Nano_util.Prng.draws_per_word ~p:input_probability in
   let in_draws = Array.length c.input_ids * ipw in
   let noise_draws = 64 * c.noisy_count in
@@ -871,102 +599,25 @@ let run_noisy_grid_words c ~grid ~rng ~input_probability ~words ~need0
     let bw = min block (words - !done_words) in
     draw_input_words_blocked c rng ~offset:0 ~stride:dpw ~width:bw
       ~input_probability ~values:golden_a;
-    for k = 0 to lanes - 1 do
-      copy_input_words_blocked c ~src:golden_a ~dst:(Array.unsafe_get na k)
-    done;
     draw_input_words_blocked c rng ~offset:half ~stride:dpw ~width:bw
       ~input_probability ~values:golden_b;
-    for k = 0 to lanes - 1 do
-      copy_input_words_blocked c ~src:golden_b ~dst:(Array.unsafe_get nb k)
-    done;
     for s = 0 to nseg - 1 do
       let lo = Array.unsafe_get segs s
       and hi = Array.unsafe_get segs (s + 1) in
-      for p = lo to hi - 1 do
-        eval_pos_blocked ops offs fan ~width:bw ~src:golden_a
-          ~dst:golden_a p
-      done;
-      if need0 then
-        for p = lo to hi - 1 do
-          eval_pos_blocked ops offs fan ~width:bw ~src:golden_b
-            ~dst:golden_b p
-        done;
-      if lanes > 0 then begin
-        for p = lo to hi - 1 do
-          for k = 0 to lanes - 1 do
-            let v = Array.unsafe_get na k in
-            eval_pos_blocked ops offs fan ~width:bw ~src:v ~dst:v p
-          done;
-          if Bytes.unsafe_get noisy p <> '\000' then
-            Nano_util.Prng.xor_noise_lanes_blocked rng
-              ~offset:(in_draws + (64 * Array.unsafe_get rank p))
-              ~stride:dpw ~width:bw ~thr ~thr_pos:(p * thr_stride) ~lanes na
-              ~pos:((p * block) lsl 3)
-        done;
-        for p = lo to hi - 1 do
-          for k = 0 to lanes - 1 do
-            let v = Array.unsafe_get nb k in
-            eval_pos_blocked ops offs fan ~width:bw ~src:v ~dst:v p
-          done;
-          if Bytes.unsafe_get noisy p <> '\000' then
-            Nano_util.Prng.xor_noise_lanes_blocked rng
-              ~offset:(half + in_draws + (64 * Array.unsafe_get rank p))
-              ~stride:dpw ~width:bw ~thr ~thr_pos:(p * thr_stride) ~lanes nb
-              ~pos:((p * block) lsl 3)
-        done
+      kernel_exec prog lo hi bw golden_a golden_a;
+      if need0 then begin
+        kernel_exec prog lo hi bw golden_b golden_b;
+        kernel_counts prog lo hi bw golden_a golden_b ones0 toggles0
       end;
-      if need0 then
-        for p = lo to hi - 1 do
-          let base = (p * block) lsl 3 in
-          let s1 = ref 0 and s2 = ref 0 in
-          for j = 0 to bw - 1 do
-            let q = base + (j lsl 3) in
-            let a = get64u golden_a q in
-            s1 := !s1 + popcount64 a;
-            s2 := !s2 + popcount64 (Int64.logxor a (get64u golden_b q))
-          done;
-          let id = Array.unsafe_get sid p in
-          Array.unsafe_set ones0 id (Array.unsafe_get ones0 id + !s1);
-          Array.unsafe_set toggles0 id (Array.unsafe_get toggles0 id + !s2)
-        done;
-      for k = 0 to lanes - 1 do
-        let va = Array.unsafe_get na k and vb = Array.unsafe_get nb k in
-        let ok = Array.unsafe_get ones k and tk = Array.unsafe_get toggles k in
-        for p = lo to hi - 1 do
-          let base = (p * block) lsl 3 in
-          let s1 = ref 0 and s2 = ref 0 in
-          for j = 0 to bw - 1 do
-            let q = base + (j lsl 3) in
-            let a = get64u va q in
-            s1 := !s1 + popcount64 a;
-            s2 := !s2 + popcount64 (Int64.logxor a (get64u vb q))
-          done;
-          let id = Array.unsafe_get sid p in
-          Array.unsafe_set ok id (Array.unsafe_get ok id + !s1);
-          Array.unsafe_set tk id (Array.unsafe_get tk id + !s2)
-        done
-      done
+      if lanes > 0 then begin
+        (* Replica a, then replica b, which counts against a's rows. *)
+        kernel_grid_pass prog lo hi bw state in_draws dpw thr lanes golden_a
+          na [||] [||] [||];
+        kernel_grid_pass prog lo hi bw state (half + in_draws) dpw thr lanes
+          golden_b nb na ones toggles
+      end
     done;
-    for k = 0 to lanes - 1 do
-      let va = Array.unsafe_get na k in
-      let ek = Array.unsafe_get out_errors k in
-      let cnt = ref 0 in
-      for j = 0 to bw - 1 do
-        let q = j lsl 3 in
-        let anyw = ref 0L in
-        for i = 0 to n_out - 1 do
-          let b =
-            ((Array.unsafe_get slot (Array.unsafe_get out i) * block) lsl 3)
-            + q
-          in
-          let wrong = Int64.logxor (get64u golden_a b) (get64u va b) in
-          Array.unsafe_set ek i (Array.unsafe_get ek i + popcount64 wrong);
-          anyw := Int64.logor !anyw wrong
-        done;
-        cnt := !cnt + popcount64 !anyw
-      done;
-      any.(k) <- any.(k) + !cnt
-    done;
+    if lanes > 0 then kernel_out_errors c.out_pos bw golden_a na out_errors any;
     Nano_util.Prng.jump rng ~draws:(bw * dpw);
     done_words := !done_words + bw
   done

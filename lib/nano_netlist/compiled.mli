@@ -4,10 +4,12 @@
     {!of_netlist} lowers a {!Netlist.t} once into a level-ordered opcode
     array, a CSR fanin encoding and packed source/output/noise tables;
     the [exec_*_blocked] entry points and {!run_noisy_grid_words} then
-    evaluate blocks of 64-vector words with no per-gate allocation and
-    no dispatch through closures. Results are bit-identical to the
-    interpretive walk over [Netlist.iter] / [Gate.eval_word] — the
-    compiled form only changes how the same arithmetic is reached.
+    evaluate blocks of 64-vector words in C (one opcode interpreter in
+    [nano_util]'s stubs, beside the noise kernels), with no per-gate
+    allocation and no dispatch through closures. Results are
+    bit-identical to the interpretive walk over [Netlist.iter] /
+    [Gate.eval_word] — the compiled form only changes how the same
+    arithmetic is reached.
 
     Node values live in packed blocked byte buffers
     ({!create_values_blocked}). Buffers are plain [Bytes.t] so callers
@@ -76,6 +78,14 @@ val opcode : t -> int -> string
 (** Human-readable opcode of a node (["and2"], ["xor_n"], ...); for
     debugging and tests. *)
 
+val opcode_names : string array
+(** Every opcode's name, indexed by its number in the program. *)
+
+val kernel_opcode : string -> int
+(** The C evaluator's number for an opcode name, [-1] for a name it does
+    not know. The two sides define their tables separately; tests pin
+    [kernel_opcode opcode_names.(i) = i] for every opcode. *)
+
 (** {1 Blocked wide-word engine}
 
     The high-throughput engine: every gate visit processes a block of
@@ -136,22 +146,22 @@ val exec_words_blocked : t -> width:int -> values:Bytes.t -> unit
 (** Evaluate every node over the first [width] words in place, in level
     order: input positions must already hold stimulus
     ({!set_word_blocked} / {!draw_input_words_blocked}); every other
-    position is overwritten. Column [j] is identical to [Gate.eval_word]
-    over [Netlist.iter] on the inputs' words [j]. *)
+    position is overwritten, and words past [width] are left as they
+    are. Column [j] is identical to [Gate.eval_word] over
+    [Netlist.iter] on the inputs' words [j]. One call into the C
+    evaluator, the one {!run_noisy_grid_words} runs. *)
 
 val exec_step_blocked : t -> width:int -> src:Bytes.t -> dst:Bytes.t -> unit
 (** One synchronous unit-delay step over [width] words: every gate
     reads its fanins' values from [src] and writes to [dst]; input
     positions copy through. [src] and [dst] must be distinct blocked
-    buffers. *)
+    buffers. The same C evaluator as {!exec_words_blocked}. *)
 
 (** {2 Counters}
 
-    Counter updates, kept in this compilation unit (with a private
-    popcount) because dev builds use [-opaque]: a cross-library
-    [Bits.popcount64] call would box each word and the loops would no
-    longer be allocation-free. All add into the caller's id-indexed
-    accumulators. *)
+    Counter updates in C, with the hardware popcount where the CPU has
+    one (chosen once at load, a portable fallback otherwise). All add
+    into the caller's id-indexed accumulators and allocate nothing. *)
 
 val add_ones_counts_blocked :
   t -> width:int -> values:Bytes.t -> into:int array -> unit
@@ -219,6 +229,15 @@ val run_noisy_grid_words :
     registers and XORed in once — plus the golden pair, whose
     statistics go to [ones0]/[toggles0] when [need0] (pass empty arrays
     otherwise).
+
+    OCaml draws each block's stimulus, walks the cache segments and
+    jumps the generator once per block; each segment is then one C
+    pass per replica. At every schedule position the pass evaluates
+    each lane's words (an input row is the golden replica's), XORs in
+    the position's lane flip masks, and the second replica's pass takes
+    the counters with hardware popcount, all without returning to
+    OCaml. A one-lane grid runs the single-threshold mask kernel, as
+    {!Nano_util.Prng.xor_noise_lanes_blocked} does at one lane.
     Lane [k]'s first replica runs on the golden stimulus and its second
     on fresh stimulus; its counters land in [ones.(k)] and
     [toggles.(k)] (per node), [out_errors.(k)] (per output) and

@@ -42,6 +42,7 @@ let[@inline] bits64 t =
 let split t = of_state (mix (bits64 t))
 
 let copy t = of_state (get64 t.buf state_pos)
+let state_buffer t = t.buf
 
 let jump t ~draws =
   if draws < 0 then invalid_arg "Nano_util.Prng.jump: draws must be >= 0";

@@ -68,6 +68,11 @@ val word_with_density : t -> p:float -> int64
     Offsets into the byte buffers are unchecked: the caller guarantees
     that every 8-byte word written lies inside the buffer. *)
 
+val state_buffer : t -> Bytes.t
+(** The buffer holding [t]'s state, the 64-bit word at byte 0, for C
+    kernels that draw positioned noise from it (Nano_netlist.Compiled's
+    grid pass). They read the state and never write it. *)
+
 val threshold_bits : p:float -> int64
 (** [threshold_bits ~p] is [ceil (p * 2^53)] — the integer threshold [T]
     such that a 53-bit uniform [u] satisfies [u * 2^-53 < p] exactly
@@ -124,7 +129,10 @@ val xor_noise_lanes_blocked :
     A word with no uniform below word 0 writes nothing, and one with at
     most three compares those with each lane; otherwise each lane's
     64-bit flip mask is built with one compare per lane per vector
-    register of uniforms and XORed into the lane's word once.
+    register of uniforms (on AVX-512 joined in mask registers and read
+    out once) and XORed into the lane's word once. A lane whose
+    threshold reaches word 0 takes the candidate mask of the row
+    maximum without a compare.
     One lane runs the {!xor_noise_blocked} stub at lane 0's threshold
     instead, which is faster there. Requires [lanes >= 1] and at least
     [lanes] buffers in [dst]. Does not mutate [t]. *)

@@ -105,6 +105,42 @@ let prop_equivalence_and_depth =
       | Nano_synth.Equiv.Equivalent -> true
       | Nano_synth.Equiv.Counterexample _ -> false)
 
+(* Skipping the chains a parent inlines must not move a node: the
+   result equals the pre-rewrite pass (balance_ref.ml), node order
+   included, on random netlists, Random_circuit netlists and the whole
+   suite. *)
+let check_against_reference label n =
+  Alcotest.(check string) label
+    (Netlist.digest (Balance_ref.run n))
+    (Netlist.digest (Balance.run n))
+
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"balance equals the reference pass" ~count:80
+    QCheck2.Gen.(pair (int_range 0 100000) bool)
+    (fun (seed, generated) ->
+      let n =
+        if generated then
+          Nano_circuits.Random_circuit.generate
+            ~config:
+              {
+                Nano_circuits.Random_circuit.default_config with
+                inputs = 8;
+                gates = 120;
+                outputs = 4;
+              }
+            ~seed ()
+        else Helpers.random_netlist ~seed ~inputs:5 ~gates:40 ()
+      in
+      Netlist.digest (Balance.run n) = Netlist.digest (Balance_ref.run n))
+
+let test_suite_matches_reference () =
+  check_against_reference "16-input AND chain" (chain Gate.And 16);
+  List.iter
+    (fun entry ->
+      check_against_reference entry.Nano_circuits.Suite.name
+        (entry.Nano_circuits.Suite.build ()))
+    Nano_circuits.Suite.all
+
 let suite =
   [
     Alcotest.test_case "chains become logarithmic" `Quick
@@ -115,4 +151,7 @@ let suite =
     Alcotest.test_case "suite depth never increases" `Quick
       test_suite_depth_never_increases;
     Helpers.qcheck prop_equivalence_and_depth;
+    Helpers.qcheck prop_matches_reference;
+    Alcotest.test_case "suite equals the reference pass" `Quick
+      test_suite_matches_reference;
   ]

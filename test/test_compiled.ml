@@ -38,10 +38,9 @@ let test_structure () =
         (Printf.sprintf "noisy flag of node %d" id)
         noisy (Compiled.is_noisy c id))
 
-(* The evaluator is pinned at two widths of the one program: a single
-   column, and a ragged width 3 whose columns carry different words, so
-   a column mix-up cannot pass. *)
-let blocked_widths = [ 1; 3 ]
+(* The evaluator is pinned at every width of the one program, each
+   column carrying different words, so a column mix-up cannot pass. *)
+let blocked_widths = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 (* Store [columns.(j)] (one word per primary input) as word column [j],
    evaluate the first [Array.length columns] columns in place, and read
@@ -65,8 +64,8 @@ let eval_columns c columns =
 (* Every logic kind at every interesting arity gets its own one-gate
    netlist; each column of the compiled result must equal
    [Gate.eval_word] on that column's random words. This pins each
-   opcode — including the [_n] fallbacks and [maj_n] — to the reference
-   semantics. *)
+   opcode of the C evaluator — including the [_n] folds at arities 3
+   and 4 and [maj_n] at 5, 7 and 9 — to the reference semantics. *)
 let test_each_opcode () =
   let rng = Prng.create ~seed:0xc0de in
   List.iter
@@ -74,7 +73,7 @@ let test_each_opcode () =
       let arities =
         match kind with
         | Gate.Not | Gate.Buf -> [ 1 ]
-        | Gate.Majority -> [ 3; 5 ]
+        | Gate.Majority -> [ 3; 5; 7; 9 ]
         | _ -> [ 2; 3; 4 ]
       in
       List.iter
@@ -90,10 +89,18 @@ let test_each_opcode () =
           let out = (Compiled.output_ids c).(0) in
           List.iter
             (fun width ->
-              for _ = 1 to 16 do
+              for rep = 1 to 8 do
+                (* Sparse words too (one bit in 2, 4 or 8), so the
+                   majority counts stay low in every vector. *)
+                let word () =
+                  let w = ref (Prng.bits64 rng) in
+                  for _ = 1 to rep mod 4 do
+                    w := Int64.logand !w (Prng.bits64 rng)
+                  done;
+                  !w
+                in
                 let columns =
-                  Array.init width (fun _ ->
-                      Array.init arity (fun _ -> Prng.bits64 rng))
+                  Array.init width (fun _ -> Array.init arity (fun _ -> word ()))
                 in
                 let got = eval_columns c columns in
                 Array.iteri
@@ -108,6 +115,105 @@ let test_each_opcode () =
             blocked_widths)
         arities)
     (Gate.Buf :: Gate.all_logic_kinds)
+
+(* The two opcode tables, OCaml's and the C evaluator's, are written
+   out separately; they must number every opcode the same way. *)
+let test_opcode_numbering () =
+  Array.iteri
+    (fun i name ->
+      Alcotest.(check int) ("C number of " ^ name) i
+        (Compiled.kernel_opcode name))
+    Compiled.opcode_names;
+  Alcotest.(check int) "unknown name" (-1) (Compiled.kernel_opcode "and7")
+
+(* One unit-delay step reads every fanin from [src] and writes [dst],
+   inputs copying through; the words past [width] keep their old
+   contents. Checked word by word against [Gate.eval_word] on [src]'s
+   words, at every width, on a random netlist with wide gates. *)
+let test_exec_step_distinct_buffers () =
+  let rng = Prng.create ~seed:0x57e9 in
+  let n =
+    Random_circuit.generate
+      ~config:
+        {
+          Random_circuit.inputs = 6;
+          gates = 60;
+          outputs = 4;
+          allow_majority = true;
+          max_fanin = 7;
+        }
+      ~seed:11 ()
+  in
+  let c = Compiled.of_netlist n in
+  let block = Compiled.block_width c in
+  List.iter
+    (fun width ->
+      let src = Compiled.create_values_blocked c in
+      let dst = Compiled.create_values_blocked c in
+      for id = 0 to Compiled.node_count c - 1 do
+        for word = 0 to block - 1 do
+          Compiled.set_word_blocked c ~values:src ~id ~word (Prng.bits64 rng);
+          Compiled.set_word_blocked c ~values:dst ~id ~word (Prng.bits64 rng)
+        done
+      done;
+      let before = Bytes.copy dst in
+      Compiled.exec_step_blocked c ~width ~src ~dst;
+      Netlist.iter n (fun id info ->
+          for word = 0 to block - 1 do
+            let get values i = Compiled.get_word_blocked c ~values ~id:i ~word in
+            let expected =
+              if word >= width then get before id
+              else
+                match info.Netlist.kind with
+                | Gate.Input -> get src id
+                | kind -> Gate.eval_word kind (Array.map (get src) info.Netlist.fanins)
+            in
+            Alcotest.(check int64)
+              (Printf.sprintf "width %d node %d word %d" width id word)
+              expected (get dst id)
+          done))
+    blocked_widths
+
+(* The popcount counters add each node's ones, or the ones of [a xor b],
+   over the first [width] words to what the accumulators already hold. *)
+let test_counters () =
+  let rng = Prng.create ~seed:0xc0c0 in
+  let n = Nano_circuits.Iscas_like.c17 () in
+  let c = Compiled.of_netlist n in
+  let count = Compiled.node_count c in
+  let a = Compiled.create_values_blocked c in
+  let b = Compiled.create_values_blocked c in
+  for id = 0 to count - 1 do
+    for word = 0 to Compiled.block_width c - 1 do
+      Compiled.set_word_blocked c ~values:a ~id ~word (Prng.bits64 rng);
+      Compiled.set_word_blocked c ~values:b ~id ~word (Prng.bits64 rng)
+    done
+  done;
+  List.iter
+    (fun width ->
+      let ones = Array.init count (fun id -> 3 * id) in
+      let toggles = Array.init count (fun id -> 7 * id) in
+      Compiled.add_ones_counts_blocked c ~width ~values:a ~into:ones;
+      Compiled.add_toggle_counts_blocked c ~width ~a ~b ~into:toggles;
+      for id = 0 to count - 1 do
+        let sum f =
+          let s = ref 0 in
+          for word = 0 to width - 1 do
+            s := !s + Nano_util.Bits.popcount64 (f word)
+          done;
+          !s
+        in
+        let get values word = Compiled.get_word_blocked c ~values ~id ~word in
+        Alcotest.(check int)
+          (Printf.sprintf "ones of node %d at width %d" id width)
+          ((3 * id) + sum (get a))
+          ones.(id);
+        Alcotest.(check int)
+          (Printf.sprintf "toggles of node %d at width %d" id width)
+          ((7 * id) + sum (fun w -> Int64.logxor (get a w) (get b w)))
+          toggles.(id)
+      done)
+    blocked_widths
 
 (* Randomized circuits over the full primitive mix: every lane of every
    column of the compiled evaluation must match the scalar
@@ -436,6 +542,11 @@ let suite =
     Alcotest.test_case "structure" `Quick test_structure;
     Alcotest.test_case "each opcode matches Gate.eval_word" `Quick
       test_each_opcode;
+    Alcotest.test_case "opcode numbering agrees with C" `Quick
+      test_opcode_numbering;
+    Alcotest.test_case "exec_step with src <> dst" `Quick
+      test_exec_step_distinct_buffers;
+    Alcotest.test_case "popcount counters" `Quick test_counters;
     Alcotest.test_case "random circuits match scalar eval" `Quick
       test_matches_scalar_on_random_circuits;
     Alcotest.test_case "engines agree (homogeneous)" `Quick test_engines_agree;

@@ -203,8 +203,8 @@ let test_blocked_noise_stub_matches_reference () =
   (* Lanes at [eps] behind a row bound [tmax] (default: the largest
      lane), the row at byte [thr_pos] of a buffer whose other words are
      random, flips landing at byte [pos] of random lane buffers. *)
-  let check_lanes ?tmax ?(thr_pos = 0) ?(pos = 0) ~offset ~stride ~width label
-      eps =
+  let check_lanes ?tmax ?(thr_pos = 0) ?(pos = 0) ?(dispatched = true) ~offset
+      ~stride ~width label eps =
     let lanes = Array.length eps in
     let tb = Array.map (fun p -> Prng.threshold_bits ~p) eps in
     let tmax =
@@ -227,10 +227,12 @@ let test_blocked_noise_stub_matches_reference () =
             a db.(k))
         da
     in
-    let db = Array.map Bytes.copy before in
-    Prng.xor_noise_lanes_blocked rng ~offset ~stride ~width ~thr:lthr ~thr_pos
-      ~lanes db ~pos;
-    check_lane_bytes "dispatched" db;
+    if dispatched then begin
+      let db = Array.map Bytes.copy before in
+      Prng.xor_noise_lanes_blocked rng ~offset ~stride ~width ~thr:lthr
+        ~thr_pos ~lanes db ~pos;
+      check_lane_bytes "dispatched" db
+    end;
     List.iter
       (fun level ->
         let db = Array.map Bytes.copy before in
@@ -301,7 +303,26 @@ let test_blocked_noise_stub_matches_reference () =
       ~tmax:(Prng.threshold_bits ~p:0.5)
       ~offset ~stride ~width (at "row bound 1/2 over small lanes")
       [| 0.001; 0.01; 0. |];
-    check_lanes ~offset ~stride ~width (at "one lane") [| 0.01 |]
+    check_lanes ~offset ~stride ~width (at "one lane") [| 0.01 |];
+    (* Lanes at the row maximum take the candidate mask with no
+       compare; a lane above a row bound is clamped to it. *)
+    check_lanes ~offset ~stride ~width (at "three lanes tie the maximum")
+      [| 0.1; 0.05; 0.1; 0.001; 0.1 |];
+    check_lanes ~offset ~stride ~width (at "sparse words, tied lanes")
+      [| 0.03; 0.01; 0.03 |];
+    check_lanes
+      ~tmax:(Prng.threshold_bits ~p:0.05)
+      ~thr_pos:24 ~pos:8 ~offset ~stride ~width
+      (at "lanes above a row bound of 0.05")
+      [| 0.1; 0.01; 0.05; 0.3 |];
+    (* The dispatch runs one lane on the single-threshold stub, whose
+       contract takes word 0 as a bound on the lane; the lanes kernel
+       itself must still clamp. *)
+    check_lanes
+      ~tmax:(Prng.threshold_bits ~p:0.02)
+      ~dispatched:false ~offset ~stride ~width
+      (at "one lane above its row bound")
+      [| 0.2 |]
   done;
   List.iter
     (fun level ->

@@ -105,6 +105,47 @@ let prop_never_covers_offset =
       List.for_all (fun m -> Cube.Cover.eval cover m) on_set
       && List.for_all (fun m -> not (Cube.Cover.eval cover m)) (collect 2))
 
+(* The hashed partner lookup against the pair-comparing oracle it
+   replaced (quine_mccluskey_ref.ml): the same primes in the same order,
+   so the same covers, on random three-valued functions of up to 8
+   inputs (dense and sparse ON-sets, with and without don't-cares). *)
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"primes and covers equal the reference" ~count:120
+    QCheck2.Gen.(triple (int_range 0 100000) (int_range 0 8) (int_range 0 3))
+    (fun (seed, n, density) ->
+      let rng = Nano_util.Prng.create ~seed in
+      let on_set = ref [] and dc_set = ref [] in
+      for m = (1 lsl n) - 1 downto 0 do
+        match Nano_util.Prng.int rng ~bound:(4 + density) with
+        | 0 | 1 -> on_set := m :: !on_set
+        | 2 -> dc_set := m :: !dc_set
+        | _ -> ()
+      done;
+      let on_set = !on_set and dc_set = !dc_set in
+      List.equal Cube.equal
+        (QM.prime_implicants ~arity:n ~on_set ~dc_set)
+        (Quine_mccluskey_ref.prime_implicants ~arity:n ~on_set ~dc_set)
+      && List.equal Cube.equal
+           (QM.minimize ~arity:n ~on_set ~dc_set)
+           (Quine_mccluskey_ref.minimize ~arity:n ~on_set ~dc_set))
+
+(* rugged_lite's two-level collapse near its 10-input limit: a 100-gate
+   random netlist whose collapse took the pair-comparing rounds about
+   25 s. The digest was recorded with that implementation. *)
+let test_ten_input_mapping_pinned () =
+  let n =
+    Nano_circuits.Random_circuit.generate
+      ~config:
+        {
+          Nano_circuits.Random_circuit.default_config with
+          inputs = 10;
+          gates = 100;
+        }
+      ~seed:26 ()
+  in
+  Alcotest.(check string) "mapping digest" "b48bc8eae9114c5532d287ed347218de"
+    (Nano_netlist.Netlist.digest (Nano_synth.Script.rugged_lite n))
+
 let suite =
   [
     Alcotest.test_case "textbook example" `Quick test_textbook_example;
@@ -117,4 +158,7 @@ let suite =
     Helpers.qcheck prop_minimize_correct;
     Helpers.qcheck prop_all_primes;
     Helpers.qcheck prop_never_covers_offset;
+    Helpers.qcheck prop_matches_reference;
+    Alcotest.test_case "10-input random mapping pinned" `Quick
+      test_ten_input_mapping_pinned;
   ]
