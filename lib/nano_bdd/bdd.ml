@@ -71,10 +71,6 @@ let manager ?(initial_capacity = 1024) () =
 
 let node_count m = m.next_free
 
-let clear_caches m =
-  Array.fill m.key_f 0 (Array.length m.key_f) (-1);
-  m.computed <- 0
-
 (* A node pair packs into one non-negative word, injectively while
    nodes stay below 2^31: the computed table keys on it (cofactor
    entries put a negative tag in its place) and the unique table

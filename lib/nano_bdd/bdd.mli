@@ -20,9 +20,6 @@ val manager : ?initial_capacity:int -> unit -> manager
 val node_count : manager -> int
 (** Total nodes allocated in the manager (including both terminals). *)
 
-val clear_caches : manager -> unit
-(** Drop operation caches (keeps the unique table). *)
-
 val bdd_true : manager -> node
 val bdd_false : manager -> node
 val of_bool : manager -> bool -> node

@@ -5,18 +5,8 @@ type result = { observability : float array; vectors : int }
 
 (* Evaluate the netlist with node [faulty]'s value inverted. *)
 let eval_with_flip netlist ~input_words ~values ~faulty =
-  List.iteri
-    (fun i id ->
-      values.(id) <- input_words.(i);
-      if id = faulty then values.(id) <- Int64.lognot values.(id))
-    (Netlist.inputs netlist);
-  Netlist.iter netlist (fun id info ->
-      match info.Netlist.kind with
-      | Gate.Input -> ()
-      | kind ->
-        let words = Array.map (fun f -> values.(f)) info.Netlist.fanins in
-        let v = Gate.eval_word kind words in
-        values.(id) <- (if id = faulty then Int64.lognot v else v))
+  Netlist.eval_words netlist ~input_words ~values ~after:(fun id v ->
+      if id = faulty then Int64.lognot v else v)
 
 let analyze ?(seed = 0xc817) ?(vectors = 1024) netlist =
   if vectors < 1 then invalid_arg "Criticality.analyze: vectors must be >= 1";
@@ -50,16 +40,10 @@ let analyze ?(seed = 0xc817) ?(vectors = 1024) netlist =
     vectors = words * 64;
   }
 
-let is_logic_gate netlist id =
-  match (Netlist.info netlist id).Netlist.kind with
-  | Gate.Input | Gate.Const _ | Gate.Buf -> false
-  | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-  | Gate.Xnor | Gate.Majority -> true
-
 let ranked_gates netlist result =
   let gates =
-    Netlist.fold netlist ~init:[] ~f:(fun acc id _ ->
-        if is_logic_gate netlist id then id :: acc else acc)
+    Netlist.fold netlist ~init:[] ~f:(fun acc id info ->
+        if Gate.is_logic info.Netlist.kind then id :: acc else acc)
   in
   List.sort
     (fun a b ->

@@ -17,54 +17,26 @@ type result = {
   average_gate_activity : float;
 }
 
-let noisy_node info =
-  match info.Netlist.kind with
-  | Gate.Input | Gate.Const _ | Gate.Buf -> false
-  | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-  | Gate.Xnor | Gate.Majority -> true
-
-(* Interpretive clean evaluation, kept verbatim from the pre-compiled
-   engine. The [`Interp] engine exists so differential tests can compare
-   the compiled kernel against an implementation that shares nothing
-   with it but the PRNG stream. *)
-let eval_words_interp netlist ~input_words ~values =
-  List.iteri
-    (fun i id -> values.(id) <- input_words.(i))
-    (Netlist.inputs netlist);
-  Netlist.iter netlist (fun id info ->
-      match info.Netlist.kind with
-      | Gate.Input -> ()
-      | kind ->
-        let words = Array.map (fun f -> values.(f)) info.Netlist.fanins in
-        values.(id) <- Gate.eval_word kind words)
-
 (* 64 channel-flip decisions, one uniform per bit at every epsilon,
    1/2 included: the noise layout of the compiled kernel, reached
    through nothing but [Prng.float]. *)
-let noise_word_interp rng ~epsilon =
+let noise_word rng ~epsilon =
   let w = ref 0L in
   for i = 0 to 63 do
     if Prng.float rng < epsilon then w := Int64.logor !w (Int64.shift_left 1L i)
   done;
   !w
 
-(* Evaluate with fresh noise on every logic gate output; [epsilons]
-   holds one error probability per node (entries for sources are
-   unused). *)
+(* The [`Interp] engine runs [Netlist.eval_words], so differential tests
+   compare the compiled kernel against an implementation that shares
+   nothing with it but the PRNG stream. The noisy pass draws fresh noise
+   at every logic gate output; [epsilons] holds one error probability
+   per node (entries for sources are unused). *)
 let eval_noisy netlist epsilons rng ~input_words ~values =
-  List.iteri
-    (fun i id -> values.(id) <- input_words.(i))
-    (Netlist.inputs netlist);
-  Netlist.iter netlist (fun id info ->
-      match info.Netlist.kind with
-      | Gate.Input -> ()
-      | kind ->
-        let words = Array.map (fun f -> values.(f)) info.Netlist.fanins in
-        let clean = Gate.eval_word kind words in
-        values.(id) <-
-          (if noisy_node info then
-             Int64.logxor clean (noise_word_interp rng ~epsilon:epsilons.(id))
-           else clean))
+  Netlist.eval_words netlist ~input_words ~values ~after:(fun id clean ->
+      if Gate.is_logic (Netlist.kind netlist id) then
+        Int64.logxor clean (noise_word rng ~epsilon:epsilons.(id))
+      else clean)
 
 (* How many raw PRNG draws one 64-vector word of simulation consumes:
    inputs_a, noise_a, inputs_b, noise_b, with 64 noise draws per logic
@@ -75,13 +47,9 @@ let eval_noisy netlist epsilons rng ~input_words ~values =
    independent of the epsilons, what lets a grid lane replay a
    single-point run. *)
 let draws_per_word netlist ~input_probability =
-  let noisy =
-    Netlist.fold netlist ~init:0 ~f:(fun k _ info ->
-        if noisy_node info then k + 1 else k)
-  in
   2
   * ((Netlist.input_count netlist * Prng.draws_per_word ~p:input_probability)
-    + (64 * noisy))
+    + (64 * Netlist.size netlist))
 
 (* Per-shard integer counters: one set per simulated lane, plus the
    golden pair's (sized only when a noise-free lane takes its
@@ -146,7 +114,8 @@ let run_shard_interp ~seed ~draws_per_word ~input_probability ~epsilons
           Prng.word_with_density rng ~p:input_probability)
     in
     let input_words = draw () in
-    eval_words_interp netlist ~input_words ~values:golden;
+    Netlist.eval_words netlist ~input_words ~values:golden
+      ~after:(fun _ w -> w);
     (* The first noisy run re-uses the golden vectors so the output-error
        figures compare like with like; the second uses fresh independent
        vectors, so the (a, b) pair measures Theorem 1's switching
@@ -212,7 +181,9 @@ let result_of_counts netlist ~epsilon ~words ~ones ~toggles ~out_errors
   let average_gate_activity =
     let sum, count =
       Netlist.fold netlist ~init:(0., 0) ~f:(fun (s, c) id info ->
-          if noisy_node info then (s +. node_activity.(id), c + 1) else (s, c))
+          if Gate.is_logic info.Netlist.kind then
+            (s +. node_activity.(id), c + 1)
+          else (s, c))
     in
     if count = 0 then 0. else sum /. float_of_int count
   in
@@ -325,7 +296,7 @@ let heterogeneous_epsilons netlist ~epsilon_of =
   let sum = ref 0. in
   let count = ref 0 in
   Netlist.iter netlist (fun id info ->
-      if noisy_node info then begin
+      if Gate.is_logic info.Netlist.kind then begin
         let e = epsilon_of id in
         if not (e >= 0. && e <= 0.5) then
           invalid_arg

@@ -15,7 +15,7 @@ type engine = [ `Compiled | `Interp ]
     fused into one level-ordered sweep
     ({!Nano_netlist.Compiled.run_noisy_grid_words}, a single-point run
     being a one-lane grid). [`Interp] is the historical walk over
-    [Netlist.iter] / [Gate.eval_word], one word at a time. Both consume
+    {!Nano_netlist.Netlist.eval_words}, one word at a time. Both consume
     the PRNG stream in exactly the same per-word order — 64 uniforms per
     logic gate per noisy evaluation at every ε, 1/2 included — and
     produce bit-identical results; [`Interp] shares nothing else with
@@ -132,6 +132,13 @@ val profile_grid_heterogeneous :
     [[||]]).
     Defaults, the [vectors]/[jobs]/[input_probability] preconditions and
     the [jobs] seed-jump discipline match {!simulate}. *)
+
+val noise_word : Nano_util.Prng.t -> epsilon:float -> int64
+(** The noise of one logic gate over one 64-vector word: bit [i] is set,
+    flipping lane [i], when the [i]-th of 64 {!Nano_util.Prng.float}
+    draws falls below [epsilon]. It takes 64 draws at every [epsilon],
+    1/2 included, the layout the compiled kernel reproduces; away from
+    1/2 it is the word {!Nano_util.Prng.word_with_density} draws. *)
 
 val output_reliability : result -> float
 (** [1 - any_output_error]: the empirical probability that the whole

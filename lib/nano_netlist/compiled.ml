@@ -154,14 +154,12 @@ let compile netlist =
         | Gate.Xor -> if arity = 2 then op_xor2 else op_xor_n
         | Gate.Xnor -> if arity = 2 then op_xnor2 else op_xnor_n
         | Gate.Majority -> if arity = 3 then op_maj3 else op_maj_n);
-      (* Noise is injected exactly at the gates [Noisy_sim] counts as
-         noisy: logic gates, with sources and buffers error-free. *)
-      match info.Netlist.kind with
-      | Gate.Input | Gate.Const _ | Gate.Buf -> ()
-      | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-      | Gate.Xnor | Gate.Majority ->
+      (* Noise is injected exactly at the logic gates, with sources and
+         buffers error-free. *)
+      if Gate.is_logic info.Netlist.kind then begin
         Bytes.set noisy id '\001';
-        incr noisy_count);
+        incr noisy_count
+      end);
   fanin_offsets.(n) <- !pos;
   let input_ids = Array.copy (Netlist.input_ids netlist) in
   let output_ids = Array.copy (Netlist.output_ids netlist) in

@@ -222,13 +222,13 @@ val run_noisy_grid_words :
     simulation runs through (a single-point run is a one-lane grid):
     simulates [words] words with [grid_lanes grid] coupled noise
     replicas — ONE shared 64-uniform draw per noisy gate thinned
-    against all lane thresholds
-    ({!Nano_util.Prng.xor_noise_lanes_blocked}), the common-random-numbers
-    coupling: the uniforms are computed once per word for every lane,
-    and each lane's 64-bit flip mask is built from them in vector
-    registers and XORed in once — plus the golden pair, whose
-    statistics go to [ones0]/[toggles0] when [need0] (pass empty arrays
-    otherwise).
+    against all lane thresholds (the lanes kernel that tests reach as
+    {!Nano_util.Prng.For_testing.xor_noise_lanes_blocked}), the
+    common-random-numbers coupling: the uniforms are computed once per
+    word for every lane, and each lane's 64-bit flip mask is built from
+    them in vector registers and XORed in once — plus the golden pair,
+    whose statistics go to [ones0]/[toggles0] when [need0] (pass empty
+    arrays otherwise).
 
     OCaml draws each block's stimulus, walks the cache segments and
     jumps the generator once per block; each segment is then one C
@@ -236,8 +236,9 @@ val run_noisy_grid_words :
     each lane's words (an input row is the golden replica's), XORs in
     the position's lane flip masks, and the second replica's pass takes
     the counters with hardware popcount, all without returning to
-    OCaml. A one-lane grid runs the single-threshold mask kernel, as
-    {!Nano_util.Prng.xor_noise_lanes_blocked} does at one lane.
+    OCaml. A one-lane grid runs the single-threshold mask kernel at
+    the smaller of word 0 and the lane's threshold, as the lanes kernel's
+    stub entry does at one lane.
     Lane [k]'s first replica runs on the golden stimulus and its second
     on fresh stimulus; its counters land in [ones.(k)] and
     [toggles.(k)] (per node), [out_errors.(k)] (per output) and

@@ -69,6 +69,10 @@ let is_source = function
   | Input | Const _ -> true
   | Buf | Not | And | Or | Nand | Nor | Xor | Xnor | Majority -> false
 
+let is_logic = function
+  | Input | Const _ | Buf -> false
+  | Not | And | Or | Nand | Nor | Xor | Xnor | Majority -> true
+
 let name = function
   | Input -> "input"
   | Const false -> "const0"

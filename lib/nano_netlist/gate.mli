@@ -31,6 +31,12 @@ val eval_word : kind -> int64 array -> int64
 val is_source : kind -> bool
 (** True for [Input] and [Const _]: gates with no logic fanins. *)
 
+val is_logic : kind -> bool
+(** The error-prone kinds of the paper's device model (Fig. 1): every
+    kind but [Input], [Const _] and [Buf]. Sources and buffers are
+    error-free, so these are the gates {!Netlist.size} counts and the
+    noisy simulators inject noise into. *)
+
 val name : kind -> string
 val of_name : string -> kind option
 (** Inverse of {!name} for non-parameterized kinds plus ["const0"] /

@@ -201,22 +201,16 @@ let depth t =
   let lv = levels t in
   List.fold_left (fun acc (_, n) -> max acc lv.(n)) 0 t.outputs
 
-let counted_as_logic info =
-  match info.kind with
-  | Gate.Input | Gate.Const _ | Gate.Buf -> false
-  | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-  | Gate.Xnor | Gate.Majority -> true
-
 let size t =
   Array.fold_left
-    (fun acc info -> if counted_as_logic info then acc + 1 else acc)
+    (fun acc info -> if Gate.is_logic info.kind then acc + 1 else acc)
     0 t.nodes
 
 let average_fanin t =
   let gates, pins =
     Array.fold_left
       (fun (g, p) info ->
-        if counted_as_logic info then (g + 1, p + Array.length info.fanins)
+        if Gate.is_logic info.kind then (g + 1, p + Array.length info.fanins)
         else (g, p))
       (0, 0) t.nodes
   in
@@ -255,6 +249,35 @@ let eval_nodes t input_values =
         values.(n) <- Gate.eval info.kind (Array.map (fun f -> values.(f)) info.fanins))
     t.nodes;
   values
+
+let eval_words t ~input_words ~values ~after =
+  if Array.length input_words <> Array.length t.input_id_arr then
+    invalid_arg "Netlist.eval_words: wrong number of input words";
+  if Array.length values <> Array.length t.nodes then
+    invalid_arg "Netlist.eval_words: wrong values length";
+  Array.iteri (fun i id -> values.(id) <- input_words.(i)) t.input_id_arr;
+  (* One fanin buffer per arity that occurs, made at its first visit
+     and refilled at the next: a gate reads its fanins' words without
+     allocating an array of its own. *)
+  let scratch = Array.make (max_fanin t + 1) [||] in
+  for id = 0 to Array.length t.nodes - 1 do
+    let info = t.nodes.(id) in
+    let clean =
+      match info.kind with
+      | Gate.Input -> values.(id)
+      | kind ->
+        let fanins = info.fanins in
+        let arity = Array.length fanins in
+        if Array.length scratch.(arity) <> arity then
+          scratch.(arity) <- Array.make arity 0L;
+        let words = scratch.(arity) in
+        for k = 0 to arity - 1 do
+          words.(k) <- values.(fanins.(k))
+        done;
+        Gate.eval_word kind words
+    in
+    values.(id) <- after id clean
+  done
 
 let eval t bindings =
   let input_values =

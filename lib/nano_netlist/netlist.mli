@@ -150,6 +150,23 @@ val eval_nodes : t -> bool array -> bool array
 (** [eval_nodes t input_values] evaluates every node given values for the
     primary inputs in declaration order; returns a value per node id. *)
 
+val eval_words :
+  t ->
+  input_words:int64 array ->
+  values:int64 array ->
+  after:(node -> int64 -> int64) ->
+  unit
+(** [eval_words t ~input_words ~values ~after] is the word-level
+    interpreter: 64 vectors at once, one bit lane each, over
+    {!Gate.eval_word}. [input_words] holds one word per primary input in
+    declaration order, and [values] one slot per node id, which it
+    overwrites. Nodes are visited in id order; a node's clean word is
+    its input word, or its gate over the words stored at its fanins, and
+    [values.(id)] receives [after id clean]. The hook runs at every
+    node, inputs included, so it decides where noise goes or which node
+    is inverted: [fun _ w -> w] gives the error-free evaluation. Raises
+    [Invalid_argument] when either array has the wrong length. *)
+
 val validate : t -> (unit, string) result
 (** Check structural invariants (arities, fanin ordering, output
     references). The builder maintains them; this guards hand-built or

@@ -70,12 +70,13 @@ let size ~bundle ~restorative_stages = bundle * (1 + (2 * restorative_stages))
 
 let measured_output_level ?(seed = 0x4e55) ?(trials = 256) ~epsilon ~bundle
     ~restorative_stages ~x_level ~y_level () =
+  if not (epsilon >= 0. && epsilon <= 0.5) then
+    invalid_arg "Multiplexing.measured_output_level: epsilon in [0, 1/2]";
   let unit_netlist = nand_unit ~bundle ~restorative_stages ~seed in
   let rng = Nano_util.Prng.create ~seed:(seed lxor 0x77) in
   let stats = Nano_util.Stats.create () in
   let n_nodes = Netlist.node_count unit_netlist in
   let values = Array.make n_nodes 0L in
-  let channel = Nano_faults.Channel.create ~epsilon in
   let inputs = Netlist.inputs unit_netlist in
   for _ = 1 to trials do
     (* One trial = 64 parallel bundle draws in the bit lanes. *)
@@ -93,17 +94,10 @@ let measured_output_level ?(seed = 0x4e55) ?(trials = 256) ~epsilon ~bundle
            inputs)
     in
     (* Noisy evaluation (every NAND is failure-prone). *)
-    List.iteri
-      (fun i id -> values.(id) <- input_words.(i))
-      inputs;
-    Netlist.iter unit_netlist (fun id info ->
-        match info.Netlist.kind with
-        | Nano_netlist.Gate.Input -> ()
-        | kind ->
-          let words = Array.map (fun f -> values.(f)) info.Netlist.fanins in
-          let clean = Nano_netlist.Gate.eval_word kind words in
-          values.(id) <-
-            Int64.logxor clean (Nano_faults.Channel.noise_word channel rng));
+    Netlist.eval_words unit_netlist ~input_words ~values ~after:(fun id clean ->
+        if Nano_netlist.Gate.is_logic (Netlist.kind unit_netlist id) then
+          Int64.logxor clean (Nano_faults.Noisy_sim.noise_word rng ~epsilon)
+        else clean);
     (* Output excitation level per lane, averaged over lanes. *)
     let outputs = Netlist.outputs unit_netlist in
     for lane = 0 to 63 do

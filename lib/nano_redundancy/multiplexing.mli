@@ -45,4 +45,6 @@ val measured_output_level :
 (** Monte-Carlo measurement: drive the unit with bundles whose wires are
     independently stimulated at the given levels, inject ε gate noise,
     and return statistics of the output excitation level across
-    [trials] (default 256) draws. *)
+    [trials] (default 256) draws. Each NAND XORs in a
+    {!Nano_faults.Noisy_sim.noise_word}. Raises [Invalid_argument]
+    unless [0 <= epsilon <= 1/2]. *)

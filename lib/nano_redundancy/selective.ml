@@ -14,11 +14,8 @@ let harden netlist ~gates =
     (fun id ->
       if id < 0 || id >= Netlist.node_count netlist then
         invalid_arg "Selective.harden: gate id out of range";
-      (match (Netlist.info netlist id).Netlist.kind with
-      | Gate.Input | Gate.Const _ | Gate.Buf ->
-        invalid_arg "Selective.harden: only logic gates can be hardened"
-      | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-      | Gate.Xnor | Gate.Majority -> ());
+      if not (Gate.is_logic (Netlist.kind netlist id)) then
+        invalid_arg "Selective.harden: only logic gates can be hardened";
       Hashtbl.replace chosen id ())
     gates;
   let b = B.create ~name:(Netlist.name netlist ^ "_hardened") () in

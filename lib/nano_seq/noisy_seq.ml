@@ -11,33 +11,25 @@ type trace = {
   mean_output_error : float;
 }
 
-let noisy_node info =
-  match info.Netlist.kind with
-  | Gate.Input | Gate.Const _ | Gate.Buf -> false
-  | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-  | Gate.Xnor | Gate.Majority -> true
-
-(* Noisy word-level evaluation of the core given already-bound input
-   words. *)
-let eval_core ?channel core rng ~input_words ~values =
-  List.iteri (fun i id -> values.(id) <- input_words.(i)) (Netlist.inputs core);
-  Netlist.iter core (fun id info ->
-      match info.Netlist.kind with
-      | Gate.Input -> ()
-      | kind ->
-        let words = Array.map (fun f -> values.(f)) info.Netlist.fanins in
-        let clean = Gate.eval_word kind words in
-        values.(id) <-
-          (match channel with
-          | Some c when noisy_node info ->
-            Int64.logxor clean (Nano_faults.Channel.noise_word c rng)
-          | Some _ | None -> clean))
+(* Word-level evaluation of the core given already-bound input words:
+   golden, or with noise at every logic gate output. *)
+let eval_core ?epsilon core rng ~input_words ~values =
+  Netlist.eval_words core ~input_words ~values
+    ~after:
+      (match epsilon with
+      | None -> fun _ w -> w
+      | Some epsilon ->
+        fun id clean ->
+          if Gate.is_logic (Netlist.kind core id) then
+            Int64.logxor clean (Nano_faults.Noisy_sim.noise_word rng ~epsilon)
+          else clean)
 
 let simulate ?(seed = 0x5e61) ?(cycles = 64) ?(streams = 256)
     ?(input_probability = 0.5) ~epsilon machine =
+  if not (epsilon >= 0. && epsilon <= 0.5) then
+    invalid_arg "Noisy_seq.simulate: epsilon must lie in [0, 1/2]";
   let core = Seq_netlist.core machine in
   let registers = Seq_netlist.registers machine in
-  let channel = Nano_faults.Channel.create ~epsilon in
   let rng = Nano_util.Prng.create ~seed in
   let batches = Nano_util.Math_ext.ceil_div streams 64 in
   let total = float_of_int (batches * 64) in
@@ -97,7 +89,7 @@ let simulate ?(seed = 0x5e61) ?(cycles = 64) ?(streams = 256)
       let golden_inputs = words_for golden_state in
       eval_core core rng ~input_words:golden_inputs ~values:golden_values;
       let noisy_inputs = words_for noisy_state in
-      eval_core ~channel core rng ~input_words:noisy_inputs
+      eval_core ~epsilon core rng ~input_words:noisy_inputs
         ~values:noisy_values;
       (* Observable disagreement this cycle. *)
       let wrong = ref 0L in

@@ -33,7 +33,9 @@ val simulate :
 (** Clock [streams] (default 256, rounded up to a multiple of 64)
     noisy/golden machine pairs for [cycles] (default 64) cycles from
     reset, with fresh random free inputs each cycle shared by each
-    noisy/golden pair. *)
+    noisy/golden pair. Each logic gate of the noisy core XORs in a
+    {!Nano_faults.Noisy_sim.noise_word}. Raises [Invalid_argument]
+    unless [0 <= epsilon <= 1/2]. *)
 
 val state_halflife : trace -> int option
 (** First cycle at which at least half of the streams carry a corrupted

@@ -1,10 +1,5 @@
 type endpoint = Unix_socket of string | Tcp of string * int
 
-let endpoint_of_string spec =
-  match Net.parse_endpoint spec with
-  | `Tcp (host, port) -> Tcp (host, port)
-  | `Unix path -> Unix_socket path
-
 let endpoint_to_string = function
   | Unix_socket path -> path
   | Tcp (host, port) -> Printf.sprintf "%s:%d" host port

@@ -6,10 +6,6 @@ type endpoint =
   | Unix_socket of string  (** Socket file path. *)
   | Tcp of string * int  (** Host (name or literal) and port. *)
 
-val endpoint_of_string : string -> endpoint
-(** [HOST:PORT] (bracketed IPv6 literals included) parses as {!Tcp};
-    anything else is a {!Unix_socket} path. *)
-
 val endpoint_to_string : endpoint -> string
 
 type t

@@ -9,16 +9,11 @@ type profile = {
   vectors : int;
 }
 
-let is_counted_gate info =
-  match info.Netlist.kind with
-  | Gate.Input | Gate.Const _ | Gate.Buf -> false
-  | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-  | Gate.Xnor | Gate.Majority -> true
-
 let average_over_gates netlist per_node =
   let total, count =
     Netlist.fold netlist ~init:(0., 0) ~f:(fun (t, c) id info ->
-        if is_counted_gate info then (t +. per_node.(id), c + 1) else (t, c))
+        if Gate.is_logic info.Netlist.kind then (t +. per_node.(id), c + 1)
+        else (t, c))
   in
   if count = 0 then 0. else total /. float_of_int count
 

@@ -11,12 +11,6 @@ type profile = {
   pairs : int;
 }
 
-let is_counted info =
-  match info.Netlist.kind with
-  | Gate.Input | Gate.Const _ | Gate.Buf -> false
-  | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-  | Gate.Xnor | Gate.Majority -> true
-
 let unit_delay ?(seed = 0x911c) ?(pairs = 2048) ?(input_probability = 0.5)
     netlist =
   let rng = Nano_util.Prng.create ~seed in
@@ -77,7 +71,8 @@ let unit_delay ?(seed = 0x911c) ?(pairs = 2048) ?(input_probability = 0.5)
   let average per_node =
     let sum, count =
       Netlist.fold netlist ~init:(0., 0) ~f:(fun (s, c) id info ->
-          if is_counted info then (s +. per_node.(id), c + 1) else (s, c))
+          if Gate.is_logic info.Netlist.kind then (s +. per_node.(id), c + 1)
+          else (s, c))
     in
     if count = 0 then 0. else sum /. float_of_int count
   in

@@ -173,11 +173,6 @@ type t = {
   bdd_nodes : int;
 }
 
-let is_logic = function
-  | Gate.Input | Gate.Const _ | Gate.Buf -> false
-  | Gate.Not | Gate.And | Gate.Or | Gate.Nand | Gate.Nor | Gate.Xor
-  | Gate.Xnor | Gate.Majority -> true
-
 (* Joint-pair propagation enumerates 4^arity fanin assignments; past
    this arity fall back to the interval rules instead of stalling. *)
 let pair_arity_cap = 6
@@ -189,7 +184,7 @@ let analyze ?(input_probability = 0.5) ?(cone_budget = default_cone_budget)
   if not (input_probability >= 0. && input_probability <= 1.) then
     invalid_arg "Static.analyze: input_probability must lie in [0, 1]";
   let eps_of id kind =
-    if not (is_logic kind) then 0.
+    if not (Gate.is_logic kind) then 0.
     else
       match epsilon_of with
       | None -> epsilon
@@ -242,7 +237,7 @@ let analyze ?(input_probability = 0.5) ?(cone_budget = default_cone_budget)
         mixed.(id) <- false
       | kind ->
         let eps = eps_of id kind in
-        if is_logic kind then begin
+        if Gate.is_logic kind then begin
           eps_sum := !eps_sum +. eps;
           incr eps_count
         end;
@@ -342,7 +337,7 @@ let analyze ?(input_probability = 0.5) ?(cone_budget = default_cone_budget)
           activity = act.(id);
           exact = pair.(id) <> None;
           criticality =
-            (if is_logic (Netlist.kind netlist id) then crit.(id) else 0.);
+            (if Gate.is_logic (Netlist.kind netlist id) then crit.(id) else 0.);
         })
   in
   let per_output_error =
@@ -358,7 +353,7 @@ let analyze ?(input_probability = 0.5) ?(cone_budget = default_cone_budget)
   in
   let gate_count = ref 0 and act_lo = ref 0. and act_hi = ref 0. in
   Netlist.iter netlist (fun id info ->
-      if is_logic info.Netlist.kind then begin
+      if Gate.is_logic info.Netlist.kind then begin
         incr gate_count;
         act_lo := !act_lo +. act.(id).lo;
         act_hi := !act_hi +. act.(id).hi
@@ -385,7 +380,7 @@ let analyze ?(input_probability = 0.5) ?(cone_budget = default_cone_budget)
 let ranked_gates t netlist =
   let gates = ref [] in
   Netlist.iter netlist (fun id info ->
-      if is_logic info.Netlist.kind then gates := id :: !gates);
+      if Gate.is_logic info.Netlist.kind then gates := id :: !gates);
   List.sort
     (fun a b ->
       match compare t.nodes.(b).criticality t.nodes.(a).criticality with
@@ -423,7 +418,7 @@ let diagnostics t netlist =
      where redundancy or a larger cone budget would help. *)
   Netlist.iter netlist (fun id info ->
       if
-        is_logic info.Netlist.kind
+        Gate.is_logic info.Netlist.kind
         && vacuous t.nodes.(id).error
         && Array.for_all
              (fun f -> not (vacuous t.nodes.(f).error))

@@ -40,10 +40,6 @@ type t = {
   diagnostics : Diagnostic.t list;
 }
 
-(* Buffers are free alongside sources, matching [Netlist.size] and the
-   normalized energy model; a pack's "buf" entry is legal but unused. *)
-let is_free kind = Gate.is_source kind || kind = Gate.Buf
-
 let clamp lo hi v = Float.max lo (Float.min hi v)
 
 let analyze ?(delta = Benchmark_eval.paper_delta)
@@ -68,7 +64,10 @@ let analyze ?(delta = Benchmark_eval.paper_delta)
   let diagnostics = ref [] in
   let switching = ref 0. and leakage = ref 0. and area = ref 0. in
   Netlist.iter net (fun id info ->
-      if not (is_free info.Netlist.kind) then begin
+      (* Buffers are free alongside sources, matching [Netlist.size] and
+         the normalized energy model; a pack's "buf" entry is legal but
+         unused. *)
+      if Gate.is_logic info.Netlist.kind then begin
         let kind = info.Netlist.kind in
         let arity = Array.length info.Netlist.fanins in
         match Pack.scaled pack kind ~arity with
@@ -107,7 +106,7 @@ let analyze ?(delta = Benchmark_eval.paper_delta)
       Pack.kind_order
   in
   let delay kind arity =
-    if is_free kind then 0.
+    if not (Gate.is_logic kind) then 0.
     else
       match Pack.scaled pack kind ~arity with
       | Some e -> e.Pack.delay_s

@@ -39,9 +39,6 @@ let[@inline] bits64 t =
   set64 t.buf state_pos s;
   mix s
 
-let split t = of_state (mix (bits64 t))
-
-let copy t = of_state (get64 t.buf state_pos)
 let state_buffer t = t.buf
 
 let jump t ~draws =
@@ -143,113 +140,17 @@ let[@inline] state_at t offset =
   Int64.add (get64 t.buf state_pos)
     (Int64.mul (Int64.of_int offset) golden_gamma)
 
-let xor_noise_blocked_ref t ~offset ~stride ~width ~thr ~thr_pos dst ~pos =
-  (* The threshold travels through a byte buffer, not an [int64]
-     argument: loaded from the caller's packed thresholds it would need
-     a fresh box at this (non-inlinable under [-opaque]) call boundary,
-     and the fused simulation loops must stay allocation-free. *)
-  let tbits = get64 thr thr_pos in
-  let gstride = Int64.mul (Int64.of_int stride) golden_gamma in
-  let base = ref (state_at t offset) in
-  for j = 0 to width - 1 do
-    let s = ref !base in
-    let acc = ref 0L in
-    for i = 0 to 63 do
-      s := Int64.add !s golden_gamma;
-      let u = Int64.shift_right_logical (mix !s) 11 in
-      acc :=
-        Int64.logor !acc
-          (Int64.shift_left
-             (Int64.shift_right_logical (Int64.sub u tbits) 63)
-             i)
-    done;
-    let p = pos + (j lsl 3) in
-    set64 dst p (Int64.logxor (get64 dst p) !acc);
-    base := Int64.add !base gstride
-  done
+(* The draw kernels are C (prng_stubs.c): they compute the draws 2, 4
+   or 8 at a time with SIMD where the CPU has it. The positioned-draw
+   scheme (states form an arithmetic progression, nothing mutates [t])
+   is what makes the draws data-parallel; differential tests pin the
+   kernels to an OCaml reference of the stream. *)
 
-let xor_noise_lanes_blocked_ref t ~offset ~stride ~width ~thr ~thr_pos ~lanes
-    (dst : Bytes.t array) ~pos =
-  if lanes < 1 then
-    invalid_arg "Nano_util.Prng.xor_noise_lanes_blocked: lanes must be >= 1";
-  if Array.length dst < lanes then
-    invalid_arg
-      "Nano_util.Prng.xor_noise_lanes_blocked: fewer destination buffers than \
-       lanes";
-  let tmax = get64 thr thr_pos in
-  let gstride = Int64.mul (Int64.of_int stride) golden_gamma in
-  let base = ref (state_at t offset) in
-  for j = 0 to width - 1 do
-    let s = ref !base in
-    let q = pos + (j lsl 3) in
-    for i = 0 to 63 do
-      s := Int64.add !s golden_gamma;
-      let u = Int64.shift_right_logical (mix !s) 11 in
-      (* Early-out against the row maximum: at small thresholds the
-         common case is that no lane flips, and both operands are below
-         2^53, so the wrapped [to_int] difference carries the sign. *)
-      if Int64.to_int (Int64.sub u tmax) < 0 then
-        for k = 0 to lanes - 1 do
-          if
-            Int64.to_int (Int64.sub u (get64 thr (thr_pos + ((k + 1) lsl 3))))
-            < 0
-          then begin
-            let b = Array.unsafe_get dst k in
-            set64 b q (Int64.logxor (get64 b q) (Int64.shift_left 1L i))
-          end
-        done
-    done;
-    base := Int64.add !base gstride
-  done
-
-(* The two noise kernels above are the reference implementations; the
-   production entry points below call C stubs (prng_stubs.c) that
-   compute the identical draws 4 or 8 at a time with SIMD where the CPU
-   has it. The positioned-draw scheme (states form an arithmetic
-   progression, nothing mutates [t]) is what makes the draws data-
-   parallel; differential tests pin the stubs to the reference. *)
-
-external xor_noise_blocked_stub :
-  Bytes.t -> int -> int -> int -> Bytes.t -> int -> Bytes.t -> int -> unit
-  = "nano_prng_xor_noise_blocked_bytes" "nano_prng_xor_noise_blocked"
-[@@noalloc]
-
-external xor_noise_lanes_blocked_stub :
-  Bytes.t ->
-  int ->
-  int ->
-  int ->
-  Bytes.t ->
-  int ->
-  int ->
-  Bytes.t array ->
-  int ->
-  unit
-  = "nano_prng_xor_noise_lanes_blocked_bytes" "nano_prng_xor_noise_lanes_blocked"
-[@@noalloc]
-
-external simd_width : unit -> int = "nano_prng_simd_width" [@@noalloc]
 external simd_level_id : unit -> int = "nano_prng_simd_level" [@@noalloc]
 
 let simd_level_names = [| "scalar"; "avx2"; "avx512"; "neon" |]
 
 let simd_level () = simd_level_names.(simd_level_id ())
-
-external xor_noise_lanes_blocked_level_stub :
-  int ->
-  Bytes.t ->
-  int ->
-  int ->
-  int ->
-  Bytes.t ->
-  int ->
-  int ->
-  Bytes.t array ->
-  int ->
-  bool
-  = "nano_prng_xor_noise_lanes_blocked_level_bytes"
-    "nano_prng_xor_noise_lanes_blocked_level"
-[@@noalloc]
 
 external store_density_blocked_stub :
   Bytes.t ->
@@ -264,75 +165,6 @@ external store_density_blocked_stub :
   unit
   = "nano_prng_store_density_blocked_bytes" "nano_prng_store_density_blocked"
 [@@noalloc]
-
-let xor_noise_blocked t ~offset ~stride ~width ~thr ~thr_pos dst ~pos =
-  xor_noise_blocked_stub t.buf offset stride width thr thr_pos dst pos
-
-let xor_noise_lanes_blocked t ~offset ~stride ~width ~thr ~thr_pos ~lanes
-    (dst : Bytes.t array) ~pos =
-  if lanes < 1 then
-    invalid_arg "Nano_util.Prng.xor_noise_lanes_blocked: lanes must be >= 1";
-  if Array.length dst < lanes then
-    invalid_arg
-      "Nano_util.Prng.xor_noise_lanes_blocked: fewer destination buffers than \
-       lanes";
-  (* One lane flips exactly the bits the single-threshold mask stub
-     flips at lane 0's threshold, and that stub skips the row-maximum
-     pass and the per-lane mask loop: at one lane it took 39-40 ns per
-     word against 48-68 ns through the lanes stub (epsilon 0.001-0.1,
-     8-word blocks, 2-vCPU x86-64 AVX-512 host). *)
-  if lanes = 1 then
-    xor_noise_blocked_stub t.buf offset stride width thr (thr_pos + 8) dst.(0)
-      pos
-  else
-    xor_noise_lanes_blocked_stub t.buf offset stride width thr thr_pos lanes
-      dst pos
-
-let xor_noise_lanes_blocked_at_level ~level t ~offset ~stride ~width ~thr
-    ~thr_pos ~lanes (dst : Bytes.t array) ~pos =
-  let id =
-    match Array.find_index (String.equal level) simd_level_names with
-    | Some id -> id
-    | None ->
-      invalid_arg
-        ("Nano_util.Prng.xor_noise_lanes_blocked_at_level: unknown level "
-       ^ level)
-  in
-  if lanes < 1 || Array.length dst < lanes then
-    invalid_arg
-      "Nano_util.Prng.xor_noise_lanes_blocked_at_level: need lanes >= 1 and \
-       a destination buffer per lane";
-  xor_noise_lanes_blocked_level_stub id t.buf offset stride width thr thr_pos
-    lanes dst pos
-
-let store_words_with_density_at_ref t ~offset ~stride ~width ~p dst ~pos
-    ~pos_stride =
-  check_density p;
-  let gstride = Int64.mul (Int64.of_int stride) golden_gamma in
-  let base = ref (state_at t offset) in
-  if p = 0.5 then
-    for j = 0 to width - 1 do
-      set64 dst (pos + (j * pos_stride)) (mix (Int64.add !base golden_gamma));
-      base := Int64.add !base gstride
-    done
-  else begin
-    let tbits = Int64.of_float (Float.ceil (p *. two53)) in
-    for j = 0 to width - 1 do
-      let s = ref !base in
-      let acc = ref 0L in
-      for i = 0 to 63 do
-        s := Int64.add !s golden_gamma;
-        let u = Int64.shift_right_logical (mix !s) 11 in
-        acc :=
-          Int64.logor !acc
-            (Int64.shift_left
-               (Int64.shift_right_logical (Int64.sub u tbits) 63)
-               i)
-      done;
-      set64 dst (pos + (j * pos_stride)) !acc;
-      base := Int64.add !base gstride
-    done
-  end
 
 let store_words_with_density_at t ~offset ~stride ~width ~p dst ~pos
     ~pos_stride =
@@ -365,3 +197,70 @@ let shuffle_in_place t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
+
+module For_testing = struct
+  external xor_noise_blocked_stub :
+    Bytes.t -> int -> int -> int -> Bytes.t -> int -> Bytes.t -> int -> unit
+    = "nano_prng_xor_noise_blocked_bytes" "nano_prng_xor_noise_blocked"
+  [@@noalloc]
+
+  external xor_noise_lanes_blocked_stub :
+    Bytes.t ->
+    int ->
+    int ->
+    int ->
+    Bytes.t ->
+    int ->
+    int ->
+    Bytes.t array ->
+    int ->
+    unit
+    = "nano_prng_xor_noise_lanes_blocked_bytes"
+      "nano_prng_xor_noise_lanes_blocked"
+  [@@noalloc]
+
+  external xor_noise_lanes_blocked_level_stub :
+    int ->
+    Bytes.t ->
+    int ->
+    int ->
+    int ->
+    Bytes.t ->
+    int ->
+    int ->
+    Bytes.t array ->
+    int ->
+    bool
+    = "nano_prng_xor_noise_lanes_blocked_level_bytes"
+      "nano_prng_xor_noise_lanes_blocked_level"
+  [@@noalloc]
+
+  let xor_noise_blocked t ~offset ~stride ~width ~thr ~thr_pos dst ~pos =
+    xor_noise_blocked_stub t.buf offset stride width thr thr_pos dst pos
+
+  let check_lanes name ~lanes dst =
+    if lanes < 1 || Array.length dst < lanes then
+      invalid_arg
+        ("Nano_util.Prng.For_testing." ^ name
+       ^ ": need lanes >= 1 and a destination buffer per lane")
+
+  let xor_noise_lanes_blocked t ~offset ~stride ~width ~thr ~thr_pos ~lanes
+      (dst : Bytes.t array) ~pos =
+    check_lanes "xor_noise_lanes_blocked" ~lanes dst;
+    xor_noise_lanes_blocked_stub t.buf offset stride width thr thr_pos lanes
+      dst pos
+
+  let xor_noise_lanes_blocked_at_level ~level t ~offset ~stride ~width ~thr
+      ~thr_pos ~lanes (dst : Bytes.t array) ~pos =
+    let name = "xor_noise_lanes_blocked_at_level" in
+    let id =
+      match Array.find_index (String.equal level) simd_level_names with
+      | Some id -> id
+      | None ->
+        invalid_arg
+          ("Nano_util.Prng.For_testing." ^ name ^ ": unknown level " ^ level)
+    in
+    check_lanes name ~lanes dst;
+    xor_noise_lanes_blocked_level_stub id t.buf offset stride width thr thr_pos
+      lanes dst pos
+end

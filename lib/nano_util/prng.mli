@@ -1,9 +1,9 @@
-(** Deterministic splittable pseudo-random number generator.
+(** Deterministic pseudo-random number generator.
 
     A small SplitMix64 implementation so that simulations are reproducible
     independent of the OCaml stdlib [Random] implementation, and so that
-    parallel experiment legs can draw from decorrelated streams via
-    {!split}. *)
+    parallel shards can replay disjoint segments of one stream via
+    {!jump}. *)
 
 type t
 (** Mutable generator state. *)
@@ -11,14 +11,6 @@ type t
 val create : seed:int -> t
 (** [create ~seed] makes a fresh generator; equal seeds give equal
     streams. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    decorrelated from the parent's subsequent output. *)
-
-val copy : t -> t
-(** [copy t] duplicates the current state; both copies then produce the
-    same stream. *)
 
 val jump : t -> draws:int -> unit
 (** [jump t ~draws] advances [t] past exactly [draws] {!bits64} calls in
@@ -79,123 +71,11 @@ val threshold_bits : p:float -> int64
     when [u < T] (both scalings are exact, so the comparison reproduces
     the float rule bit-for-bit). Requires [0. <= p <= 1.]. *)
 
-val xor_noise_blocked :
-  t ->
-  offset:int ->
-  stride:int ->
-  width:int ->
-  thr:Bytes.t ->
-  thr_pos:int ->
-  Bytes.t ->
-  pos:int ->
-  unit
-(** [xor_noise_blocked t ~offset ~stride ~width ~thr ~thr_pos dst ~pos]
-    XORs [width] density words into [dst] at byte offsets
-    [pos, pos + 8, ...]: word [j] is built from the 64 draws starting
-    [offset + j*stride] draws ahead of [t]'s state, thresholded at the
-    {!threshold_bits} value read from [thr] at byte offset [thr_pos] —
-    exactly the bits {!word_with_density}'s [p <> 0.5] path would set
-    on that stream segment, XORed in as noise. The threshold travels
-    through a byte buffer rather than an [int64] argument: [-opaque] dev
-    builds prevent cross-library inlining, and a boxed argument would
-    allocate at every call. Branch-free; does not mutate [t]. *)
-
-val xor_noise_lanes_blocked :
-  t ->
-  offset:int ->
-  stride:int ->
-  width:int ->
-  thr:Bytes.t ->
-  thr_pos:int ->
-  lanes:int ->
-  Bytes.t array ->
-  pos:int ->
-  unit
-(** Multi-lane variant of {!xor_noise_blocked}: for each word
-    [j < width], draw that word's 64 uniforms from stream position
-    [offset + j*stride] and, for each lane [k], flip bit [i] of the word
-    at byte offset [pos + 8*j] of [dst.(k)] when the uniform falls below
-    lane [k]'s threshold. [thr] holds [lanes + 1] packed int64
-    thresholds at [thr_pos]: word 0 an upper bound on the rest (the
-    early-out), words 1..lanes the per-lane values from
-    {!threshold_bits}. One shared uniform per bit position per word is
-    the common-random-numbers coupling of the grid kernel: flip sets are
-    nested in the threshold, and each lane flips exactly the bits
-    {!xor_noise_blocked} would at that lane's threshold. Consumes 64
-    draws per word whatever [lanes] is, so callers can change the lane
-    set without shifting the stream.
-
-    The C stub computes each word's 64 uniforms once, across all lanes.
-    A word with no uniform below word 0 writes nothing, and one with at
-    most three compares those with each lane; otherwise each lane's
-    64-bit flip mask is built with one compare per lane per vector
-    register of uniforms (on AVX-512 joined in mask registers and read
-    out once) and XORed into the lane's word once. A lane whose
-    threshold reaches word 0 takes the candidate mask of the row
-    maximum without a compare.
-    One lane runs the {!xor_noise_blocked} stub at lane 0's threshold
-    instead, which is faster there. Requires [lanes >= 1] and at least
-    [lanes] buffers in [dst]. Does not mutate [t]. *)
-
-val xor_noise_blocked_ref :
-  t ->
-  offset:int ->
-  stride:int ->
-  width:int ->
-  thr:Bytes.t ->
-  thr_pos:int ->
-  Bytes.t ->
-  pos:int ->
-  unit
-(** Pure-OCaml reference implementation of {!xor_noise_blocked}. The
-    production function runs a C stub that computes the same draws 4/8
-    at a time with SIMD; this one exists so differential tests can pin
-    the stub to the canonical stream bit-for-bit. *)
-
-val xor_noise_lanes_blocked_ref :
-  t ->
-  offset:int ->
-  stride:int ->
-  width:int ->
-  thr:Bytes.t ->
-  thr_pos:int ->
-  lanes:int ->
-  Bytes.t array ->
-  pos:int ->
-  unit
-(** Pure-OCaml reference implementation of {!xor_noise_lanes_blocked};
-    same role as {!xor_noise_blocked_ref}. *)
-
-val simd_width : unit -> int
-(** Draws per SIMD step of the C noise kernels on this machine: 8
-    (AVX-512), 4 (AVX2), 2 (NEON) or 1 (portable scalar).
-    Informational — results are bit-identical on every path. *)
-
 val simd_level : unit -> string
 (** Name of the kernel family the load-time dispatch resolved to:
     ["scalar"], ["avx2"], ["avx512"] or ["neon"]. Recorded in BENCH
     files and the service stats so numbers can be traced to the kernel
     that produced them. *)
-
-val xor_noise_lanes_blocked_at_level :
-  level:string ->
-  t ->
-  offset:int ->
-  stride:int ->
-  width:int ->
-  thr:Bytes.t ->
-  thr_pos:int ->
-  lanes:int ->
-  Bytes.t array ->
-  pos:int ->
-  bool
-(** Test entry: the multi-lane stub of {!xor_noise_lanes_blocked} at the
-    named kernel family (a {!simd_level} name) rather than the resolved
-    one, one lane included, so differential tests can pin every family
-    the machine runs to {!xor_noise_lanes_blocked_ref}. Returns [false],
-    writing nothing, when this machine cannot run [level]; ["scalar"]
-    always runs. Raises [Invalid_argument] for an unknown name,
-    [lanes < 1] or fewer than [lanes] buffers in [dst]. *)
 
 val store_words_with_density_at :
   t ->
@@ -217,20 +97,6 @@ val store_words_with_density_at :
     scratch word of [t]'s buffer to pass the integer threshold without
     boxing. *)
 
-val store_words_with_density_at_ref :
-  t ->
-  offset:int ->
-  stride:int ->
-  width:int ->
-  p:float ->
-  Bytes.t ->
-  pos:int ->
-  pos_stride:int ->
-  unit
-(** Pure-OCaml reference implementation of
-    {!store_words_with_density_at}; same role as
-    {!xor_noise_blocked_ref}. *)
-
 val draws_per_word : p:float -> int
 (** Number of {!bits64} calls one [word_with_density ~p] consumes (1 when
     [p = 0.5], 64 otherwise) — the constant needed to {!jump} over
@@ -238,3 +104,82 @@ val draws_per_word : p:float -> int
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle driven by this generator. *)
+
+(** The noise kernels' own entry points. The Monte-Carlo grid pass runs
+    these kernels from C; the entries exist so that differential tests
+    can pin each kernel, at every SIMD level this machine runs, to an
+    independent reference of the same stream. *)
+module For_testing : sig
+  val xor_noise_blocked :
+    t ->
+    offset:int ->
+    stride:int ->
+    width:int ->
+    thr:Bytes.t ->
+    thr_pos:int ->
+    Bytes.t ->
+    pos:int ->
+    unit
+  (** [xor_noise_blocked t ~offset ~stride ~width ~thr ~thr_pos dst ~pos]
+      XORs [width] density words into [dst] at byte offsets
+      [pos, pos + 8, ...]: word [j] is built from the 64 draws starting
+      [offset + j*stride] draws ahead of [t]'s state, thresholded at the
+      {!threshold_bits} value read from [thr] at byte offset [thr_pos] —
+      exactly the bits {!word_with_density}'s [p <> 0.5] path would set
+      on that stream segment, XORed in as noise. Does not mutate [t]. *)
+
+  val xor_noise_lanes_blocked :
+    t ->
+    offset:int ->
+    stride:int ->
+    width:int ->
+    thr:Bytes.t ->
+    thr_pos:int ->
+    lanes:int ->
+    Bytes.t array ->
+    pos:int ->
+    unit
+  (** Multi-lane variant of {!xor_noise_blocked}, as the grid pass runs
+      it: for each word [j < width], draw that word's 64 uniforms from
+      stream position [offset + j*stride] and, for each lane [k], flip
+      bit [i] of the word at byte offset [pos + 8*j] of [dst.(k)] when
+      the uniform falls below both word 0 and lane [k]'s threshold.
+      [thr] holds [lanes + 1] packed int64 thresholds at [thr_pos]:
+      word 0 an upper bound on the rest (the early-out), words 1..lanes
+      the per-lane values from {!threshold_bits}. One shared uniform per
+      bit position per word is the common-random-numbers coupling of
+      the grid kernel: flip sets are nested in the threshold. Consumes
+      64 draws per word whatever [lanes] is.
+
+      The C kernel computes each word's 64 uniforms once, across all
+      lanes. A word with no uniform below word 0 writes nothing, and one
+      with at most three compares those with each lane; otherwise each
+      lane's 64-bit flip mask is built with one compare per lane per
+      vector register of uniforms (on AVX-512 joined in mask registers
+      and read out once) and XORed into the lane's word once. A lane
+      whose threshold reaches word 0 takes the candidate mask of the row
+      maximum without a compare. One lane runs the
+      {!xor_noise_blocked} kernel at the smaller of word 0 and lane 0
+      instead, which is faster there. Requires [lanes >= 1] and at
+      least [lanes] buffers in [dst]. Does not mutate [t]. *)
+
+  val xor_noise_lanes_blocked_at_level :
+    level:string ->
+    t ->
+    offset:int ->
+    stride:int ->
+    width:int ->
+    thr:Bytes.t ->
+    thr_pos:int ->
+    lanes:int ->
+    Bytes.t array ->
+    pos:int ->
+    bool
+  (** The multi-lane kernel of {!xor_noise_lanes_blocked} at the named
+      kernel family (a {!simd_level} name) rather than the resolved one,
+      one lane included, so that every family the machine runs is pinned.
+      Returns [false], writing nothing, when this machine cannot run
+      [level]; ["scalar"] always runs. Raises [Invalid_argument] for an
+      unknown name, [lanes < 1] or fewer than [lanes] buffers in
+      [dst]. *)
+end

@@ -2,8 +2,8 @@
  * for the Monte-Carlo kernel.
  *
  * The draw stubs compute EXACTLY the draws of the OCaml reference
- * implementations in prng.ml (Prng.xor_noise_blocked_ref /
- * Prng.xor_noise_lanes_blocked_ref): draw i of word j comes from
+ * implementations in test/prng_ref.ml, which test_prng pins them to
+ * through Prng.For_testing: draw i of word j comes from
  * SplitMix64 state  s0 + (offset + j*stride + i + 1) * gamma, mixed by
  * the Steele-Lea-Flood finalizer, truncated to 53 bits, and flips bit i
  * when it falls below the packed integer threshold (Prng.threshold_bits).
@@ -348,12 +348,6 @@ __attribute__((constructor)) static void nano_prng_init(void) {
   init_popcount();
 }
 
-static int simd_width(void) {
-  if (noise_mask_fn == noise_mask_avx512) return 8;
-  if (noise_mask_fn == noise_mask_avx2) return 4;
-  return 1;
-}
-
 /* 0 = scalar, 1 = avx2, 2 = avx512, 3 = neon (Prng.simd_level). */
 static int simd_level(void) {
   if (noise_mask_fn == noise_mask_avx512) return 2;
@@ -445,7 +439,6 @@ static void noise_lanes_neon(uint64_t base, uint64_t gstride, intnat width,
 #define noise_mask_fn noise_mask_neon
 #define noise_lanes_fn noise_lanes_neon
 
-static int simd_width(void) { return 2; }
 static int simd_level(void) { return 3; }
 static lanes_fn *const lanes_by_level[4] = {noise_lanes_scalar, NULL, NULL,
                                             noise_lanes_neon};
@@ -455,18 +448,30 @@ static lanes_fn *const lanes_by_level[4] = {noise_lanes_scalar, NULL, NULL,
 #define noise_mask_fn noise_mask_scalar
 #define noise_lanes_fn noise_lanes_scalar
 
-static int simd_width(void) { return 1; }
 static int simd_level(void) { return 0; }
 static lanes_fn *const lanes_by_level[4] = {noise_lanes_scalar};
 
 #endif
 
-/* ---------------- OCaml entry points: draws ---------------- */
-
-CAMLprim value nano_prng_simd_width(value unit) {
-  (void)unit;
-  return Val_int(simd_width());
+/* The lanes kernel as every caller runs it, the grid pass and the
+ * lanes stub entry alike. One lane runs the single-threshold mask
+ * kernel at min(word 0, lane 0), which flips exactly the bits the lanes
+ * kernel would and skips its row-maximum pass and per-lane mask loop:
+ * 30-43 ns per word against 34-78 ns through the lanes kernel (epsilon
+ * 0.001-0.1, 2-vCPU x86-64 AVX-512 host). */
+static inline void noise_lanes(uint64_t base, uint64_t gstride, intnat width,
+                               const unsigned char *thr, intnat lanes,
+                               value vdst, intnat pos) {
+  if (lanes == 1) {
+    uint64_t t = lane_threshold(thr, 0, load64(thr));
+    unsigned char *d = (unsigned char *)Bytes_val(Field(vdst, 0)) + pos;
+    for (intnat j = 0; j < width; j++, d += 8, base += gstride)
+      store64(d, load64(d) ^ noise_mask_fn(base, t));
+  } else
+    noise_lanes_fn(base, gstride, width, thr, lanes, vdst, pos);
 }
+
+/* ---------------- OCaml entry points: draws ---------------- */
 
 CAMLprim value nano_prng_simd_level(value unit) {
   (void)unit;
@@ -546,14 +551,14 @@ CAMLprim value nano_prng_xor_noise_blocked_bytes(value *argv, int argn) {
  * with at most three below it compares those with each lane
  * (lanes_sparse); otherwise each lane's flip mask is built from the
  * uniforms still in registers and XORed into its word once
- * (noise_lanes_*). */
+ * (noise_lanes_*). One lane takes noise_lanes's dispatch. */
 CAMLprim value nano_prng_xor_noise_lanes_blocked(value vstate, value voffset,
                                                  value vstride, value vwidth,
                                                  value vthr, value vthrpos,
                                                  value vlanes, value vdst,
                                                  value vpos) {
   uint64_t s0 = load64((unsigned char *)Bytes_val(vstate));
-  noise_lanes_fn(s0 + (uint64_t)Long_val(voffset) * GAMMA,
+  noise_lanes(s0 + (uint64_t)Long_val(voffset) * GAMMA,
                  (uint64_t)Long_val(vstride) * GAMMA, Long_val(vwidth),
                  (unsigned char *)Bytes_val(vthr) + Long_val(vthrpos),
                  Long_val(vlanes), vdst, Long_val(vpos));
@@ -567,9 +572,10 @@ CAMLprim value nano_prng_xor_noise_lanes_blocked_bytes(value *argv, int argn) {
                                            argv[8]);
 }
 
-/* The same kernel forced to one level (Prng.simd_level's numbering), so
- * tests can pin every level the CPU runs to the OCaml reference. Returns
- * false, drawing nothing, for a level this CPU cannot run. */
+/* The lanes kernel itself, one lane included, forced to one level
+ * (Prng.simd_level's numbering), so tests can pin every level the CPU
+ * runs to the OCaml reference. Returns false, drawing nothing, for a
+ * level this CPU cannot run. */
 CAMLprim value nano_prng_xor_noise_lanes_blocked_level(
     value vlevel, value vstate, value voffset, value vstride, value vwidth,
     value vthr, value vthrpos, value vlanes, value vdst, value vpos) {
@@ -863,8 +869,7 @@ ALWAYS_INLINE void out_errors_body(popcount_fn *pop, const value *out_pos,
 /* One replica of a grid over positions lo..hi-1: at each position every
  * lane's row is evaluated (an input row is the golden replica's), then
  * at a noisy position the lanes' flip masks are XORed in from the
- * position's 64 positioned draws per word — the single-threshold kernel
- * at one lane, as Prng.xor_noise_lanes_blocked runs it there. With
+ * position's 64 positioned draws per word (noise_lanes). With
  * counters, the first replica's rows are finished: ones[k][id] takes
  * the popcount of first's row, toggles[k][id] that of first xor this
  * replica. */
@@ -894,15 +899,8 @@ ALWAYS_INLINE void grid_pass_body(popcount_fn *pop, const grid_pass *g) {
     intnat r = Long_val(g->rank[p]);
     if (r >= 0) {
       uint64_t base = g->s0 + (uint64_t)(g->offset + 64 * r) * GAMMA;
-      const unsigned char *row = g->thr + p * thr_stride;
-      if (g->lanes == 1) {
-        uint64_t t = load64(row + 8);
-        uint64_t *d = ROW(bufs[0], p);
-        for (intnat j = 0; j < width; j++, base += g->gstride)
-          d[j] ^= noise_mask_fn(base, t);
-      } else
-        noise_lanes_fn(base, g->gstride, width, row, g->lanes, g->vals,
-                       p * BLOCK * 8);
+      noise_lanes(base, g->gstride, width, g->thr + p * thr_stride, g->lanes,
+                  g->vals, p * BLOCK * 8);
     }
     if (counting) {
       intnat id = Long_val(g->sid[p]);

@@ -50,7 +50,3 @@ let summary (t : t) =
     max = t.max;
     ci95 = confidence95 t;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.6g sd=%.3g min=%.6g max=%.6g ±%.3g" s.n
-    s.mean s.stddev s.min s.max s.ci95

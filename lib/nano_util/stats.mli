@@ -40,5 +40,3 @@ type summary = {
 
 val summary : t -> summary
 (** Snapshot of the accumulator. Raises [Invalid_argument] when empty. *)
-
-val pp_summary : Format.formatter -> summary -> unit

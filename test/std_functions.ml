@@ -1,3 +1,5 @@
+module Truth_table = Nano_logic.Truth_table
+
 let popcount_assignment a arity =
   let count = ref 0 in
   for i = 0 to arity - 1 do

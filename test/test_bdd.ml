@@ -1,6 +1,6 @@
 module Bdd = Nano_bdd.Bdd
 module TT = Nano_logic.Truth_table
-module Std = Nano_logic.Std_functions
+module Std = Std_functions
 
 let test_terminals () =
   let m = Bdd.manager () in

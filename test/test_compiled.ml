@@ -17,26 +17,39 @@ let test_memoized () =
   let c3 = Compiled.compile n in
   Alcotest.(check bool) "compile bypasses the cache" false (c1 == c3)
 
+(* The lowering keeps ids and interface, and marks noisy exactly the
+   gates [Gate.is_logic] picks, the ones [Netlist.size] counts: on c17
+   and on random netlists of every shape (constants and buffers
+   included). *)
 let test_structure () =
-  let n = Nano_circuits.Iscas_like.c17 () in
-  let c = Compiled.of_netlist n in
-  Alcotest.(check int) "node count" (Netlist.node_count n)
-    (Compiled.node_count c);
-  Alcotest.(check int) "noisy gates = logic size" (Netlist.size n)
-    (Compiled.noisy_count c);
-  Alcotest.(check (array int)) "input ids" (Netlist.input_ids n)
-    (Compiled.input_ids c);
-  Alcotest.(check (array int)) "output ids" (Netlist.output_ids n)
-    (Compiled.output_ids c);
-  Netlist.iter n (fun id info ->
-      let noisy =
-        match info.Netlist.kind with
-        | Gate.Input | Gate.Const _ | Gate.Buf -> false
-        | _ -> true
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "noisy flag of node %d" id)
-        noisy (Compiled.is_noisy c id))
+  let check n =
+    let c = Compiled.of_netlist n in
+    Alcotest.(check int) "node count" (Netlist.node_count n)
+      (Compiled.node_count c);
+    Alcotest.(check int) "noisy gates = logic size" (Netlist.size n)
+      (Compiled.noisy_count c);
+    Alcotest.(check (array int)) "input ids" (Netlist.input_ids n)
+      (Compiled.input_ids c);
+    Alcotest.(check (array int)) "output ids" (Netlist.output_ids n)
+      (Compiled.output_ids c);
+    Netlist.iter n (fun id info ->
+        let noisy =
+          match info.Netlist.kind with
+          | Gate.Input | Gate.Const _ | Gate.Buf -> false
+          | _ -> true
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "noisy flag of node %d" id)
+          noisy (Compiled.is_noisy c id);
+        Alcotest.(check bool)
+          (Printf.sprintf "Gate.is_logic of node %d" id)
+          noisy
+          (Gate.is_logic info.Netlist.kind))
+  in
+  check (Nano_circuits.Iscas_like.c17 ());
+  for seed = 0 to 49 do
+    check (Helpers.strash_shapes seed)
+  done
 
 (* The evaluator is pinned at every width of the one program, each
    column carrying different words, so a column mix-up cannot pass. *)
@@ -499,8 +512,8 @@ let test_pack_validation_messages () =
 (* The ROADMAP invariant carried over to the blocked kernel: once the
    pack and the blocked buffers exist, the fused noisy sweep allocates
    nothing on the minor heap. One lane is the shape every single-point
-   simulation runs, through the one-lane dispatch of
-   [Prng.xor_noise_lanes_blocked]. *)
+   simulation runs, through the one-lane dispatch of the C lanes
+   kernel. *)
 let test_blocked_zero_allocation () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> ()

@@ -59,7 +59,7 @@ let test_cover_eval () =
   Alcotest.(check int) "ones" 5 (TT.ones tt)
 
 let test_cover_of_table () =
-  let maj = Nano_logic.Std_functions.majority ~arity:3 in
+  let maj = Std_functions.majority ~arity:3 in
   let cover = Cube.Cover.of_truth_table maj in
   Alcotest.(check int) "one cube per minterm" 4
     (Cube.Cover.cube_count cover);

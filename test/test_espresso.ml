@@ -15,10 +15,10 @@ let test_simple_functions () =
     Alcotest.(check int) (name ^ " cubes") expected_cubes
       (Cube.Cover.cube_count cover)
   in
-  check "and3" (Nano_logic.Std_functions.and_all ~arity:3) 1;
-  check "or3" (Nano_logic.Std_functions.or_all ~arity:3) 3;
-  check "maj3" (Nano_logic.Std_functions.majority ~arity:3) 3;
-  check "parity3" (Nano_logic.Std_functions.parity ~arity:3) 4
+  check "and3" (Std_functions.and_all ~arity:3) 1;
+  check "or3" (Std_functions.or_all ~arity:3) 3;
+  check "maj3" (Std_functions.majority ~arity:3) 3;
+  check "parity3" (Std_functions.parity ~arity:3) 4
 
 let test_tautology () =
   let cover =

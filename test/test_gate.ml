@@ -98,6 +98,14 @@ let prop_word_lanes_independent =
       done;
       !ok)
 
+let test_is_logic () =
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (Gate.name kind)
+        (not (Gate.is_source kind || kind = Gate.Buf))
+        (Gate.is_logic kind))
+    (Gate.Input :: Gate.Const false :: Gate.Const true :: Gate.all_logic_kinds)
+
 let suite =
   [
     Alcotest.test_case "arity_ok" `Quick test_arity;
@@ -105,5 +113,6 @@ let suite =
     Alcotest.test_case "eval_word matches eval" `Quick test_eval_word_matches_eval;
     Alcotest.test_case "names" `Quick test_names;
     Alcotest.test_case "is_source" `Quick test_is_source;
+    Alcotest.test_case "is_logic" `Quick test_is_logic;
     Helpers.qcheck prop_word_lanes_independent;
   ]

@@ -92,6 +92,18 @@ let test_domain () =
   Helpers.check_invalid "negative stages" (fun () ->
       ignore (Mux.nand_unit ~bundle:4 ~restorative_stages:(-1) ~seed:0))
 
+let test_measured_epsilon_domain () =
+  let measure epsilon =
+    Mux.measured_output_level ~trials:1 ~epsilon ~bundle:4
+      ~restorative_stages:0 ~x_level:1. ~y_level:1. ()
+  in
+  List.iter
+    (fun epsilon ->
+      Helpers.check_invalid (Printf.sprintf "epsilon %g" epsilon) (fun () ->
+          ignore (measure epsilon)))
+    [ -0.1; 0.6; Float.nan ];
+  ignore (measure 0.5)
+
 let prop_analytic_level_in_range =
   QCheck2.Test.make ~name:"analytic levels stay in [0,1]" ~count:200
     QCheck2.Gen.(
@@ -112,5 +124,7 @@ let suite =
     Alcotest.test_case "bigger bundles tighter" `Quick
       test_bigger_bundles_tighter;
     Alcotest.test_case "domain" `Quick test_domain;
+    Alcotest.test_case "measured level epsilon domain" `Quick
+      test_measured_epsilon_domain;
     Helpers.qcheck prop_analytic_level_in_range;
   ]

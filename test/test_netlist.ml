@@ -172,6 +172,55 @@ let prop_eval_nodes_matches_eval =
         (fun (name, node) -> List.assoc name by_name = values.(node))
         (Netlist.outputs n))
 
+(* The word-level interpreter with the identity hook is the error-free
+   evaluation: it equals the compiled kernel ([Bitsim]) word for word,
+   and each of its 64 lanes equals the single-vector [eval_nodes]. *)
+let prop_eval_words_identity =
+  QCheck2.Test.make ~name:"eval_words = Bitsim, lanes = eval_nodes"
+    ~count:100
+    QCheck2.Gen.(int_range 0 100000)
+    (fun seed ->
+      let n = Helpers.strash_shapes seed in
+      let rng = Nano_util.Prng.create ~seed in
+      let input_words =
+        Array.init (Netlist.input_count n) (fun _ -> Nano_util.Prng.bits64 rng)
+      in
+      let values = Array.make (Netlist.node_count n) 0L in
+      Netlist.eval_words n ~input_words ~values ~after:(fun _ w -> w);
+      values = Nano_sim.Bitsim.eval_words n input_words
+      && List.for_all
+           (fun lane ->
+             let bit w = Nano_util.Bits.get w lane in
+             Array.map bit values
+             = Netlist.eval_nodes n (Array.map bit input_words))
+           (List.init 64 Fun.id))
+
+(* The hook runs once per node in id order, inputs included, and what
+   it returns is what the node's fanouts read. *)
+let test_eval_words_hook () =
+  let n = half_adder () in
+  let x = Netlist.find_input n "x" in
+  let seen = ref [] in
+  let values = Array.make (Netlist.node_count n) 0L in
+  Netlist.eval_words n ~input_words:[| 0b1100L; 0b1010L |] ~values
+    ~after:(fun id w ->
+      seen := id :: !seen;
+      if id = x then Int64.lognot w else w);
+  Alcotest.(check (list int)) "every node, in id order"
+    (List.init (Netlist.node_count n) Fun.id)
+    (List.rev !seen);
+  let word name = values.(List.assoc name (Netlist.outputs n)) in
+  let x' = Int64.lognot 0b1100L in
+  Alcotest.(check int64) "sum reads the inverted input"
+    (Int64.logxor x' 0b1010L) (word "sum");
+  Alcotest.(check int64) "carry reads the inverted input"
+    (Int64.logand x' 0b1010L) (word "carry");
+  Helpers.check_invalid "input words" (fun () ->
+      Netlist.eval_words n ~input_words:[| 0L |] ~values ~after:(fun _ w -> w));
+  Helpers.check_invalid "values" (fun () ->
+      Netlist.eval_words n ~input_words:[| 0L; 0L |] ~values:[| 0L |]
+        ~after:(fun _ w -> w))
+
 let suite =
   [
     Alcotest.test_case "builder basics" `Quick test_builder_basics;
@@ -189,4 +238,6 @@ let suite =
     Alcotest.test_case "to_dot" `Quick test_to_dot;
     Helpers.qcheck prop_random_netlists_valid;
     Helpers.qcheck prop_eval_nodes_matches_eval;
+    Helpers.qcheck prop_eval_words_identity;
+    Alcotest.test_case "eval_words hook" `Quick test_eval_words_hook;
   ]

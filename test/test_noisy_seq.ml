@@ -70,6 +70,15 @@ let test_streams_rounding () =
   let t = Noisy_seq.simulate ~epsilon:0.01 ~cycles:4 ~streams:100 m in
   Alcotest.(check int) "rounded to word lanes" 128 t.Noisy_seq.streams
 
+let test_epsilon_domain () =
+  let m = Circuits.counter ~bits:2 in
+  List.iter
+    (fun epsilon ->
+      Helpers.check_invalid (Printf.sprintf "epsilon %g" epsilon) (fun () ->
+          ignore (Noisy_seq.simulate ~epsilon ~cycles:2 m)))
+    [ -0.1; 0.6; Float.nan ];
+  ignore (Noisy_seq.simulate ~epsilon:0.5 ~cycles:2 m)
+
 let suite =
   [
     Alcotest.test_case "zero noise" `Quick test_zero_noise;
@@ -82,4 +91,5 @@ let suite =
     Alcotest.test_case "noise vs corruption speed" `Quick
       test_more_noise_faster_corruption;
     Alcotest.test_case "streams rounding" `Quick test_streams_rounding;
+    Alcotest.test_case "epsilon domain" `Quick test_epsilon_domain;
   ]

@@ -214,6 +214,22 @@ let test_coin_flip_limit () =
   Helpers.check_in_range "useless device" ~lo:0.49 ~hi:0.51
     r.Noisy_sim.any_output_error
 
+(* The noise word flips each lane with probability epsilon, and away
+   from 1/2 it is the word [Prng.word_with_density] draws. *)
+let test_noise_word_density () =
+  let rng = Nano_util.Prng.create ~seed:8 in
+  let twin = Nano_util.Prng.create ~seed:8 in
+  let total = ref 0 in
+  let words = 4000 in
+  for _ = 1 to words do
+    let w = Noisy_sim.noise_word rng ~epsilon:0.125 in
+    Alcotest.(check int64) "word_with_density's word"
+      (Nano_util.Prng.word_with_density twin ~p:0.125) w;
+    total := !total + Nano_util.Bits.popcount64 w
+  done;
+  Helpers.check_in_range "density" ~lo:0.118 ~hi:0.132
+    (float_of_int !total /. float_of_int (64 * words))
+
 let prop_any_error_dominates_each_output =
   QCheck2.Test.make ~name:"any-output error >= each per-output error"
     ~count:20
@@ -245,5 +261,6 @@ let suite =
     Alcotest.test_case "input_probability invalid" `Quick
       test_input_probability_invalid;
     Alcotest.test_case "coin flip limit" `Quick test_coin_flip_limit;
+    Alcotest.test_case "noise word density" `Quick test_noise_word_density;
     Helpers.qcheck prop_any_error_dominates_each_output;
   ]

@@ -1,4 +1,5 @@
 module Prng = Nano_util.Prng
+module Kernels = Prng.For_testing
 
 let test_determinism () =
   let a = Prng.create ~seed:42 in
@@ -12,48 +13,6 @@ let test_seed_sensitivity () =
   let b = Prng.create ~seed:2 in
   Alcotest.(check bool) "different seeds differ" true
     (Prng.bits64 a <> Prng.bits64 b)
-
-let test_copy () =
-  let a = Prng.create ~seed:7 in
-  ignore (Prng.bits64 a);
-  let b = Prng.copy a in
-  Alcotest.(check int64) "copies agree" (Prng.bits64 a) (Prng.bits64 b)
-
-let test_split_decorrelated () =
-  let parent = Prng.create ~seed:9 in
-  let child = Prng.split parent in
-  (* The two streams should not be identical over a window. *)
-  let same = ref true in
-  for _ = 1 to 16 do
-    if Prng.bits64 parent <> Prng.bits64 child then same := false
-  done;
-  Alcotest.(check bool) "split stream differs" false !same
-
-let test_split_independence () =
-  (* Sanity check for seed-sharding: sibling streams obtained by
-     [split] must look pairwise independent. Bitwise, the XOR of two
-     independent uniform words has ~32 set bits; and the child streams
-     must not be shifted copies of each other or of the parent. *)
-  let parent = Prng.create ~seed:0xfa17 in
-  let c1 = Prng.split parent in
-  let c2 = Prng.split parent in
-  let words = 4096 in
-  let check_pair name a b =
-    let bits = ref 0 in
-    for _ = 1 to words do
-      bits :=
-        !bits
-        + Nano_util.Bits.popcount64 (Int64.logxor (Prng.bits64 a) (Prng.bits64 b))
-    done;
-    Helpers.check_in_range name ~lo:31.5 ~hi:32.5
-      (float_of_int !bits /. float_of_int words)
-  in
-  check_pair "child vs child" (Prng.copy c1) (Prng.copy c2);
-  check_pair "parent vs child" (Prng.copy parent) (Prng.copy c1);
-  (* shifted-copy check: child 2 lagged by one draw against child 1 *)
-  let lag = Prng.copy c2 in
-  ignore (Prng.bits64 lag);
-  check_pair "lagged child" (Prng.copy c1) lag
 
 let test_jump_equals_draws () =
   (* jump ~draws:k must land exactly where k bits64 calls land. *)
@@ -178,11 +137,11 @@ let test_shuffle_permutes () =
   Alcotest.(check bool) "actually shuffled" true
     (a <> Array.init 50 (fun i -> i))
 
-(* The SIMD C stubs behind [xor_noise_blocked] and
-   [xor_noise_lanes_blocked] must reproduce the pure-OCaml reference
-   implementations bit for bit on every machine — widths, ragged
-   offsets, strides, and thresholds from degenerate (0, 1/2) to tiny.
-   The multi-lane stub is checked through the resolved dispatch and,
+(* The SIMD C kernels behind [xor_noise_blocked] and
+   [xor_noise_lanes_blocked] must reproduce the pure-OCaml references
+   (prng_ref.ml) bit for bit on every machine — widths, ragged offsets,
+   strides, and thresholds from degenerate (0, 1/2) to tiny. The
+   multi-lane kernel is checked through the resolved dispatch and,
    through [xor_noise_lanes_blocked_at_level], at every kernel family
    this machine runs (scalar always), so a family the dispatcher does
    not pick here is still pinned. *)
@@ -203,8 +162,8 @@ let test_blocked_noise_stub_matches_reference () =
   (* Lanes at [eps] behind a row bound [tmax] (default: the largest
      lane), the row at byte [thr_pos] of a buffer whose other words are
      random, flips landing at byte [pos] of random lane buffers. *)
-  let check_lanes ?tmax ?(thr_pos = 0) ?(pos = 0) ?(dispatched = true) ~offset
-      ~stride ~width label eps =
+  let check_lanes ?tmax ?(thr_pos = 0) ?(pos = 0) ~offset ~stride ~width label
+      eps =
     let lanes = Array.length eps in
     let tb = Array.map (fun p -> Prng.threshold_bits ~p) eps in
     let tmax =
@@ -217,7 +176,7 @@ let test_blocked_noise_stub_matches_reference () =
       Array.init lanes (fun _ -> random_bytes (pos + (width * 8) + 8))
     in
     let da = Array.map Bytes.copy before in
-    Prng.xor_noise_lanes_blocked_ref rng ~offset ~stride ~width ~thr:lthr
+    Prng_ref.xor_noise_lanes_blocked rng ~offset ~stride ~width ~thr:lthr
       ~thr_pos ~lanes da ~pos;
     let check_lane_bytes name db =
       Array.iteri
@@ -227,17 +186,15 @@ let test_blocked_noise_stub_matches_reference () =
             a db.(k))
         da
     in
-    if dispatched then begin
-      let db = Array.map Bytes.copy before in
-      Prng.xor_noise_lanes_blocked rng ~offset ~stride ~width ~thr:lthr
-        ~thr_pos ~lanes db ~pos;
-      check_lane_bytes "dispatched" db
-    end;
+    let db = Array.map Bytes.copy before in
+    Kernels.xor_noise_lanes_blocked rng ~offset ~stride ~width ~thr:lthr
+      ~thr_pos ~lanes db ~pos;
+    check_lane_bytes "dispatched" db;
     List.iter
       (fun level ->
         let db = Array.map Bytes.copy before in
         if
-          Prng.xor_noise_lanes_blocked_at_level ~level rng ~offset ~stride
+          Kernels.xor_noise_lanes_blocked_at_level ~level rng ~offset ~stride
             ~width ~thr:lthr ~thr_pos ~lanes db ~pos
         then begin
           Hashtbl.replace ran level ();
@@ -255,9 +212,10 @@ let test_blocked_noise_stub_matches_reference () =
       (Prng.threshold_bits ~p:eps_choices.(trial mod Array.length eps_choices));
     let a = random_bytes (width * 8) in
     let b = Bytes.copy a in
-    Prng.xor_noise_blocked_ref rng ~offset ~stride ~width ~thr ~thr_pos:0 a
+    Prng_ref.xor_noise_blocked rng ~offset ~stride ~width ~thr ~thr_pos:0 a
       ~pos:0;
-    Prng.xor_noise_blocked rng ~offset ~stride ~width ~thr ~thr_pos:0 b ~pos:0;
+    Kernels.xor_noise_blocked rng ~offset ~stride ~width ~thr ~thr_pos:0 b
+      ~pos:0;
     Alcotest.(check bytes)
       (Printf.sprintf "single-threshold trial %d" trial)
       a b;
@@ -315,12 +273,11 @@ let test_blocked_noise_stub_matches_reference () =
       ~thr_pos:24 ~pos:8 ~offset ~stride ~width
       (at "lanes above a row bound of 0.05")
       [| 0.1; 0.01; 0.05; 0.3 |];
-    (* The dispatch runs one lane on the single-threshold stub, whose
-       contract takes word 0 as a bound on the lane; the lanes kernel
-       itself must still clamp. *)
+    (* The dispatch runs one lane on the single-threshold kernel at the
+       smaller of word 0 and the lane, as the lanes kernel clamps. *)
     check_lanes
       ~tmax:(Prng.threshold_bits ~p:0.02)
-      ~dispatched:false ~offset ~stride ~width
+      ~offset ~stride ~width
       (at "one lane above its row bound")
       [| 0.2 |]
   done;
@@ -328,49 +285,36 @@ let test_blocked_noise_stub_matches_reference () =
     (fun level ->
       Alcotest.(check bool) (level ^ " runs") true (Hashtbl.mem ran level))
     [ "scalar"; Prng.simd_level () ];
-  (* One lane runs the single-threshold stub, which must read lane 0's
-     threshold rather than word 0, a row bound that may be looser; the
-     row sits past a foreign word, as packed rows do. *)
+  (* One lane runs the single-threshold kernel, which must read lane 0's
+     threshold when word 0 is a looser row bound; the row sits past a
+     foreign word, as packed rows do. *)
   let lthr = random_bytes 24 in
   set64 lthr 8 (Prng.threshold_bits ~p:0.5);
   set64 lthr 16 (Prng.threshold_bits ~p:0.01);
   let da = [| random_bytes 64 |] in
   let db = Array.map Bytes.copy da in
-  Prng.xor_noise_lanes_blocked_ref rng ~offset:3 ~stride:70 ~width:8
+  Prng_ref.xor_noise_lanes_blocked rng ~offset:3 ~stride:70 ~width:8
     ~thr:lthr ~thr_pos:8 ~lanes:1 da ~pos:0;
-  Prng.xor_noise_lanes_blocked rng ~offset:3 ~stride:70 ~width:8 ~thr:lthr
+  Kernels.xor_noise_lanes_blocked rng ~offset:3 ~stride:70 ~width:8 ~thr:lthr
     ~thr_pos:8 ~lanes:1 db ~pos:0;
   Alcotest.(check bytes) "one lane under a loose row bound" da.(0) db.(0);
-  (* The dispatcher picked SOME path; record that it answered sanely. *)
-  Alcotest.(check bool)
-    "simd width is 1, 2, 4 or 8" true
-    (List.mem (Prng.simd_width ()) [ 1; 2; 4; 8 ]);
   Alcotest.check_raises "unknown level"
     (Invalid_argument
-       "Nano_util.Prng.xor_noise_lanes_blocked_at_level: unknown level sse2")
+       "Nano_util.Prng.For_testing.xor_noise_lanes_blocked_at_level: unknown \
+        level sse2")
     (fun () ->
       ignore
-        (Prng.xor_noise_lanes_blocked_at_level ~level:"sse2" rng ~offset:0
+        (Kernels.xor_noise_lanes_blocked_at_level ~level:"sse2" rng ~offset:0
            ~stride:64 ~width:1 ~thr:lthr ~thr_pos:0 ~lanes:1 da ~pos:0))
 
-(* The resolved dispatch level is what BENCH files and the service
-   stats record; it must be one of the four known names and agree with
-   the reported draw width. *)
-let test_simd_level_consistent () =
+(* The resolved dispatch level is what the benchmark and the service
+   stats record; it must be one of the four known names. *)
+let test_simd_level_known () =
   let level = Prng.simd_level () in
-  let width = Prng.simd_width () in
   Alcotest.(check bool)
     (Printf.sprintf "known level %s" level)
     true
-    (List.mem level [ "scalar"; "avx2"; "avx512"; "neon" ]);
-  let expected_width =
-    match level with
-    | "avx512" -> 8
-    | "avx2" -> 4
-    | "neon" -> 2
-    | _ -> 1
-  in
-  Alcotest.(check int) "width matches level" expected_width width
+    (List.mem level [ "scalar"; "avx2"; "avx512"; "neon" ])
 
 (* The stimulus store stub must reproduce the pure-OCaml reference bit
    for bit: every width the blocked kernel uses (and a ragged tail),
@@ -408,7 +352,7 @@ let test_stimulus_stub_matches_reference () =
         let len = pos + ((width - 1) * pos_stride) + 8 in
         let a = random_bytes len in
         let b = Bytes.copy a in
-        Prng.store_words_with_density_at_ref rng ~offset ~stride ~width ~p a
+        Prng_ref.store_words_with_density_at rng ~offset ~stride ~width ~p a
           ~pos ~pos_stride;
         Prng.store_words_with_density_at rng ~offset ~stride ~width ~p b ~pos
           ~pos_stride;
@@ -427,7 +371,7 @@ let prop_stimulus_density_sweep =
       let rng = Prng.create ~seed:0xd1ce in
       let a = Bytes.make (width * 8) '\000' in
       let b = Bytes.make (width * 8) '\000' in
-      Prng.store_words_with_density_at_ref rng ~offset ~stride:64 ~width ~p a
+      Prng_ref.store_words_with_density_at rng ~offset ~stride:64 ~width ~p a
         ~pos:0 ~pos_stride:8;
       Prng.store_words_with_density_at rng ~offset ~stride:64 ~width ~p b
         ~pos:0 ~pos_stride:8;
@@ -486,9 +430,6 @@ let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
-    Alcotest.test_case "copy" `Quick test_copy;
-    Alcotest.test_case "split decorrelated" `Quick test_split_decorrelated;
-    Alcotest.test_case "split independence" `Quick test_split_independence;
     Alcotest.test_case "jump equals draws" `Quick test_jump_equals_draws;
     Alcotest.test_case "draws per word" `Quick test_draws_per_word;
     Alcotest.test_case "int unbiased" `Quick test_int_unbiased;
@@ -502,8 +443,7 @@ let suite =
     Alcotest.test_case "shuffle" `Quick test_shuffle_permutes;
     Alcotest.test_case "blocked noise stubs match OCaml reference" `Quick
       test_blocked_noise_stub_matches_reference;
-    Alcotest.test_case "simd level consistent with width" `Quick
-      test_simd_level_consistent;
+    Alcotest.test_case "simd level is known" `Quick test_simd_level_known;
     Alcotest.test_case "stimulus stub matches OCaml reference" `Quick
       test_stimulus_stub_matches_reference;
     Helpers.qcheck prop_stimulus_density_sweep;

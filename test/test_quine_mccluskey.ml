@@ -1,7 +1,7 @@
 module QM = Nano_synth.Quine_mccluskey
 module Cube = Nano_logic.Cube
 module TT = Nano_logic.Truth_table
-module Std = Nano_logic.Std_functions
+module Std = Std_functions
 
 let cover_equals_table ~arity cover tt =
   TT.equal (Cube.Cover.to_truth_table ~arity cover) tt

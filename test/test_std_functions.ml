@@ -1,4 +1,4 @@
-module Std = Nano_logic.Std_functions
+module Std = Std_functions
 module TT = Nano_logic.Truth_table
 
 let test_parity () =

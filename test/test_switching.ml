@@ -49,6 +49,21 @@ let test_probability_map () =
   Helpers.check_float "activity of p" 0.42
     (Switching.activity_of_probability 0.3)
 
+let test_activity_probability_consistency () =
+  (* Theorem 1 must agree with pushing p through the channel and
+     recomputing sw = 2p(1-p). *)
+  let epsilon = 0.07 in
+  List.iter
+    (fun p ->
+      let sw' =
+        Switching.activity_of_probability
+          (Switching.noisy_probability ~epsilon p)
+      in
+      Helpers.check_loose "consistent" sw'
+        (Switching.noisy_activity ~epsilon
+           (Switching.activity_of_probability p)))
+    [ 0.; 0.1; 0.3; 0.5; 0.77; 1. ]
+
 (* The paper's Figure 2 observation: noise pushes activity toward 1/2,
    making quiet gates busier and busy gates quieter. *)
 let prop_toward_half =
@@ -96,4 +111,6 @@ let suite =
     Helpers.qcheck prop_toward_half;
     Helpers.qcheck prop_monotone_in_sw;
     Helpers.qcheck prop_matches_simulation;
+    Alcotest.test_case "activity/probability consistency" `Quick
+      test_activity_probability_consistency;
   ]

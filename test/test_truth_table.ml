@@ -1,5 +1,5 @@
 module TT = Nano_logic.Truth_table
-module Std = Nano_logic.Std_functions
+module Std = Std_functions
 
 let test_const_var () =
   let t = TT.const ~arity:3 true in
