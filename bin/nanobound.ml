@@ -1302,7 +1302,18 @@ let serve_cmd =
         max_reply_bytes = (Nano_service.Service.default_config ()).max_reply_bytes;
       }
     in
-    let t = Nano_service.Service.create ~config () in
+    let t =
+      match Nano_service.Service.create ~config () with
+      | t -> t
+      | exception Nano_service.Journal.Not_a_journal path ->
+        prerr_endline (path ^ ": not a nanobound journal");
+        exit 1
+      | exception Unix.Unix_error (err, _, arg) ->
+        (* Only the journal touches the file system here. *)
+        let path = if arg = "" then Option.value journal ~default:"" else arg in
+        prerr_endline (path ^ ": " ^ Unix.error_message err);
+        exit 1
+    in
     (match (socket, tcp) with
     | Some path, _ -> Nano_service.Service.serve_unix t ~socket_path:path
     | None, Some endpoint -> (
@@ -1363,8 +1374,9 @@ let serve_cmd =
              ~doc:"Persist the response cache to an append-only journal \
                    at $(docv); on restart its valid prefix is replayed \
                    (torn tails from a crash are truncated), so warm \
-                   replies survive the daemon. With --workers N, worker \
-                   $(i,i) persists to $(docv).shard$(i,i).")
+                   replies survive the daemon. A file that is not a \
+                   journal is refused, untouched. With --workers N, \
+                   worker $(i,i) persists to $(docv).shard$(i,i).")
   in
   let workers =
     Arg.(value & opt int 0

@@ -88,6 +88,9 @@ let add (t : _ t) key value =
 
 let mem (t : _ t) key = Hashtbl.mem t.table key
 
+let peek (t : _ t) key =
+  Option.map (fun e -> e.value) (Hashtbl.find_opt t.table key)
+
 let stats (t : _ t) =
   {
     hits = t.hits;

@@ -29,6 +29,11 @@ val mem : 'a t -> string -> bool
 (** Uncounted presence test (no hit/miss bookkeeping, no recency
     refresh); for introspection only. *)
 
+val peek : 'a t -> string -> 'a option
+(** Uncounted lookup: like {!find}, but counts no hit or miss and
+    leaves recency as it was, so reading an entry on another entry's
+    behalf moves none of the statistics or the eviction order. *)
+
 type stats = {
   hits : int;
   misses : int;

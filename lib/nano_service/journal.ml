@@ -2,6 +2,8 @@ let magic = "NBJ1"
 let header_bytes = 4 + 4 + 4 + 16 (* magic, key len, value len, md5 *)
 let max_record_bytes = 64 * 1024 * 1024
 
+exception Not_a_journal of string
+
 type t = {
   path : string;
   fd : Unix.file_descr;
@@ -63,11 +65,38 @@ let read_record fd =
           else `End
       end
 
+(* A journal begins with a record, so its first bytes are the magic, or
+   a prefix of it when the first append was torn. Any other non-empty
+   file is someone else's data, which recovery must not truncate. *)
+let foreign fd =
+  let n = min (String.length magic) (Unix.fstat fd).Unix.st_size in
+  match really_read fd n with
+  | `Ok head -> head <> String.sub magic 0 n
+  | `Short -> false
+
+let refuse_foreign ~path fd =
+  if foreign fd then begin
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise (Not_a_journal path)
+  end;
+  ignore (Net.retry_intr (fun () -> Unix.lseek fd 0 Unix.SEEK_SET))
+
+let check ~path =
+  if Sys.file_exists path then begin
+    let fd =
+      Net.retry_intr (fun () ->
+          Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+    in
+    refuse_foreign ~path fd;
+    Unix.close fd
+  end
+
 let load ~path f =
   let fd =
     Net.retry_intr (fun () ->
         Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o600)
   in
+  refuse_foreign ~path fd;
   let entries = ref 0 in
   let good = ref 0 in
   let rec replay () =

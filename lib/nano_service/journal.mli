@@ -18,12 +18,24 @@
 
 type t
 
+exception Not_a_journal of string
+(** Raised, with the path, for a non-empty file whose first bytes are
+    neither the record magic nor a prefix of it (a torn first record):
+    a file that was never a journal, which recovery must not
+    truncate. *)
+
 val load : path:string -> (key:string -> value:string -> unit) -> t
 (** Open (creating if absent) the journal at [path], replay every
     valid record through the callback, truncate any torn or corrupt
     tail, and return a handle positioned for appending. Raises
-    [Sys_error]/[Unix.Unix_error] only for environmental failures
-    (unreachable path, permissions) — never for bad file contents. *)
+    {!Not_a_journal}, leaving the file as it was, when [path] is not a
+    journal; otherwise [Sys_error]/[Unix.Unix_error] only for
+    environmental failures (unreachable path, permissions) — never for
+    bad file contents. *)
+
+val check : path:string -> unit
+(** Raises {!Not_a_journal} when {!load} would refuse [path]; an
+    absent file passes. Reads the file and changes nothing. *)
 
 val append : t -> key:string -> value:string -> unit
 (** Append one record and flush it to the OS. A record whose framed

@@ -371,6 +371,19 @@ let series_to_json series =
 let ok_reply result =
   Json.to_string (Json.Obj [ ("ok", Json.Bool true); ("result", result) ])
 
+let ok_reply_head result ~last =
+  match result with
+  | Json.Obj (_ :: _) ->
+    let whole = ok_reply result in
+    String.concat ""
+      [
+        String.sub whole 0 (String.length whole - 2);
+        ",";
+        Json.to_string (Json.String last);
+        ":";
+      ]
+  | _ -> invalid_arg "Protocol.ok_reply_head: result must be a non-empty object"
+
 let error_reply ~code ~message =
   Json.to_string
     (Json.Obj

@@ -116,6 +116,15 @@ val series_to_json :
 val ok_reply : Nano_util.Json.t -> string
 (** Serialized success line (no trailing newline). *)
 
+val ok_reply_head : Nano_util.Json.t -> last:string -> string
+(** The success line of a non-empty object [result] with one more
+    member [last] appended, cut just before that member's value: for
+    every value [v],
+    [ok_reply_head (Obj fields) ~last ^ Json.to_string v ^ "}}"] is
+    [ok_reply (Obj (fields @ [ (last, v) ]))]. The printer is compact,
+    so the closing ["}}"] ends both objects. Raises [Invalid_argument]
+    when [result] is not a non-empty object. *)
+
 val error_reply : code:string -> message:string -> string
 (** Serialized failure line. Stable [code]s: [parse_error],
     [bad_request], [unknown_circuit], [blif_parse_error],

@@ -34,13 +34,36 @@ let default_config () =
     max_reply_bytes = 64 * 1024 * 1024;
   }
 
+(* A cached reply line: whole, or a head and the lint preflight text
+   that completes it, [head ^ preflight ^ "}}"] (see
+   {!Protocol.ok_reply_head}). Every cached reply of one spelling holds
+   that spelling's preflight as one physical string. Journal-loaded
+   replies stay whole. *)
+type reply = Whole of string | Spliced of { head : string; preflight : string }
+
+let reply_text = function
+  | Whole text -> text
+  | Spliced { head; preflight } -> String.concat "" [ head; preflight; "}}" ]
+
+(* Where a spelling's preflight is, never the text itself: not linted
+   yet; clean (no warning or error, so replies carry no [lint] field);
+   or held by the cached reply at this response key, if that reply is
+   still cached. *)
+type preflight = Unknown | Clean | Held_by of string
+
+type identity = {
+  name : string;
+  digest : string;  (** [Strash.digest] of the netlist *)
+  mutable preflight : preflight;
+}
+
 type t = {
   config : config;
-  responses : string Cache.t;  (** reply line per content-addressed key *)
+  responses : reply Cache.t;  (** reply per content-addressed key *)
   profiles : Profile.t Cache.t;  (** the expensive Monte-Carlo part *)
-  circuits : (string * string) Cache.t;
-      (** circuit spelling to identity [(name, Strash.digest)]; never the
-          netlist, so its footprint stays a few strings per entry *)
+  circuits : identity Cache.t;
+      (** circuit spelling to identity; never the netlist or preflight
+          text, so its footprint stays a few strings per entry *)
   grids : Benchmark_eval.lane array Cache.t;
       (** a measured analyze's Monte-Carlo lanes, which no δ reads; a
           few floats per ε, never a netlist or a lint preflight *)
@@ -56,8 +79,13 @@ type t = {
   mutable static_misses : int;  (** static-analysis replies computed fresh *)
   mutable tech_reports : int;
       (** technology reports computed fresh (cache hits excluded) *)
+  mutable preflights_computed : int;  (** preflights linted *)
+  mutable preflights_reused : int;
+      (** preflights taken from a spelling's known state instead *)
   mutable stop : bool;
 }
+
+let shard_path path shard = Printf.sprintf "%s.shard%d" path shard
 
 let create ?config () =
   let config = match config with Some c -> c | None -> default_config () in
@@ -67,8 +95,16 @@ let create ?config () =
   let journal =
     match config.journal with
     | Some path when config.workers = 0 ->
-      Some (Journal.load ~path (fun ~key ~value -> Cache.add responses key value))
-    | _ -> None
+      Some
+        (Journal.load ~path (fun ~key ~value ->
+             Cache.add responses key (Whole value)))
+    | Some path ->
+      (* Refuse a shard that is not a journal before any worker forks. *)
+      for shard = 0 to config.workers - 1 do
+        Journal.check ~path:(shard_path path shard)
+      done;
+      None
+    | None -> None
   in
   {
     config;
@@ -83,6 +119,8 @@ let create ?config () =
     static_hits = 0;
     static_misses = 0;
     tech_reports = 0;
+    preflights_computed = 0;
+    preflights_reused = 0;
     stop = false;
   }
 
@@ -122,17 +160,17 @@ let resolve_circuit = function
              Format.asprintf "%a" Nano_blif.Blif.pp_error e )))
 
 (* A circuit as [prepare] sees it: the identity its cache keys need,
-   known before any lookup, and the netlist, built only when a handler
-   actually runs (a response-cache miss). The spelling ([name:<suite
-   name>] or [blif:<MD5 of the text>]) names the netlist exactly; the
-   strash digest names only its structure up to strashing, which
-   spellings with different raw netlists can share. [strashed] is
-   [Strash.run] of the netlist: the digest's source and the mapping's
-   first step, computed once per request and never cached. *)
+   known before any lookup, and the netlist, built only when a layer
+   needs it (a profile miss, an unmapped grid, a tech report's mapping,
+   a preflight linted again). The spelling ([name:<suite name>] or
+   [blif:<MD5 of the text>]) names the netlist exactly; the strash
+   digest names only its structure up to strashing, which spellings
+   with different raw netlists can share. [strashed] is [Strash.run] of
+   the netlist: the digest's source and the mapping's first step,
+   computed once per request and never cached. *)
 type circuit = {
-  name : string;
   spelling : string;
-  digest : string;
+  identity : identity;
   netlist : Netlist.t Lazy.t;
   strashed : Netlist.t Lazy.t;
 }
@@ -150,24 +188,24 @@ let identify t circuit =
     | Protocol.Blif text -> "blif:" ^ Digest.to_hex (Digest.string text)
   in
   match Cache.find t.circuits spelling with
-  | Some (name, digest) ->
+  | Some identity ->
     let netlist = lazy (snd (resolve_circuit circuit)) in
     {
-      name;
       spelling;
-      digest;
+      identity;
       netlist;
       strashed = lazy (Nano_synth.Strash.run (Lazy.force netlist));
     }
   | None ->
     let name, netlist = resolve_circuit circuit in
     let strashed = Nano_synth.Strash.run netlist in
-    let digest = Netlist.digest strashed in
-    Cache.add t.circuits spelling (name, digest);
+    let identity =
+      { name; digest = Netlist.digest strashed; preflight = Unknown }
+    in
+    Cache.add t.circuits spelling identity;
     {
-      name;
       spelling;
-      digest;
+      identity;
       netlist = Lazy.from_val netlist;
       strashed = Lazy.from_val strashed;
     }
@@ -209,14 +247,13 @@ let fr = Json.float_repr
    miss, so the grid and the tech report reuse its compiled program;
    mapped afresh, on demand, on a hit. *)
 let profile_for t ~deadline (c : circuit) ~no_map =
-  let netlist = Lazy.force c.netlist in
   let core_key =
     Printf.sprintf "profile-core|%s|%b"
-      (if no_map then c.spelling else c.digest)
+      (if no_map then c.spelling else c.identity.digest)
       no_map
   in
   let map () =
-    if no_map then netlist
+    if no_map then Lazy.force c.netlist
     else
       Nano_synth.Script.rugged_lite_strashed ~max_fanin:3
         (Lazy.force c.strashed)
@@ -231,7 +268,7 @@ let profile_for t ~deadline (c : circuit) ~no_map =
       Cache.add t.profiles core_key p;
       (p, Lazy.from_val mapped)
   in
-  ({ profile with Profile.name = c.name }, mapped)
+  ({ profile with Profile.name = c.identity.name }, mapped)
 
 (* The Monte-Carlo lanes of a measured analyze. They read the (mapped)
    circuit, the ε list and the vector budget, never δ or the leakage
@@ -255,17 +292,43 @@ let lanes_for t (c : circuit) ~no_map ~epsilons ~vectors mapped =
     lanes
 
 (* Pre-flight: static-analysis findings on the input netlist (before
-   any mapping), attached to analyze/profile replies only when there
-   is something to say — clean circuits keep byte-identical replies
-   with earlier releases. *)
-let attach_preflight ~digest netlist json =
-  let report = Lint.run_netlist ~digest netlist in
-  match Lint.preflight_json report with
-  | None -> json
-  | Some pj -> (
-    match json with
-    | Json.Obj fields -> Json.Obj (fields @ [ ("lint", pj) ])
-    | other -> other)
+   any mapping), the serialized [lint] member that ends analyze and
+   profile replies, or [None] when there is nothing to say (clean
+   circuits keep byte-identical replies with earlier releases). A
+   function of the spelling, so the spelling's state answers it when it
+   can: clean, or the text of the cached reply that holds it, read
+   without touching that reply's statistics or recency. Otherwise the
+   netlist is linted. Text reused or linted then moves the state to
+   [key], the reply about to be cached: the newest of the spelling's
+   replies, so the last of them to be evicted. *)
+let preflight_for t (c : circuit) ~key =
+  let id = c.identity in
+  let held =
+    match id.preflight with
+    | Held_by k -> (
+      match Cache.peek t.responses k with
+      | Some (Spliced { preflight; _ }) -> Some preflight
+      | Some (Whole _) | None -> None)
+    | Unknown | Clean -> None
+  in
+  match (id.preflight, held) with
+  | Clean, _ ->
+    t.preflights_reused <- t.preflights_reused + 1;
+    None
+  | _, Some _ ->
+    t.preflights_reused <- t.preflights_reused + 1;
+    id.preflight <- Held_by key;
+    held
+  | _, None -> (
+    t.preflights_computed <- t.preflights_computed + 1;
+    let report = Lint.run_netlist ~digest:id.digest (Lazy.force c.netlist) in
+    match Lint.preflight_json report with
+    | None ->
+      id.preflight <- Clean;
+      None
+    | Some pj ->
+      id.preflight <- Held_by key;
+      Some (Json.to_string pj))
 
 (* The measured-δ̂ figure simulates a small set of suite circuits over
    the default ε grid — one batched multi-lane pass per circuit
@@ -295,19 +358,23 @@ let sweep_series ~jobs figure =
 
 (* A request prepared for execution: its content-addressed key (when
    cacheable) is known before any expensive work runs, which is what
-   both the response cache and in-flight coalescing hang off. *)
-type prepared = { key : string option; run : unit -> Json.t }
+   both the response cache and in-flight coalescing hang off. [run]
+   returns the result and, apart from it, the serialized preflight
+   that ends it as its [lint] member, if any. *)
+type prepared = { key : string option; run : unit -> Json.t * string option }
+
+let plain json = (json, None)
 
 let prepare t ~deadline (env : Protocol.envelope) =
   match env.Protocol.request with
-  | Protocol.Ping -> { key = None; run = (fun () -> Json.String "pong") }
+  | Protocol.Ping -> { key = None; run = (fun () -> plain (Json.String "pong")) }
   | Protocol.Shutdown ->
     {
       key = None;
       run =
         (fun () ->
           t.stop <- true;
-          Json.String "bye");
+          plain (Json.String "bye"));
     }
   | Protocol.Stats ->
     {
@@ -315,7 +382,8 @@ let prepare t ~deadline (env : Protocol.envelope) =
       run =
         (fun () ->
           let memo = Nano_netlist.Compiled.memo_stats () in
-          Service_metrics.to_json t.metrics
+          plain
+          @@ Service_metrics.to_json t.metrics
             ~extra:
               ([
                 ( "compiled_programs",
@@ -336,6 +404,12 @@ let prepare t ~deadline (env : Protocol.envelope) =
                     [
                       ("hits", Json.Int t.lint_hits);
                       ("misses", Json.Int t.lint_misses);
+                    ] );
+                ( "preflights",
+                  Json.Obj
+                    [
+                      ("computed", Json.Int t.preflights_computed);
+                      ("reused", Json.Int t.preflights_reused);
                     ] );
                 ( "static_cache",
                   Json.Obj
@@ -400,7 +474,8 @@ let prepare t ~deadline (env : Protocol.envelope) =
     in
     {
       key = Some key;
-      run = (fun () -> Protocol.bounds_to_json (Metrics.evaluate scenario));
+      run =
+        (fun () -> plain (Protocol.bounds_to_json (Metrics.evaluate scenario)));
     }
   | Protocol.Profile { circuit; no_map } ->
     let c = identify t circuit in
@@ -410,8 +485,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
       run =
         (fun () ->
           let profile, _ = profile_for t ~deadline c ~no_map in
-          attach_preflight ~digest:c.digest (Lazy.force c.netlist)
-            (Protocol.profile_to_json profile));
+          (Protocol.profile_to_json profile, preflight_for t c ~key));
     }
   | Protocol.Analyze
       { circuit; delta; leakage_share0; epsilons; no_map; measure; vectors;
@@ -436,7 +510,6 @@ let prepare t ~deadline (env : Protocol.envelope) =
       key = Some key;
       run =
         (fun () ->
-          let netlist = Lazy.force c.netlist in
           let profile, mapped = profile_for t ~deadline c ~no_map in
           check_deadline deadline;
           (* The absolute-energy block rides after "rows"; replies
@@ -462,15 +535,16 @@ let prepare t ~deadline (env : Protocol.envelope) =
                 ~epsilons ~profile
                 (lanes_for t c ~no_map ~epsilons ~vectors mapped)
             in
-            attach_preflight ~digest:c.digest netlist
-              (Json.Obj
-                 ([
-                    ("profile", Protocol.profile_to_json profile);
-                    ( "rows",
-                      Json.List (List.map Protocol.measured_row_to_json rows)
-                    );
-                  ]
-                 @ tech_fields ()))
+            let result =
+              Json.Obj
+                ([
+                   ("profile", Protocol.profile_to_json profile);
+                   ( "rows",
+                     Json.List (List.map Protocol.measured_row_to_json rows) );
+                 ]
+                @ tech_fields ())
+            in
+            (result, preflight_for t c ~key)
           end
           else begin
             (* The per-ε closed-form grid batches onto the domain pool;
@@ -482,13 +556,15 @@ let prepare t ~deadline (env : Protocol.envelope) =
                     profile ~epsilon)
                 epsilons
             in
-            attach_preflight ~digest:c.digest netlist
-              (Json.Obj
-                 ([
-                    ("profile", Protocol.profile_to_json profile);
-                    ("rows", Json.List (List.map Protocol.row_to_json rows));
-                  ]
-                 @ tech_fields ()))
+            let result =
+              Json.Obj
+                ([
+                   ("profile", Protocol.profile_to_json profile);
+                   ("rows", Json.List (List.map Protocol.row_to_json rows));
+                 ]
+                @ tech_fields ())
+            in
+            (result, preflight_for t c ~key)
           end);
     }
   | Protocol.Lint { circuit; max_fanin; epsilon; delta } ->
@@ -503,13 +579,16 @@ let prepare t ~deadline (env : Protocol.envelope) =
        reports here, never error replies. *)
     (match circuit with
     | Protocol.Named _ ->
-      let { name; digest; netlist; _ } = identify t circuit in
+      let { identity = { name; digest; _ }; netlist; _ } =
+        identify t circuit
+      in
       {
         key = Some (Printf.sprintf "lint|net:%s|%s|%s" digest name params);
         run =
           (fun () ->
-            Lint.report_to_json
-              (Lint.run_netlist ~options ~digest (Lazy.force netlist)));
+            plain
+              (Lint.report_to_json
+                 (Lint.run_netlist ~options ~digest (Lazy.force netlist))));
       }
     | Protocol.Blif text ->
       {
@@ -518,7 +597,9 @@ let prepare t ~deadline (env : Protocol.envelope) =
             (Printf.sprintf "lint|blif:%s|%s"
                (Digest.to_hex (Digest.string text))
                params);
-        run = (fun () -> Lint.report_to_json (Lint.run_blif_string ~options text));
+        run =
+          (fun () ->
+            plain (Lint.report_to_json (Lint.run_blif_string ~options text)));
       })
   | Protocol.Static { circuit; epsilon; input_probability; cone_budget; tech }
     ->
@@ -546,7 +627,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
             Nano_static.Static.analyze ~input_probability ~cone_budget
               ~epsilon netlist
           in
-          Nano_static.Static.to_json analysis netlist);
+          plain (Nano_static.Static.to_json analysis netlist));
     }
   | Protocol.Sweep { figure } ->
     let key = Printf.sprintf "sweep|%s" figure in
@@ -564,10 +645,11 @@ let prepare t ~deadline (env : Protocol.envelope) =
                    ( "unknown_figure",
                      figure ^ ": expected fig2..fig6, omega or delta" ))
           in
-          Protocol.series_to_json
-            (List.map
-               (fun s -> (s.Figures.label, s.Figures.points))
-               series));
+          plain
+            (Protocol.series_to_json
+               (List.map
+                  (fun s -> (s.Figures.label, s.Figures.points))
+                  series)));
     }
 
 (* ------------------------------------------------------------------ *)
@@ -578,6 +660,12 @@ let trace t fmt =
   Printf.ksprintf
     (fun s -> if t.config.trace then Printf.eprintf "[nanobound-serve] %s\n%!" s)
     fmt
+
+let evaluate p =
+  match p.run () with
+  | result, None -> Whole (Protocol.ok_reply result)
+  | result, Some preflight ->
+    Spliced { head = Protocol.ok_reply_head result ~last:"lint"; preflight }
 
 let process t ?memo line =
   let start = Unix.gettimeofday () in
@@ -636,7 +724,7 @@ let process t ?memo line =
         match
           let p = prepare t ~deadline env in
           match p.key with
-          | None -> finish_ok `Uncached (Protocol.ok_reply (p.run ()))
+          | None -> finish_ok `Uncached (reply_text (evaluate p))
           | Some key -> (
             let memo_hit =
               match memo with
@@ -647,15 +735,17 @@ let process t ?memo line =
             | Some reply -> finish_ok `Coalesced reply
             | None -> (
               match Cache.find t.responses key with
-              | Some reply ->
+              | Some cached ->
+                let reply = reply_text cached in
                 (match memo with
                 | Some m -> Hashtbl.replace m key reply
                 | None -> ());
                 finish_ok `Hit reply
               | None ->
                 check_deadline deadline;
-                let reply = Protocol.ok_reply (p.run ()) in
-                Cache.add t.responses key reply;
+                let parts = evaluate p in
+                let reply = reply_text parts in
+                Cache.add t.responses key parts;
                 (match t.journal with
                 | Some j -> Journal.append j ~key ~value:reply
                 | None -> ());
@@ -805,10 +895,7 @@ let worker_main t shard fd =
     {
       t.config with
       workers = 0;
-      journal =
-        Option.map
-          (fun p -> Printf.sprintf "%s.shard%d" p shard)
-          t.config.journal;
+      journal = Option.map (fun p -> shard_path p shard) t.config.journal;
     }
   in
   let svc = create ~config () in
@@ -962,7 +1049,7 @@ let serve_listening t listen_fd =
              different workers. *)
           `Key
             (match identify t (Protocol.Named name) with
-            | c -> c.digest
+            | c -> c.identity.digest
             | exception _ -> name)
         | _, Some (Json.String text) -> `Key (Digest.string text)
         | _ -> `Key line))

@@ -15,7 +15,11 @@
     deterministic: a cached reply is the byte-identical line the cold
     evaluation produced, at any [jobs] count, any [workers] count, on
     any transport — and across daemon restarts when a journal is
-    configured.
+    configured. A cached [analyze] or [profile] reply that carries a
+    lint preflight is held as a head and that preflight's text, one
+    string shared by every cached reply of the circuit's spelling, so a
+    revisit at a new δ reuses it instead of linting (and, without a
+    tech pack, parsing) the circuit again.
 
     Failure semantics: every per-request failure — unparseable JSON,
     unknown circuit, BLIF payload errors, invalid scenario, timeout,
@@ -26,8 +30,10 @@ type config = {
   jobs : int;  (** Domains for sweep/analyze grids (default: all). *)
   cache_capacity : int;
       (** LRU entries per cache (responses, profiles, circuit
-          identities and measured grids); 0 disables caching. Default
-          256. *)
+          identities and measured grids); 0 disables caching. A circuit
+          identity also records where its spelling's lint preflight
+          is: clean, or held by a cached reply, never a copy of the
+          text. Default 256. *)
   max_request_bytes : int;
       (** Upper bound on one request line (or HTTP body); longer input
           draws an [oversized] error. On socket transports the rest of
@@ -45,7 +51,8 @@ type config = {
   journal : string option;
       (** Path of the append-only response-cache journal. Warm replies
           survive restarts: on boot the valid prefix is replayed into
-          the response cache and any torn tail is truncated. With
+          the response cache and any torn tail is truncated; a file
+          that is not a journal is refused (see {!create}). With
           [workers > 0] each worker persists to [PATH.shardN] instead
           (the master never evaluates). Default [None]. *)
   workers : int;
@@ -78,7 +85,9 @@ val create : ?config:config -> unit -> t
 (** Create a service. When [config.journal] names a file (and
     [workers = 0]), the journal is opened — created if absent — and
     its valid prefix replayed into the response cache before the first
-    request runs. *)
+    request runs. Raises {!Journal.Not_a_journal} when that file, or
+    with [workers > 0] one of its [PATH.shardN] files, is not a
+    journal; the file is left as it was. *)
 
 val close : t -> unit
 (** Close the journal handle, if any. Appends are flushed per record,

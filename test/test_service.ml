@@ -43,6 +43,21 @@ let test_cache_capacity_zero () =
   Helpers.check_invalid "negative capacity" (fun () ->
       ignore (Cache.create ~capacity:(-1)))
 
+let test_cache_peek_uncounted () =
+  let c = Cache.create ~capacity:2 in
+  Cache.add c "a" 1;
+  Cache.add c "b" 2;
+  let before = Cache.stats c in
+  Alcotest.(check (option int)) "peek finds a" (Some 1) (Cache.peek c "a");
+  Alcotest.(check (option int)) "peek misses z" None (Cache.peek c "z");
+  Alcotest.(check bool) "no hit, miss or eviction counted" true
+    (Cache.stats c = before);
+  (* "a" is still the least recently used entry. *)
+  Cache.add c "c" 3;
+  Alcotest.(check bool) "a evicted" false (Cache.mem c "a");
+  Alcotest.(check bool) "b kept" true (Cache.mem c "b");
+  Alcotest.(check int) "one eviction" 1 (Cache.stats c).Cache.evictions
+
 (* ------------------------------------------------------------------ *)
 (* Protocol round-trips.                                                *)
 (* ------------------------------------------------------------------ *)
@@ -157,6 +172,27 @@ let test_protocol_rejects () =
   reject "wrong type" {|{"kind":"analyze","circuit":"c17","delta":"x"}|};
   reject "non-object" {|[1,2]|}
 
+(* A reply cached as parts reads back as the whole reply. *)
+let prop_spliced_reply =
+  QCheck2.Test.make ~name:"spliced reply = ok_reply of the whole object"
+    ~count:500
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 1 4)
+           (pair (small_string ~gen:printable) Test_json.gen_json))
+        (small_string ~gen:printable) Test_json.gen_json)
+    (fun (fields, last, value) ->
+      Protocol.ok_reply_head (Json.Obj fields) ~last
+      ^ Json.to_string value ^ "}}"
+      = Protocol.ok_reply (Json.Obj (fields @ [ (last, value) ])))
+
+let test_spliced_reply_needs_fields () =
+  List.iter
+    (fun result ->
+      Helpers.check_invalid "no members to follow" (fun () ->
+          ignore (Protocol.ok_reply_head result ~last:"lint")))
+    [ Json.Obj []; Json.List [ Json.Int 1 ]; Json.String "pong" ]
+
 (* ------------------------------------------------------------------ *)
 (* Service handler.                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -194,6 +230,16 @@ let cache_counter stats ~cache ~field =
     (Option.bind (Json.member "caches" stats) (fun c ->
          Option.bind (Json.member cache c) (fun c ->
              Option.bind (Json.member field c) Json.to_int)))
+
+(* [stats]' preflights: (linted, reused). *)
+let preflight_counts t =
+  let stats = stats_of_service t in
+  let field name =
+    Option.get
+      (Option.bind (Json.member "preflights" stats) (fun p ->
+           Option.bind (Json.member name p) Json.to_int))
+  in
+  (field "computed", field "reused")
 
 let analyze_line = {|{"kind":"analyze","circuit":"c17","epsilons":[0.01]}|}
 
@@ -786,6 +832,337 @@ let test_digest_equal_spellings_keep_their_replies () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Revisits: a circuit priced again at a new delta.                    *)
+(* ------------------------------------------------------------------ *)
+
+let request_line fields = Json.to_string (Json.Obj fields)
+
+let measured_fields =
+  [
+    ("epsilons", Json.List [ Json.Float 0.01; Json.Float 0.05 ]);
+    ("measure", Json.Bool true);
+    ("vectors", Json.Int 256);
+  ]
+
+let analyze_request ?(fields = []) circuit delta =
+  request_line
+    ((("kind", Json.String "analyze") :: circuit)
+    @ (("delta", Json.Float delta) :: fields))
+
+let blif_circuit text = [ ("blif", Json.String text) ]
+
+(* A suite circuit's BLIF with one unused input [pad<k>]: a spelling
+   no cache has seen, which draws a lint warning for the pad. *)
+let padded_circuit name k =
+  blif_circuit
+    (Helpers.padded_blif
+       (Nano_blif.Blif.to_string (Helpers.suite_circuit name))
+       k)
+
+let tech_field name = ("tech", Json.String name)
+
+(* Explore's traffic in small: each circuit is visited, then revisited
+   at a new delta, some revisits priced by a technology pack. Padded
+   BLIF spellings of c17, rca8, alu8 and datapath32, a Random_circuit
+   netlist and two circuits by name (alu8 draws a preflight, c17 is
+   clean); one spelling is visited by a profile request, and one pair
+   runs unmapped. *)
+let revisit_pairs =
+  lazy
+    (let random =
+       blif_circuit
+         (Nano_blif.Blif.to_string
+            (Nano_circuits.Random_circuit.generate
+               ~config:
+                 {
+                   Nano_circuits.Random_circuit.default_config with
+                   inputs = 12;
+                   gates = 300;
+                   outputs = 6;
+                 }
+               ~seed:27 ()))
+     in
+     let named name = [ ("circuit", Json.String name) ] in
+     let measured = measured_fields in
+     let no_map = ("no_map", Json.Bool true) in
+     [
+       ( analyze_request ~fields:measured (padded_circuit "c17" 1) 0.01,
+         analyze_request
+           ~fields:(tech_field "nanodev" :: measured)
+           (padded_circuit "c17" 1) 0.02 );
+       ( analyze_request (padded_circuit "rca8" 2) 0.01,
+         analyze_request (padded_circuit "rca8" 2) 0.03 );
+       ( analyze_request ~fields:measured (padded_circuit "alu8" 3) 0.01,
+         analyze_request
+           ~fields:(tech_field "cmos55" :: measured)
+           (padded_circuit "alu8" 3) 0.015 );
+       ( analyze_request ~fields:measured (padded_circuit "datapath32" 4) 0.01,
+         analyze_request ~fields:measured (padded_circuit "datapath32" 4) 0.02
+       );
+       ( analyze_request ~fields:measured random 0.01,
+         analyze_request ~fields:(tech_field "nanodev" :: measured) random 0.02
+       );
+       ( analyze_request ~fields:measured (named "alu8") 0.01,
+         analyze_request ~fields:measured (named "alu8") 0.04 );
+       ( analyze_request (named "c17") 0.01,
+         analyze_request ~fields:[ tech_field "cmos55" ] (named "c17") 0.02 );
+       ( request_line
+           (("kind", Json.String "profile") :: padded_circuit "parity16" 5),
+         analyze_request ~fields:measured (padded_circuit "parity16" 5) 0.02 );
+       ( analyze_request ~fields:(no_map :: measured) (padded_circuit "rca8" 6)
+           0.01,
+         analyze_request ~fields:(no_map :: measured) (padded_circuit "rca8" 6)
+           0.03 );
+     ])
+
+(* The MD5 of one service's replies to the stream, one per line,
+   recorded before revisits reused their lint preflight. Each revisit
+   must also answer what a fresh service answers to the same line. *)
+let revisit_pin = "8b5d889bc760657af08ce98c75ab032a"
+
+let test_revisit_replies_pinned () =
+  let t = make_service () in
+  let replies = Buffer.create 65536 in
+  List.iter
+    (fun (visit, revisit) ->
+      let v = Service.handle_line t visit in
+      let r = Service.handle_line t revisit in
+      Alcotest.(check bool) "visit ok" true (reply_ok v);
+      Alcotest.(check string) "revisit = fresh service's reply"
+        (Service.handle_line (make_service ()) revisit)
+        r;
+      List.iter
+        (fun s ->
+          Buffer.add_string replies s;
+          Buffer.add_char replies '\n')
+        [ v; r ])
+    (Lazy.force revisit_pairs);
+  Alcotest.(check string) "reply pin" revisit_pin
+    (Digest.to_hex (Digest.string (Buffer.contents replies)));
+  let pairs = List.length (Lazy.force revisit_pairs) in
+  Alcotest.(check (pair int int)) "each visit lints, each revisit reuses"
+    (pairs, pairs) (preflight_counts t);
+  let stats = stats_of_service t in
+  Alcotest.(check int) "every reply computed" (2 * pairs)
+    (cache_counter stats ~cache:"responses" ~field:"misses");
+  Alcotest.(check int) "no reply served twice" 0
+    (cache_counter stats ~cache:"responses" ~field:"hits")
+
+let has_lint reply =
+  match Json.parse reply with
+  | Ok v ->
+    Option.bind (Json.member "result" v) (Json.member "lint") <> None
+  | Error _ -> false
+
+(* Measured analyze lines over one padded alu8 spelling, which draws a
+   preflight: the visit at delta 0.01, revisits at other deltas. *)
+let memo_revisit delta =
+  analyze_request ~fields:measured_fields (padded_circuit "alu8" 9) delta
+
+let memo_visit = memo_revisit 0.01
+
+(* Runs [lines] on [t] and checks each reply against a fresh service's,
+   each one carrying the preflight [lint] says. *)
+let check_fresh ?(lint = true) t lines =
+  List.iter
+    (fun line ->
+      let reply = Service.handle_line t line in
+      Alcotest.(check bool) "ok" true (reply_ok reply);
+      Alcotest.(check bool) "lint member" lint (has_lint reply);
+      Alcotest.(check string) "reply = fresh service's"
+        (Service.handle_line (make_service ()) line)
+        reply)
+    lines
+
+let test_revisit_reuses_preflight () =
+  let t = make_service () in
+  check_fresh t [ memo_visit; memo_revisit 0.02 ];
+  Alcotest.(check (pair int int)) "visit lints, revisit reuses" (1, 1)
+    (preflight_counts t);
+  (* A profile and an analyze of one spelling share the text too. *)
+  let t = make_service () in
+  check_fresh t
+    [
+      request_line
+        (("kind", Json.String "profile") :: padded_circuit "alu8" 9);
+      memo_revisit 0.03;
+    ];
+  Alcotest.(check (pair int int)) "profile lints, analyze reuses" (1, 1)
+    (preflight_counts t);
+  (* A clean circuit attaches nothing and lints once. *)
+  let t = make_service () in
+  check_fresh ~lint:false t
+    [
+      analyze_request [ ("circuit", Json.String "c17") ] 0.01;
+      analyze_request [ ("circuit", Json.String "c17") ] 0.02;
+    ];
+  Alcotest.(check (pair int int)) "clean: linted once" (1, 1)
+    (preflight_counts t)
+
+(* The reply that held the text is gone: the revisit lints again, and
+   the next revisit reuses what that one stored. *)
+let test_revisit_after_holder_evicted () =
+  let t = make_service ~cache:2 () in
+  check_fresh t [ memo_visit ];
+  List.iter
+    (fun delta ->
+      ignore
+        (Service.handle_line t
+           (Printf.sprintf {|{"kind":"bounds","delta":%g}|} delta)))
+    [ 0.02; 0.03 ];
+  check_fresh t [ memo_revisit 0.02 ];
+  Alcotest.(check (pair int int)) "holder evicted: linted again" (2, 0)
+    (preflight_counts t);
+  check_fresh t [ memo_revisit 0.03 ];
+  Alcotest.(check (pair int int)) "the new holder serves" (2, 1)
+    (preflight_counts t);
+  let stats = stats_of_service t in
+  Alcotest.(check int) "one eviction per add past capacity" 3
+    (cache_counter stats ~cache:"responses" ~field:"evictions");
+  (* With caching off nothing holds the text, and nothing is reused. *)
+  let t = make_service ~cache:0 () in
+  check_fresh t [ memo_visit; memo_revisit 0.02 ];
+  Alcotest.(check (pair int int)) "capacity 0: every reply lints" (2, 0)
+    (preflight_counts t)
+
+let test_revisit_after_journal_warm () =
+  let path = Filename.temp_file "nano_service" ".journal" in
+  Sys.remove path;
+  let config =
+    {
+      (Service.default_config ()) with
+      Service.jobs = 1;
+      cache_capacity = 64;
+      journal = Some path;
+    }
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let writer = Service.create ~config () in
+      let cold = Service.handle_line writer memo_visit in
+      Service.close writer;
+      let reader = Service.create ~config () in
+      Alcotest.(check string) "journal hit = cold bytes" cold
+        (Service.handle_line reader memo_visit);
+      check_fresh reader [ memo_revisit 0.02 ];
+      Alcotest.(check (pair int int)) "journal warm-up: linted again"
+        (1, 0) (preflight_counts reader);
+      check_fresh reader [ memo_revisit 0.03 ];
+      Alcotest.(check (pair int int)) "then reused" (1, 1)
+        (preflight_counts reader);
+      Service.close reader)
+
+(* ------------------------------------------------------------------ *)
+(* Mutated request lines.                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Request lines with BLIF payloads, the bases the mutations start
+   from. *)
+let mutation_bases =
+  lazy
+    (let c17 = padded_circuit "c17" 11 in
+     let memo = blif_circuit memo_blif in
+     Array.of_list
+       [
+         analyze_request ~fields:measured_fields c17 0.02;
+         analyze_request ~fields:[ tech_field "nanodev" ] memo 0.01;
+         request_line (("kind", Json.String "profile") :: c17);
+         request_line
+           ((("kind", Json.String "profile") :: memo)
+           @ [ ("no_map", Json.Bool true) ]);
+         request_line
+           ((("kind", Json.String "lint") :: c17)
+           @ [ ("max_fanin", Json.Int 2) ]);
+         request_line
+           ((("kind", Json.String "static") :: memo)
+           @ [ ("epsilon", Json.Float 0.02); ("cone_budget", Json.Int 64) ]);
+       ])
+
+type mutation =
+  | Flip of int * char  (** one byte replaced *)
+  | Truncate of int
+  | Drop of int  (** one member removed *)
+  | Duplicate of int  (** one member written twice *)
+  | Not_an_object of int
+
+let mutate line = function
+  | Flip _ | Truncate _ when line = "" -> line
+  | Flip (at, c) ->
+    let b = Bytes.of_string line in
+    Bytes.set b (at mod Bytes.length b) c;
+    Bytes.to_string b
+  | Truncate at -> String.sub line 0 (at mod String.length line)
+  | (Drop i | Duplicate i) as m -> (
+    match Json.parse line with
+    | Ok (Json.Obj fields) when fields <> [] ->
+      let i = i mod List.length fields in
+      Json.to_string
+        (Json.Obj
+           (List.concat
+              (List.mapi
+                 (fun j field ->
+                   if j <> i then [ field ]
+                   else match m with Drop _ -> [] | _ -> [ field; field ])
+                 fields)))
+    | _ -> line)
+  | Not_an_object k -> (
+    match k mod 4 with
+    | 0 -> "[" ^ line ^ "]"
+    | 1 -> Json.to_string (Json.String line)
+    | 2 -> string_of_int k
+    | _ -> "null")
+
+let gen_mutated_line =
+  QCheck2.Gen.(
+    let one =
+      frequency
+        [
+          ( 4,
+            map2
+              (fun at c -> Flip (at, c))
+              nat
+              (frequency [ (3, printable); (1, char) ]) );
+          (1, map (fun at -> Truncate at) nat);
+          (3, map (fun i -> Drop i) nat);
+          (1, map (fun i -> Duplicate i) nat);
+          (1, map (fun k -> Not_an_object k) nat);
+        ]
+    in
+    pair (int_bound 5) (list_size (int_range 1 2) one))
+
+(* A well-formed reply: one line of JSON whose [ok] is a bool, and a
+   failure carries an error code. *)
+let well_formed reply =
+  (not (String.contains reply '\n'))
+  &&
+  match Json.parse reply with
+  | Ok v -> (
+    match Json.member "ok" v with
+    | Some (Json.Bool true) -> true
+    | Some (Json.Bool false) -> error_code reply <> None
+    | _ -> false)
+  | Error _ -> false
+
+(* Every mutated line gets a well-formed reply, and the service keeps
+   answering a fixed analyze line with its bytes. Two entries per cache,
+   so the fixed line's reply and its spelling's identity are often
+   evicted by the mutants and computed again, through the preflight
+   memo. *)
+let prop_mutated_lines =
+  let fixed = memo_revisit 0.04 in
+  let expected = lazy (Service.handle_line (make_service ()) fixed) in
+  let t = lazy (make_service ~cache:2 ()) in
+  QCheck2.Test.make ~name:"mutated request lines get structured replies"
+    ~count:500 gen_mutated_line (fun (base, mutations) ->
+      let t = Lazy.force t in
+      let line =
+        List.fold_left mutate (Lazy.force mutation_bases).(base) mutations
+      in
+      well_formed (Service.handle_line t line)
+      && Service.handle_line t fixed = Lazy.force expected)
+
+(* ------------------------------------------------------------------ *)
 (* stdio transport.                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -851,9 +1228,14 @@ let suite =
       test_cache_lru_eviction;
     Alcotest.test_case "cache: hit/miss counters" `Quick test_cache_counters;
     Alcotest.test_case "cache: capacity zero" `Quick test_cache_capacity_zero;
+    Alcotest.test_case "cache: peek is uncounted" `Quick
+      test_cache_peek_uncounted;
     Alcotest.test_case "protocol: round-trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol: defaults" `Quick test_protocol_defaults;
     Alcotest.test_case "protocol: rejects" `Quick test_protocol_rejects;
+    Helpers.qcheck prop_spliced_reply;
+    Alcotest.test_case "protocol: splice needs an object" `Quick
+      test_spliced_reply_needs_fields;
     Alcotest.test_case "bounds = direct evaluation" `Quick
       test_bounds_matches_direct_evaluation;
     Alcotest.test_case "cache hit byte-identical" `Quick
@@ -888,6 +1270,15 @@ let suite =
       test_cold_measure_compiles_once;
     Alcotest.test_case "digest-equal spellings keep their replies" `Quick
       test_digest_equal_spellings_keep_their_replies;
+    Alcotest.test_case "revisit replies pinned" `Quick
+      test_revisit_replies_pinned;
+    Alcotest.test_case "revisit reuses the preflight" `Quick
+      test_revisit_reuses_preflight;
+    Alcotest.test_case "revisit after its holder is evicted" `Quick
+      test_revisit_after_holder_evicted;
+    Alcotest.test_case "revisit after a journal warm-up" `Quick
+      test_revisit_after_journal_warm;
+    Helpers.qcheck prop_mutated_lines;
     Alcotest.test_case "stdio transport" `Quick test_stdio_transport;
     Alcotest.test_case "stdio shutdown stops loop" `Quick
       test_stdio_shutdown_stops_loop;
