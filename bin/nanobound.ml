@@ -264,7 +264,9 @@ let analyze_cmd =
         else Nano_synth.Script.rugged_lite ~max_fanin:3 circuit
       in
       let lint_report = Nano_lint.Lint.run_netlist circuit in
-      let profile = Nano_bounds.Profile.of_netlist ~jobs mapped in
+      let profile, counts =
+        Nano_bounds.Profile.of_netlist_counted ~jobs mapped
+      in
       (* With --measure, ONE batched Monte-Carlo pass covers the whole ε
          grid (lanes coupled by common random numbers, jobs sharding
          vectors); otherwise the rows stay closed-form. *)
@@ -298,17 +300,17 @@ let analyze_cmd =
       let tech_report =
         Option.map
           (fun pack ->
-            (* --static-activity swaps the pinned 4096-vector activity
-               estimate for the static analyzer's interval midpoints
-               (epsilon 0: the report weights error-free switching). *)
+            (* The profile's own pinned 4096-vector run weights the
+               switching energies; --static-activity swaps in the static
+               analyzer's interval midpoints (epsilon 0: the report
+               weights error-free switching). *)
             let node_activity =
               if static_activity then
-                Some
-                  (Nano_static.Static.node_activity_estimate
-                     (Nano_static.Static.analyze ~epsilon:0. mapped))
-              else None
+                Nano_static.Static.node_activity_estimate
+                  (Nano_static.Static.analyze ~epsilon:0. mapped)
+              else Nano_sim.Activity.node_activity_of_counts counts
             in
-            Nano_tech.Report.analyze ~delta ~epsilons ?node_activity ~pack
+            Nano_tech.Report.analyze ~delta ~epsilons ~node_activity ~pack
               ~profile mapped)
           tech
       in

@@ -18,14 +18,8 @@ type activity_method =
 
 let default_activity = Monte_carlo { seed = 0x5eed; vectors = 4096 }
 
-let of_netlist ?(activity = default_activity) ?sensitivity_samples ?jobs
-    netlist =
-  let profile =
-    match activity with
-    | Monte_carlo { seed; vectors } ->
-      Nano_sim.Activity.monte_carlo ~seed ~vectors netlist
-    | Exact_bdd -> Nano_sim.Activity.exact netlist
-  in
+let summarize ?sensitivity_samples ?jobs netlist
+    (activity : Nano_sim.Activity.profile) =
   {
     name = Netlist.name netlist;
     inputs = List.length (Netlist.inputs netlist);
@@ -34,10 +28,22 @@ let of_netlist ?(activity = default_activity) ?sensitivity_samples ?jobs
     depth = Netlist.depth netlist;
     avg_fanin = Netlist.average_fanin netlist;
     max_fanin = Netlist.max_fanin netlist;
-    sw0 = profile.Nano_sim.Activity.average_gate_activity;
+    sw0 = activity.Nano_sim.Activity.average_gate_activity;
     sensitivity =
       Nano_sim.Sensitivity.estimate ?samples:sensitivity_samples ?jobs netlist;
   }
+
+let of_netlist ?(activity = default_activity) ?sensitivity_samples ?jobs
+    netlist =
+  summarize ?sensitivity_samples ?jobs netlist
+    (match activity with
+    | Monte_carlo { seed; vectors } ->
+      Nano_sim.Activity.monte_carlo ~seed ~vectors netlist
+    | Exact_bdd -> Nano_sim.Activity.exact netlist)
+
+let of_netlist_counted ?jobs netlist =
+  let activity, counts = Nano_sim.Activity.monte_carlo_counted netlist in
+  (summarize ?jobs netlist activity, counts)
 
 let to_scenario p ~epsilon ~delta ~leakage_share0 =
   let fanin = max 2 (int_of_float (Float.round p.avg_fanin)) in

@@ -32,6 +32,14 @@ val of_netlist :
     [jobs] (default 1) parallelizes that estimate over the
     {!Nano_util.Par} pool without changing its value. *)
 
+val of_netlist_counted :
+  ?jobs:int -> Nano_netlist.Netlist.t -> t * Nano_sim.Activity.counts
+(** {!of_netlist} at {!default_activity}, and that simulation's
+    per-node one-counts. {!Nano_sim.Activity.node_activity_of_counts}
+    turns them into the pinned activity estimate a technology report
+    weights its switching energies by, so the report of the same
+    netlist need not simulate again. *)
+
 val to_scenario :
   t -> epsilon:float -> delta:float -> leakage_share0:float -> Metrics.scenario
 (** Instantiate the bound scenario for this circuit. The scenario's

@@ -35,6 +35,106 @@ let of_arrays_unchecked ~name nodes ~inputs ~output_names ~output_ids =
     output_name_arr = output_names;
   }
 
+(* The packed form: unsigned LEB128 varints and length-prefixed
+   strings. The model name; the node count; per node, [code + codes *
+   (2 * arity + named)], each fanin as its distance back from the node,
+   and the name if it has one; the input ids; the outputs as (id,
+   name). A mapped netlist names only its inputs and keeps its fanins
+   close, so most nodes take one byte plus one or two per fanin. *)
+let pack t =
+  let b = Buffer.create ((4 * Array.length t.nodes) + 64) in
+  let rec varint v =
+    if v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (v land 0x7f lor 0x80));
+      varint (v lsr 7)
+    end
+  in
+  let str s =
+    varint (String.length s);
+    Buffer.add_string b s
+  in
+  str t.net_name;
+  varint (Array.length t.nodes);
+  Array.iteri
+    (fun id info ->
+      let named = if info.name = None then 0 else 1 in
+      varint
+        (Gate.code info.kind
+        + (Gate.codes * ((2 * Array.length info.fanins) + named)));
+      Array.iter
+        (fun f ->
+          if f < 0 || f >= id then
+            invalid_arg "Netlist.pack: fanin out of topological order";
+          varint (id - f))
+        info.fanins;
+      Option.iter str info.name)
+    t.nodes;
+  varint (Array.length t.input_id_arr);
+  Array.iter varint t.input_id_arr;
+  varint (Array.length t.output_id_arr);
+  Array.iteri
+    (fun k id ->
+      varint id;
+      str t.output_name_arr.(k))
+    t.output_id_arr;
+  Buffer.contents b
+
+let unpack s =
+  let fail () = invalid_arg "Netlist.unpack: malformed packed netlist" in
+  let len = String.length s in
+  let pos = ref 0 in
+  let rec varint acc shift =
+    if !pos >= len || shift > 56 then fail ();
+    let c = Char.code (String.unsafe_get s !pos) in
+    incr pos;
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then acc else varint acc (shift + 7)
+  in
+  let varint () = varint 0 0 in
+  (* A count of items that take a byte or more each. *)
+  let length () =
+    let n = varint () in
+    if n > len - !pos then fail ();
+    n
+  in
+  let str () =
+    let n = length () in
+    let r = String.sub s !pos n in
+    pos := !pos + n;
+    r
+  in
+  let net_name = str () in
+  let count = length () in
+  let id_below () =
+    let id = varint () in
+    if id >= count then fail ();
+    id
+  in
+  let nodes = Array.make count { kind = Gate.Input; fanins = [||]; name = None } in
+  for id = 0 to count - 1 do
+    let head = varint () in
+    let rest = head / Gate.codes in
+    let fanins =
+      Array.init (rest / 2) (fun _ ->
+          let d = varint () in
+          if d < 1 || d > id then fail ();
+          id - d)
+    in
+    let name = if rest land 1 = 1 then Some (str ()) else None in
+    nodes.(id) <- { kind = Gate.of_code (head mod Gate.codes); fanins; name }
+  done;
+  let inputs = Array.init (length ()) (fun _ -> id_below ()) in
+  let outputs =
+    Array.init (length ()) (fun _ ->
+        let id = id_below () in
+        (id, str ()))
+  in
+  if !pos <> len then fail ();
+  of_arrays_unchecked ~name:net_name nodes ~inputs
+    ~output_names:(Array.map snd outputs)
+    ~output_ids:(Array.map fst outputs)
+
 module Builder = struct
   type builder = {
     mutable b_name : string;

@@ -57,10 +57,20 @@ type identity = {
   mutable preflight : preflight;
 }
 
+(* A profile and what else its measurement leaves that a later request
+   of the same circuit reads: the netlist it measured, packed
+   ({!Netlist.pack}), and the one-counts of its pinned activity run,
+   which give a tech report its activities. A few bytes a node. *)
+type measured = {
+  profile : Profile.t;
+  packed : string;
+  counts : Nano_sim.Activity.counts;
+}
+
 type t = {
   config : config;
   responses : reply Cache.t;  (** reply per content-addressed key *)
-  profiles : Profile.t Cache.t;  (** the expensive Monte-Carlo part *)
+  profiles : measured Cache.t;  (** the expensive Monte-Carlo part *)
   circuits : identity Cache.t;
       (** circuit spelling to identity; never the netlist or preflight
           text, so its footprint stays a few strings per entry *)
@@ -161,13 +171,13 @@ let resolve_circuit = function
 
 (* A circuit as [prepare] sees it: the identity its cache keys need,
    known before any lookup, and the netlist, built only when a layer
-   needs it (a profile miss, an unmapped grid, a tech report's mapping,
-   a preflight linted again). The spelling ([name:<suite name>] or
-   [blif:<MD5 of the text>]) names the netlist exactly; the strash
-   digest names only its structure up to strashing, which spellings
-   with different raw netlists can share. [strashed] is [Strash.run] of
-   the netlist: the digest's source and the mapping's first step,
-   computed once per request and never cached. *)
+   needs it (a profile miss, a preflight linted again). The spelling
+   ([name:<suite name>] or [blif:<MD5 of the text>]) names the netlist
+   exactly; the strash digest names only its structure up to
+   strashing, which spellings with different raw netlists can share.
+   [strashed] is [Strash.run] of the netlist: the digest's source and
+   the mapping's first step, computed once per request and never
+   cached. *)
 type circuit = {
   spelling : string;
   identity : identity;
@@ -243,32 +253,38 @@ let fr = Json.float_repr
    is keyed on the strash digest and shared across requests, and across
    differing model names, which only relabel the result. An unmapped
    profile measures the raw netlist, so it is keyed on the spelling.
-   The mapped netlist comes back too: the one the profile measured on a
-   miss, so the grid and the tech report reuse its compiled program;
-   mapped afresh, on demand, on a hit. *)
+   The measured netlist comes back too, and the counts of the profile's
+   activity run: on a miss the netlist the profile measured, so the
+   grid reuses its compiled program; on a hit the entry's packed
+   netlist, unpacked on demand, so a revisit neither parses nor maps.
+   Spellings that share a mapped entry map to netlists equal up to the
+   model name, which no reply reads. *)
 let profile_for t ~deadline (c : circuit) ~no_map =
   let core_key =
     Printf.sprintf "profile-core|%s|%b"
       (if no_map then c.spelling else c.identity.digest)
       no_map
   in
-  let map () =
-    if no_map then Lazy.force c.netlist
-    else
-      Nano_synth.Script.rugged_lite_strashed ~max_fanin:3
-        (Lazy.force c.strashed)
-  in
-  let profile, mapped =
+  let entry, netlist =
     match Cache.find t.profiles core_key with
-    | Some p -> (p, lazy (map ()))
+    | Some e -> (e, lazy (Netlist.unpack e.packed))
     | None ->
       check_deadline deadline;
-      let mapped = map () in
-      let p = Profile.of_netlist ~jobs:t.config.jobs mapped in
-      Cache.add t.profiles core_key p;
-      (p, Lazy.from_val mapped)
+      let netlist =
+        if no_map then Lazy.force c.netlist
+        else
+          Nano_synth.Script.rugged_lite_strashed ~max_fanin:3
+            (Lazy.force c.strashed)
+      in
+      let profile, counts =
+        Profile.of_netlist_counted ~jobs:t.config.jobs netlist
+      in
+      let e = { profile; packed = Netlist.pack netlist; counts } in
+      Cache.add t.profiles core_key e;
+      (e, Lazy.from_val netlist)
   in
-  ({ profile with Profile.name = c.identity.name }, mapped)
+  let profile = { entry.profile with Profile.name = c.identity.name } in
+  ({ entry with profile }, netlist)
 
 (* The Monte-Carlo lanes of a measured analyze. They read the (mapped)
    circuit, the ε list and the vector budget, never δ or the leakage
@@ -484,7 +500,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
       key = Some key;
       run =
         (fun () ->
-          let profile, _ = profile_for t ~deadline c ~no_map in
+          let { profile; _ }, _ = profile_for t ~deadline c ~no_map in
           (Protocol.profile_to_json profile, preflight_for t c ~key));
     }
   | Protocol.Analyze
@@ -510,18 +526,23 @@ let prepare t ~deadline (env : Protocol.envelope) =
       key = Some key;
       run =
         (fun () ->
-          let profile, mapped = profile_for t ~deadline c ~no_map in
+          let { profile; counts; _ }, mapped =
+            profile_for t ~deadline c ~no_map
+          in
           check_deadline deadline;
           (* The absolute-energy block rides after "rows"; replies
              without --tech carry no block at all and stay
-             byte-identical to earlier releases. *)
+             byte-identical to earlier releases. Its activities are the
+             profile's own run's. *)
           let tech_fields () =
             match tech with
             | None -> []
             | Some pack ->
               let report =
-                Nano_tech.Report.analyze ~delta ~epsilons ~pack ~profile
-                  (Lazy.force mapped)
+                Nano_tech.Report.analyze ~delta ~epsilons
+                  ~node_activity:
+                    (Nano_sim.Activity.node_activity_of_counts counts)
+                  ~pack ~profile (Lazy.force mapped)
               in
               t.tech_reports <- t.tech_reports + 1;
               [ ("tech", Nano_tech.Report.to_json report) ]

@@ -18,8 +18,12 @@
     configured. A cached [analyze] or [profile] reply that carries a
     lint preflight is held as a head and that preflight's text, one
     string shared by every cached reply of the circuit's spelling, so a
-    revisit at a new δ reuses it instead of linting (and, without a
-    tech pack, parsing) the circuit again.
+    revisit at a new δ reuses it instead of linting the circuit again.
+    A cached profile keeps the netlist it measured, packed
+    ({!Nano_netlist.Netlist.pack}), and its activity run's one-counts,
+    a few bytes a node: a revisit priced by a technology pack, or one
+    whose ε list is new, unpacks that netlist instead of parsing and
+    mapping the circuit again, and no tech report simulates.
 
     Failure semantics: every per-request failure — unparseable JSON,
     unknown circuit, BLIF payload errors, invalid scenario, timeout,
@@ -30,7 +34,9 @@ type config = {
   jobs : int;  (** Domains for sweep/analyze grids (default: all). *)
   cache_capacity : int;
       (** LRU entries per cache (responses, profiles, circuit
-          identities and measured grids); 0 disables caching. A circuit
+          identities and measured grids); 0 disables caching. A profile
+          entry holds its measured netlist packed and its activity
+          counts, a few bytes a node, never a [Netlist.t]. A circuit
           identity also records where its spelling's lint preflight
           is: clean, or held by a cached reply, never a copy of the
           text. Default 256. *)

@@ -17,8 +17,11 @@ let average_over_gates netlist per_node =
   in
   if count = 0 then 0. else total /. float_of_int count
 
+(* The temporal-independence model, the one place it is written. *)
+let activity_of_probability p = 2. *. p *. (1. -. p)
+
 let profile_of_probabilities netlist probs ~vectors =
-  let activity = Array.map (fun p -> 2. *. p *. (1. -. p)) probs in
+  let activity = Array.map activity_of_probability probs in
   {
     node_probability = probs;
     node_activity = activity;
@@ -26,8 +29,9 @@ let profile_of_probabilities netlist probs ~vectors =
     vectors;
   }
 
-let monte_carlo ?(seed = 0x5eed) ?(vectors = 4096) ?(input_probability = 0.5)
-    netlist =
+(* The one-counts of a Monte-Carlo run, per node, and the vectors they
+   are out of. *)
+let ones_counts ~seed ~vectors ~input_probability netlist =
   let rng = Nano_util.Prng.create ~seed in
   let words = Nano_util.Math_ext.ceil_div vectors 64 in
   let n = Netlist.node_count netlist in
@@ -52,9 +56,35 @@ let monte_carlo ?(seed = 0x5eed) ?(vectors = 4096) ?(input_probability = 0.5)
     Nano_util.Prng.jump rng ~draws:(bw * dpw);
     done_words := !done_words + bw
   done;
-  let total = float_of_int (words * 64) in
-  let probs = Array.map (fun c -> float_of_int c /. total) ones in
-  profile_of_probabilities netlist probs ~vectors:(words * 64)
+  (ones, words * 64)
+
+let probability ~vectors count = float_of_int count /. float_of_int vectors
+
+let profile_of_ones netlist ones ~vectors =
+  profile_of_probabilities netlist (Array.map (probability ~vectors) ones)
+    ~vectors
+
+let monte_carlo ?(seed = 0x5eed) ?(vectors = 4096) ?(input_probability = 0.5)
+    netlist =
+  let ones, vectors = ones_counts ~seed ~vectors ~input_probability netlist in
+  profile_of_ones netlist ones ~vectors
+
+(* The default run's one-counts, two bytes a node, little-endian: out of
+   4096 vectors, each fits. *)
+type counts = string
+
+let monte_carlo_counted netlist =
+  let ones, vectors =
+    ones_counts ~seed:0x5eed ~vectors:4096 ~input_probability:0.5 netlist
+  in
+  let packed = Bytes.create (2 * Array.length ones) in
+  Array.iteri (fun i c -> Bytes.set_uint16_le packed (2 * i) c) ones;
+  (profile_of_ones netlist ones ~vectors, Bytes.unsafe_to_string packed)
+
+let node_activity_of_counts counts =
+  Array.init (String.length counts / 2) (fun i ->
+      activity_of_probability
+        (probability ~vectors:4096 (String.get_uint16_le counts (2 * i))))
 
 let exact ?(input_probability = 0.5) netlist =
   let m = Nano_bdd.Bdd.manager () in

@@ -25,6 +25,19 @@ val monte_carlo :
 (** Bit-parallel sampling estimator. [vectors] (default 4096) is rounded
     up to a multiple of 64; [input_probability] defaults to 0.5. *)
 
+type counts
+(** The per-node one-counts of {!monte_carlo}'s default run (seed
+    0x5eed, 4096 vectors), two bytes a node: what a caller keeps to
+    have that run's activities again without simulating. *)
+
+val monte_carlo_counted : Nano_netlist.Netlist.t -> profile * counts
+(** {!monte_carlo} at its defaults, and that run's one-counts. *)
+
+val node_activity_of_counts : counts -> float array
+(** The run's [node_activity], computed from its counts exactly as
+    {!monte_carlo} computes it: [p = ones / vectors], then [2 p (1-p)].
+    Equal to the floats {!monte_carlo} returns, bit for bit. *)
+
 val exact : ?input_probability:float -> Nano_netlist.Netlist.t -> profile
 (** Exact signal probabilities via a ROBDD built over the primary inputs.
     Exponential in the worst case; intended for netlists up to a few

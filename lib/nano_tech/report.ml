@@ -56,7 +56,8 @@ let analyze ?(delta = Benchmark_eval.paper_delta)
       sw
     | None ->
       (* Pinned to [Profile.default_activity] so every surface computes
-         the same weights regardless of other request parameters. *)
+         the same weights regardless of other request parameters; the
+         profile's own counts give these floats without this run. *)
       (Activity.monte_carlo ~seed:0x5eed ~vectors:4096 net)
         .Activity.node_activity
   in
@@ -123,15 +124,20 @@ let analyze ?(delta = Benchmark_eval.paper_delta)
     List.map
       (fun epsilon ->
         let effective_epsilon = Pack.effective_epsilon pack epsilon in
-        let row =
-          Benchmark_eval.evaluate_profile ~delta ~leakage_share0:share0
-            profile ~epsilon:effective_epsilon
+        (* A pack whose constants overflow a double can leave the share
+           undefined (∞/∞); Corollary 2 then has no λ0 to read. *)
+        let energy_ratio =
+          if Float.is_nan share0 then Float.nan
+          else
+            (Benchmark_eval.evaluate_profile ~delta ~leakage_share0:share0
+               profile ~epsilon:effective_epsilon)
+              .Benchmark_eval.energy_ratio
         in
         {
           epsilon;
           effective_epsilon;
-          energy_ratio = row.Benchmark_eval.energy_ratio;
-          bound_energy_j = row.Benchmark_eval.energy_ratio *. total_j;
+          energy_ratio;
+          bound_energy_j = energy_ratio *. total_j;
           leakage_ratio_change =
             Leakage.ratio_change ~epsilon:effective_epsilon ~sw0;
         })
@@ -158,9 +164,9 @@ let gate_row_to_json r =
     [
       ("kind", Json.String (Gate.name r.kind));
       ("count", Json.Int r.count);
-      ("switching_j", Json.Float r.switching_j);
-      ("leakage_w", Json.Float r.leakage_w);
-      ("area_m2", Json.Float r.area_m2);
+      ("switching_j", Json.float_or_null r.switching_j);
+      ("leakage_w", Json.float_or_null r.leakage_w);
+      ("area_m2", Json.float_or_null r.area_m2);
     ]
 
 let bound_row_to_json r =
@@ -186,14 +192,14 @@ let to_json t =
       ( "totals",
         Json.Obj
           [
-            ("switching_j", Json.Float t.switching_j);
-            ("leakage_w", Json.Float t.leakage_w);
-            ("leakage_j", Json.Float t.leakage_j);
-            ("total_j", Json.Float t.total_j);
-            ("area_m2", Json.Float t.area_m2);
-            ("critical_path_s", Json.Float t.critical_path_s);
+            ("switching_j", Json.float_or_null t.switching_j);
+            ("leakage_w", Json.float_or_null t.leakage_w);
+            ("leakage_j", Json.float_or_null t.leakage_j);
+            ("total_j", Json.float_or_null t.total_j);
+            ("area_m2", Json.float_or_null t.area_m2);
+            ("critical_path_s", Json.float_or_null t.critical_path_s);
             ("critical_output", Json.String t.critical_output);
-            ("leakage_share", Json.Float t.leakage_share);
+            ("leakage_share", Json.float_or_null t.leakage_share);
           ] );
       ("bounds", Json.List (List.map bound_row_to_json t.bounds));
     ]
@@ -209,7 +215,8 @@ let to_json t =
   Json.Obj (base @ diags)
 
 let pp ppf t =
-  let g v = Printf.sprintf "%.6g" v in
+  (* NaN's sign is the platform's business; print it one way. *)
+  let g v = if Float.is_nan v then "nan" else Printf.sprintf "%.6g" v in
   let lines =
     [
       Printf.sprintf "technology %s (digest %s)" t.pack_name t.pack_digest;

@@ -65,19 +65,29 @@ val analyze :
     profile of the same (mapped) netlist — callers reuse the one the
     normalized rows were computed from.
 
-    [node_activity] substitutes a caller-supplied per-node switching
-    activity (indexed by node id, length [Netlist.node_count]) for the
-    pinned-seed Monte-Carlo estimate — the static analyzer's
-    [Nano_static.Static.node_activity_estimate] is the intended
-    source. Omitting it keeps reports byte-identical to earlier
-    releases. *)
+    [node_activity] is the per-node switching activity (indexed by
+    node id, length [Netlist.node_count]); omitted, the report
+    simulates the pinned-seed Monte-Carlo estimate itself. A caller
+    that profiled the netlist with {!Nano_bounds.Profile.of_netlist_counted}
+    already has that estimate:
+    {!Nano_sim.Activity.node_activity_of_counts} of the profile's
+    counts gives the same floats, so the same report bytes, without
+    the run. Other estimates may stand in for it, such as the static
+    analyzer's [Nano_static.Static.node_activity_estimate].
+
+    The report never raises on a pack that {!Loader.validate}
+    accepts, even one whose constants overflow a double: the totals
+    may be infinite or NaN, and when the leakage share is NaN (∞/∞)
+    every bound row's [energy_ratio] and [bound_energy_j] are NaN
+    instead of reaching {!Nano_bounds.Metrics.evaluate}. *)
 
 val to_json : t -> Nano_util.Json.t
 (** Deterministic encoding shared by [--format json] and the service
     reply ([pack]/[gates]/[totals]/[bounds], plus [diagnostics] only
-    when non-empty). A non-finite bound-row value encodes as [null]:
-    at ε = 1/2 [energy_ratio] and [bound_energy_j] are +∞, and
-    [bound_energy_j] is NaN when [total_j] is 0. *)
+    when non-empty). A non-finite value encodes as [null]: at ε = 1/2
+    [energy_ratio] and [bound_energy_j] are +∞, [bound_energy_j] is
+    NaN when [total_j] is 0, and gate-row and total values overflow
+    under packs with huge constants. *)
 
 val pp : Format.formatter -> t -> unit
 (** The human table: per-kind rows, totals with engineering-notation

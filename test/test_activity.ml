@@ -48,6 +48,22 @@ let test_monte_carlo_deterministic () =
     "same seed same result" a.Activity.node_probability
     b.Activity.node_probability
 
+(* The counted run is [monte_carlo]'s default run, and its counts give
+   back its activities bit for bit, on every netlist shape. *)
+let test_counts_give_monte_carlo () =
+  List.iter
+    (fun seed ->
+      let netlist = Helpers.strash_shapes seed in
+      let mc = Activity.monte_carlo netlist in
+      let counted, counts = Activity.monte_carlo_counted netlist in
+      Alcotest.(check bool) "same profile" true (counted = mc);
+      let activity = Activity.node_activity_of_counts counts in
+      Alcotest.(check int) "one count a node" (Netlist.node_count netlist)
+        (Array.length activity);
+      Alcotest.(check bool) "same activities" true
+        (activity = mc.Activity.node_activity))
+    (List.init 10 Fun.id)
+
 let test_measured_toggle_matches_model () =
   (* Under temporal independence, the measured toggle rate equals
      2p(1-p) for every node. *)
@@ -123,6 +139,8 @@ let suite =
     Alcotest.test_case "monte carlo converges" `Quick test_monte_carlo_converges;
     Alcotest.test_case "monte carlo deterministic" `Quick
       test_monte_carlo_deterministic;
+    Alcotest.test_case "counts give monte carlo's activities" `Quick
+      test_counts_give_monte_carlo;
     Alcotest.test_case "toggle rate matches model" `Quick
       test_measured_toggle_matches_model;
     Alcotest.test_case "average over gates" `Quick

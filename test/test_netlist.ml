@@ -221,6 +221,58 @@ let test_eval_words_hook () =
       Netlist.eval_words n ~input_words:[| 0L; 0L |] ~values:[| 0L |]
         ~after:(fun _ w -> w))
 
+(* [unpack (pack n)] is [n] again: the model name, every node's kind,
+   fanins and name, the inputs and the named outputs, so the digest. *)
+let check_pack_round_trip n =
+  let packed = Netlist.pack n in
+  let m = Netlist.unpack packed in
+  let label = Netlist.name n in
+  Alcotest.(check string) (label ^ ": digest") (Netlist.digest n)
+    (Netlist.digest m);
+  Alcotest.(check string) (label ^ ": name") (Netlist.name n) (Netlist.name m);
+  Alcotest.(check int) (label ^ ": nodes") (Netlist.node_count n)
+    (Netlist.node_count m);
+  Netlist.iter n (fun id info ->
+      let info' = Netlist.info m id in
+      if
+        info.Netlist.kind <> info'.Netlist.kind
+        || info.Netlist.fanins <> info'.Netlist.fanins
+        || info.Netlist.name <> info'.Netlist.name
+      then Alcotest.failf "%s: node %d differs" label id);
+  Alcotest.(check (list int)) (label ^ ": inputs") (Netlist.inputs n)
+    (Netlist.inputs m);
+  Alcotest.(check (list (pair string int)))
+    (label ^ ": outputs") (Netlist.outputs n) (Netlist.outputs m);
+  Alcotest.(check string) (label ^ ": packs again to the same bytes") packed
+    (Netlist.pack m)
+
+let prop_pack_round_trip =
+  QCheck2.Test.make ~name:"unpack . pack = id on random netlists" ~count:200
+    QCheck2.Gen.(int_range 0 100000)
+    (fun seed ->
+      check_pack_round_trip (Helpers.strash_shapes seed);
+      true)
+
+let test_pack_round_trip_suite () =
+  List.iter
+    (fun e ->
+      let n = e.Nano_circuits.Suite.build () in
+      check_pack_round_trip n;
+      check_pack_round_trip (Nano_synth.Script.rugged_lite ~max_fanin:3 n))
+    Nano_circuits.Suite.all
+
+let test_unpack_rejects () =
+  let packed = Netlist.pack (half_adder ()) in
+  List.iter
+    (fun text ->
+      Helpers.check_invalid "malformed" (fun () -> Netlist.unpack text))
+    [
+      "";
+      String.sub packed 0 (String.length packed - 1);
+      packed ^ "\000";
+      "\255\255\255\255\255\255\255\255\255\255";
+    ]
+
 let suite =
   [
     Alcotest.test_case "builder basics" `Quick test_builder_basics;
@@ -240,4 +292,9 @@ let suite =
     Helpers.qcheck prop_eval_nodes_matches_eval;
     Helpers.qcheck prop_eval_words_identity;
     Alcotest.test_case "eval_words hook" `Quick test_eval_words_hook;
+    Helpers.qcheck prop_pack_round_trip;
+    Alcotest.test_case "pack round trip: suite and mapped suite" `Quick
+      test_pack_round_trip_suite;
+    Alcotest.test_case "unpack rejects malformed bytes" `Quick
+      test_unpack_rejects;
   ]

@@ -747,13 +747,13 @@ let test_cold_measure_compiles_once () =
   Alcotest.(check bool) "revisit ok" true
     (reply_ok (Service.handle_line t (line 0.02)));
   Alcotest.(check int) "revisit lowers nothing" 0 (misses () - before);
-  (* The tech report needs the mapped netlist, so a tech revisit maps
-     once and lowers once; the lanes still come from the memo. *)
+  (* The tech report reads the profile entry's netlist, unpacked, and
+     its activity counts, so a tech revisit neither maps nor lowers;
+     the lanes still come from the memo. *)
   let before = misses () in
   Alcotest.(check bool) "tech revisit ok" true
     (reply_ok (Service.handle_line t (line ~tech:{|,"tech":"nanodev"|} 0.03)));
-  Alcotest.(check int) "tech revisit maps once, lowers once" 1
-    (misses () - before);
+  Alcotest.(check int) "tech revisit lowers nothing" 0 (misses () - before);
   let stats = stats_of_service t in
   Alcotest.(check int) "one grid measured" 1
     (cache_counter stats ~cache:"grids" ~field:"misses");
@@ -794,6 +794,7 @@ let test_digest_equal_spellings_keep_their_replies () =
          ([ ("kind", Json.String kind); ("blif", Json.String text) ] @ fields))
   in
   let no_map = ("no_map", Json.Bool true) in
+  let nanodev = ("tech", Json.String "nanodev") in
   let measured =
     [
       ("epsilons", Json.List [ Json.Float 0.01 ]);
@@ -829,6 +830,8 @@ let test_digest_equal_spellings_keep_their_replies () =
       ("mapped analyze", "analyze", []);
       ("mapped measured analyze", "analyze", measured);
       ("unmapped measured analyze", "analyze", no_map :: measured);
+      ("mapped analyze with a pack", "analyze", [ nanodev ]);
+      ("unmapped analyze with a pack", "analyze", [ no_map; nanodev ]);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -866,7 +869,8 @@ let tech_field name = ("tech", Json.String name)
    BLIF spellings of c17, rca8, alu8 and datapath32, a Random_circuit
    netlist and two circuits by name (alu8 draws a preflight, c17 is
    clean); one spelling is visited by a profile request, and one pair
-   runs unmapped. *)
+   runs unmapped. The last two pairs revisit at a new epsilon list, and
+   price a profiled spelling under a pack. *)
 let revisit_pairs =
   lazy
     (let random =
@@ -913,12 +917,31 @@ let revisit_pairs =
            0.01,
          analyze_request ~fields:(no_map :: measured) (padded_circuit "rca8" 6)
            0.03 );
+       (* A new epsilon list misses the grid memo: the revisit measures
+          lanes again, on the netlist its profile entry holds. *)
+       ( analyze_request ~fields:measured (padded_circuit "csel16" 7) 0.01,
+         analyze_request
+           ~fields:
+             [
+               ("epsilons", Json.List [ Json.Float 0.02; Json.Float 0.1 ]);
+               ("measure", Json.Bool true);
+               ("vectors", Json.Int 256);
+             ]
+           (padded_circuit "csel16" 7) 0.02 );
+       (* A profile request fills the entry a priced analyze then reads. *)
+       ( request_line
+           (("kind", Json.String "profile") :: padded_circuit "bcdadd8" 8),
+         analyze_request ~fields:[ tech_field "nanodev" ]
+           (padded_circuit "bcdadd8" 8) 0.02 );
      ])
 
 (* The MD5 of one service's replies to the stream, one per line,
-   recorded before revisits reused their lint preflight. Each revisit
-   must also answer what a fresh service answers to the same line. *)
-let revisit_pin = "8b5d889bc760657af08ce98c75ab032a"
+   recorded before profile entries held their netlist packed (the
+   stream without its last two pairs read
+   8b5d889bc760657af08ce98c75ab032a before revisits reused their lint
+   preflight). Each revisit must also answer what a fresh service
+   answers to the same line. *)
+let revisit_pin = "ba9141ab433279221af1d0576e8e85c3"
 
 let test_revisit_replies_pinned () =
   let t = make_service () in

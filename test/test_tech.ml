@@ -305,6 +305,230 @@ let test_builtins_price_suite () =
         Builtin.all)
     [ "c17"; "rca8"; "alu8" ]
 
+(* ------------------------------------------------------------------ *)
+(* Mutated pack texts: every surface answers, none raises.              *)
+(* ------------------------------------------------------------------ *)
+
+let builtin_texts =
+  Array.of_list (List.map (fun p -> Json.to_string (Pack.to_json p)) Builtin.all)
+
+(* The numeric members of a pack text, as (key, start, stop) spans of
+   the number after ["key":]. *)
+let numeric_spans text =
+  let n = String.length text in
+  let is_num c = (c >= '0' && c <= '9') || String.contains ".eE+-" c in
+  let spans = ref [] in
+  for i = 1 to n - 2 do
+    if text.[i] = ':' && text.[i - 1] = '"' && is_num text.[i + 1] then begin
+      let key_start = String.rindex_from text (i - 2) '"' + 1 in
+      let stop = ref (i + 1) in
+      while !stop < n && is_num text.[!stop] do
+        incr stop
+      done;
+      spans :=
+        (String.sub text key_start (i - 1 - key_start), i + 1, !stop) :: !spans
+    end
+  done;
+  List.rev !spans
+
+let replace_spans text spans value =
+  let b = Buffer.create (String.length text) in
+  let at =
+    List.fold_left
+      (fun at (_, start, stop) ->
+        Buffer.add_string b (String.sub text at (start - at));
+        Buffer.add_string b value;
+        stop)
+      0 spans
+  in
+  Buffer.add_string b (String.sub text at (String.length text - at));
+  Buffer.contents b
+
+let edge_values = [| "0"; "5e-324"; "1e308"; "-1"; "1e999"; {|"x"|} |]
+
+(* One mutant of a built-in pack's canonical text, drawn from [seed]:
+   a byte flip, a cut, or a numeric member (mostly a gate's e, pl, a or
+   t) replaced by an edge value, at one place or at every member of
+   that name. *)
+let mutant seed =
+  let rng = Random.State.make [| seed |] in
+  let int bound = Random.State.int rng bound in
+  let text = builtin_texts.(int (Array.length builtin_texts)) in
+  let n = String.length text in
+  match int 4 with
+  | 0 ->
+    let b = Bytes.of_string text in
+    for _ = 0 to int 3 do
+      Bytes.set b (int n) (Char.chr (int 256))
+    done;
+    Bytes.to_string b
+  | 1 -> String.sub text 0 (int n)
+  | _ ->
+    let spans = Array.of_list (numeric_spans text) in
+    let key =
+      if int 4 = 0 then
+        let k, _, _ = spans.(int (Array.length spans)) in
+        k
+      else [| "e"; "pl"; "a"; "t" |].(int 4)
+    in
+    let named = List.filter (fun (k, _, _) -> k = key) (Array.to_list spans) in
+    let chosen =
+      if int 2 = 0 then named else [ List.nth named (int (List.length named)) ]
+    in
+    replace_spans text chosen edge_values.(int (Array.length edge_values))
+
+let reply_code reply =
+  match Json.parse reply with
+  | Ok v -> (
+    match Json.member "ok" v with
+    | Some (Json.Bool true) -> Some "ok"
+    | _ ->
+      Option.bind (Json.member "error" v) (fun e ->
+          Option.bind (Json.member "code" e) Json.to_string_opt))
+  | Error _ -> None
+
+let fuzz_service =
+  lazy
+    (Nano_service.Service.create
+       ~config:
+         {
+           (Nano_service.Service.default_config ()) with
+           Nano_service.Service.jobs = 1;
+           cache_capacity = 64;
+         }
+       ())
+
+(* The loader decides every mutant; a mutant that is a JSON object,
+   sent inline with an analyze, gets a reply or the loader's
+   [invalid_tech] error, never an exception turned into [bad_request]
+   or [internal_error]. *)
+let prop_mutated_packs_never_raise =
+  QCheck2.Test.make ~name:"mutated packs: loader and daemon never raise"
+    ~count:600
+    ~print:(fun seed -> String.escaped (mutant seed))
+    QCheck2.Gen.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let text = mutant seed in
+      let outcome = Loader.load_string text in
+      let errors =
+        List.exists
+          (fun d -> d.Diagnostic.severity = Diagnostic.Error)
+          outcome.Loader.diagnostics
+      in
+      if errors = Option.is_some outcome.Loader.pack then
+        QCheck2.Test.fail_report "a pack with errors, or no pack without";
+      match Json.parse text with
+      | Ok (Json.Obj _) ->
+        let circuit = if seed land 1 = 0 then "c17" else "rca8" in
+        let line =
+          Printf.sprintf {|{"kind":"analyze","circuit":"%s","tech":%s}|}
+            circuit text
+        in
+        let reply =
+          Nano_service.Service.handle_line (Lazy.force fuzz_service) line
+        in
+        let expected = if errors then "invalid_tech" else "ok" in
+        (match reply_code reply with
+        | Some code when code = expected -> true
+        | _ -> QCheck2.Test.fail_reportf "reply %s" reply)
+      | Ok _ | Error _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* The profile's counts are the report's pinned estimate.               *)
+(* ------------------------------------------------------------------ *)
+
+let test_profile_counts_give_same_report () =
+  List.iter
+    (fun e ->
+      let net = mapped_suite e.Nano_circuits.Suite.name in
+      let profile, counts = Nano_bounds.Profile.of_netlist_counted net in
+      Alcotest.(check bool)
+        (e.Nano_circuits.Suite.name ^ ": same profile")
+        true
+        (profile = Nano_bounds.Profile.of_netlist net);
+      let node_activity = Nano_sim.Activity.node_activity_of_counts counts in
+      List.iter
+        (fun pack ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s: counts = own simulation"
+               e.Nano_circuits.Suite.name pack.Pack.name)
+            (Json.to_string (Report.to_json (Report.analyze ~pack ~profile net)))
+            (Json.to_string
+               (Report.to_json
+                  (Report.analyze ~node_activity ~pack ~profile net))))
+        Builtin.all)
+    Nano_circuits.Suite.all
+
+(* ------------------------------------------------------------------ *)
+(* Packs that validate but overflow a double.                           *)
+(* ------------------------------------------------------------------ *)
+
+(* cmos55 with every gate's [field] set to 1e308: the loader accepts it,
+   and the sums over gates overflow. *)
+let huge field =
+  let set (e : Pack.entry) =
+    match field with
+    | "e" -> { e with Pack.energy_j = 1e308 }
+    | "pl" -> { e with Pack.leakage_w = 1e308 }
+    | _ -> { e with Pack.delay_s = 1e308 }
+  in
+  {
+    Builtin.cmos55 with
+    Pack.name = "huge_" ^ field;
+    gates = List.map (fun (k, e) -> (k, set e)) Builtin.cmos55.Pack.gates;
+  }
+
+let test_overflowing_packs_answer () =
+  let member path json =
+    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some json) path
+  in
+  List.iter
+    (fun (field, nulls, bound_nulls) ->
+      let pack = huge field in
+      Alcotest.(check (list string)) (field ^ ": validates") []
+        (codes (Loader.validate pack));
+      List.iter
+        (fun name ->
+          let tag = Printf.sprintf "%s/%s" name field in
+          let r = report ~pack (mapped_suite name) in
+          let json = Report.to_json r in
+          ignore (Json.to_string json);
+          ignore (Format.asprintf "%a" Report.pp r);
+          List.iter
+            (fun k ->
+              Alcotest.(check bool) (tag ^ ": totals." ^ k ^ " null") true
+                (member [ "totals"; k ] json = Some Json.Null))
+            nulls;
+          (match Json.member "bounds" json with
+          | Some (Json.List rows) ->
+            List.iter
+              (fun row ->
+                Alcotest.(check bool) (tag ^ ": energy_ratio null") bound_nulls
+                  (Json.member "energy_ratio" row = Some Json.Null);
+                Alcotest.(check bool) (tag ^ ": bound_energy_j null") true
+                  (Json.member "bound_energy_j" row = Some Json.Null);
+                Alcotest.(check bool) (tag ^ ": W/W0 reads no share") false
+                  (Json.member "leakage_ratio_change" row = Some Json.Null))
+              rows
+          | _ -> Alcotest.fail "bounds missing");
+          let line =
+            Printf.sprintf {|{"kind":"analyze","circuit":"%s","tech":%s}|} name
+              (Json.to_string (Pack.to_json pack))
+          in
+          let reply =
+            Nano_service.Service.handle_line (Lazy.force fuzz_service) line
+          in
+          Alcotest.(check (option string)) (tag ^ ": daemon answers ok")
+            (Some "ok") (reply_code reply))
+        [ "c17"; "rca8" ])
+    [
+      ("e", [ "switching_j"; "total_j" ], false);
+      ("pl", [ "leakage_w"; "leakage_j"; "total_j"; "leakage_share" ], true);
+      ( "t",
+        [ "critical_path_s"; "leakage_j"; "total_j"; "leakage_share" ],
+        true );
+    ]
+
 let suite =
   [
     Alcotest.test_case "builtins validate" `Quick test_builtins_clean;
@@ -321,4 +545,9 @@ let suite =
     Alcotest.test_case "cross-check energy model" `Quick
       test_cross_check_energy_model;
     Alcotest.test_case "unmapped gate kind" `Quick test_unmapped_gate_kind;
+    Helpers.qcheck prop_mutated_packs_never_raise;
+    Alcotest.test_case "profile counts give the same report" `Quick
+      test_profile_counts_give_same_report;
+    Alcotest.test_case "overflowing packs answer" `Quick
+      test_overflowing_packs_answer;
   ]
